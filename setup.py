@@ -1,10 +1,19 @@
-"""Setuptools shim.
+"""Package metadata: name, ``src/`` layout, supported Python.
 
-The project metadata lives in ``pyproject.toml``; this file exists so the
-package can be installed editable (``pip install -e .``) in offline
-environments whose setuptools predates PEP 660 editable-wheel support.
+There is no ``pyproject.toml``; this file is the whole build definition.
+``pip install -e .`` builds from it (pip brings setuptools and wheel into
+its build environment); with no network, ``python setup.py develop`` does
+the same using the setuptools already installed.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="0.1.0",
+    description="Fog-to-Cloud data management for smart cities (ICDCS 2017 reproduction)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",  # the version CI runs; older ones are untested
+    install_requires=["networkx>=3"],  # numpy is optional (typed-column fast paths)
+)

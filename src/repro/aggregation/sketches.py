@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from functools import lru_cache
 from typing import Hashable, List, Optional
 
 from repro.common.errors import ConfigurationError
@@ -21,9 +22,14 @@ from repro.sensors.readings import Reading, ReadingBatch
 
 
 def _hash64(value: Hashable, seed: int) -> int:
-    """A stable 64-bit hash of *value* mixed with *seed*."""
+    """A stable 64-bit hash of *value* mixed with *seed* (hashed once per process)."""
+    return _digest64(repr(value), seed)
+
+
+@lru_cache(maxsize=1 << 16)  # keyed on the repr digested: 1, 1.0, True stay distinct
+def _digest64(text: str, seed: int) -> int:
     digest = hashlib.blake2b(
-        repr(value).encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little")
+        text.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little")
     ).digest()
     return int.from_bytes(digest, "little")
 
@@ -77,10 +83,10 @@ class CountMinSketch:
     def update(self, other: "CountMinSketch") -> None:
         """Fold *other* into this sketch in place (cell-wise sum).
 
-        The merge primitive decomposable aggregation relies on: folding a
-        cached per-segment sketch into an accumulator costs one bulk pass
-        over the table instead of re-adding every row the segment held.
-        *other* is not modified.
+        The merge primitive decomposable aggregation relies on: folding
+        another node's sketch into an accumulator costs one bulk pass over
+        the table instead of re-adding every row it summarised.  *other* is
+        not modified.
         """
         if (self.width, self.depth) != (other.width, other.depth):
             raise ConfigurationError("cannot merge sketches with different dimensions")

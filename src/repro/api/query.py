@@ -32,11 +32,14 @@ fog layer-2 node, and everything older from the cloud.
   :attr:`~repro.api.config.PipelineConfig.cold_store_cache_bytes`) until
   the log's contents change or the budget evicts it;
 * hot windows are memoized in a **byte-accounted LRU** (capacity set by
-  :attr:`~repro.api.config.PipelineConfig.query_cache_bytes`); the owning
-  client invalidates it on every ingest/synchronise, and evictions are
+  :attr:`~repro.api.config.PipelineConfig.query_cache_bytes`); an entry is
+  charged, in O(1), what dropping it frees — its columns alias the store's
+  objects, so that is a per-row constant.  The owning client invalidates
+  the memo on every ingest/synchronise, and evictions are
   surfaced through :meth:`stats` / the client's health report;
 * wide historical windows can be answered approximately through
-  :meth:`summarize`, which folds the window into constant-size sketches
+  :meth:`summarize`, which counts the window's ``(category, sensor)`` keys
+  exactly and hashes each distinct key once into constant-size sketches
   (:class:`~repro.aggregation.sketches.CountMinSketch` /
   :class:`~repro.aggregation.sketches.DistinctCounter`) with the same
   per-tier attribution, so a city-wide question does not have to
@@ -60,7 +63,7 @@ would experience it.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -195,17 +198,16 @@ class QueryService:
     #: Default hydrated cold-store capacity (bytes) when no config names one.
     DEFAULT_COLD_STORE_BYTES = 64 * 1024 * 1024
 
-    # Byte accounting for the memo: each entry is charged the *measured*
-    # footprint of its frozen columns (:meth:`ReadingColumns.memory_bytes`
-    # — packed buffers at itemsize per row, list columns at a pointer per
-    # row plus every distinct referenced object once) plus fixed
-    # per-entry / per-source overheads for the result shell.
+    # Byte accounting for the memo: an entry is charged what it *pins*.  Its
+    # columns alias the store's objects, so dropping it frees nine list slots
+    # per row and the float boxed out of the store's ``array('d')`` timestamps,
+    # plus a fixed result shell (held to ``tracemalloc`` by test_query_cache.py).
     _CACHE_ENTRY_OVERHEAD = 512
+    _CACHE_ROW_COST = 9 * 8 + 24
     _CACHE_SOURCE_COST = 64
 
-    #: Per-segment sketch cache bound (segments, LRU).  Each entry is a few
-    #: KB (one sketch pair per category in the segment), so the cap keeps
-    #: the cache around a MB at the default sketch sizes.
+    #: Per-segment key-count cache bound (segments, LRU).  Each entry is a
+    #: counter over one chain segment's distinct keys — a few KB.
     _SKETCH_CACHE_MAX_SEGMENTS = 256
 
     def __init__(
@@ -224,10 +226,9 @@ class QueryService:
         #: assignment (resolved via the broad tiers' series index or the
         #: probe loop); invalidated together with the window memo.
         self._sensor_chain: Dict[str, str] = {}
-        #: (node, window, fog1, category, sketch params) -> (rows, pairs):
-        #: the folded sketches of one synced broad-tier segment, reused by
-        #: :meth:`summarize` instead of re-adding the segment's rows.
-        self._sketch_cache: "OrderedDict[tuple, Tuple[int, Dict[str, tuple]]]" = OrderedDict()
+        #: (node, window, fog1, category) -> exact (category, sensor) counts of
+        #: one synced broad-tier segment, reused by :meth:`summarize`.
+        self._sketch_cache: "OrderedDict[tuple, Counter]" = OrderedDict()
         self.sketch_cache_hits = 0
         #: ``False`` answers city-wide scatters with one filtered sub-query
         #: per section chain (the pre-partitioned behaviour); kept as an
@@ -237,8 +238,8 @@ class QueryService:
         #: bytes): the cold serving stores, rebuilt only when the backing
         #: segment log's contents change (the state key covers appends and
         #: drops), so they survive :meth:`invalidate` — an ingest that did
-        #: not touch the log cannot stale them.  Byte-bounded LRU (same
-        #: accounting as the window memo): a whole segment log hydrated
+        #: not touch the log cannot stale them.  Byte-bounded LRU (measured
+        #: footprint — these columns are owned): a whole segment log hydrated
         #: into memory is the most expensive thing the service caches, so
         #: under a long-running serve loop with TTL eviction the shadow
         #: stores must not grow without limit.
@@ -289,7 +290,7 @@ class QueryService:
             return
         cost = (
             self._CACHE_ENTRY_OVERHEAD
-            + result.columns.memory_bytes()
+            + len(result.columns) * self._CACHE_ROW_COST
             + len(result.sources) * self._CACHE_SOURCE_COST
         )
         if cost > capacity:
@@ -396,15 +397,16 @@ class QueryService:
         """Approximate (scope, window) as constant-size per-category sketches.
 
         Resolves tiers exactly like :meth:`query` (same chain walk, same
-        partitioned scatter, same attribution) but folds each tier's rows
-        into a count-min sketch + distinct counter per category instead of
-        accumulating columns, so the answer stays a few KB however wide
-        the window is.  *width*/*depth*/*precision* size the sketches (see
+        partitioned scatter, same attribution) but sums each segment's
+        exact ``(category, sensor)`` counts instead of accumulating columns
+        and builds one count-min sketch + distinct counter per category with
+        a single ``add(sensor, count)`` per distinct key — count-min is
+        linear and the register max idempotent, so every cell equals a
+        per-row fold's.  The answer stays a few KB however wide the window
+        is.  *width*/*depth*/*precision* size the sketches (see
         :mod:`repro.aggregation.sketches`).  Whole summaries are not
-        memoized, but each synced broad-tier segment's folded sketch pair
-        is (until :meth:`invalidate`): a repeated city-wide summary merges
-        one cached constant-size pair per segment instead of re-adding
-        every cloud row.
+        memoized, but each synced broad-tier segment's key counts are
+        (until :meth:`invalidate`).
         """
         scatter = section_id is None
         plans = self._chain_plans(since, until, None, section_id)
@@ -414,32 +416,33 @@ class QueryService:
             else None
         )
 
-        frequency: Dict[str, CountMinSketch] = {}
-        distinct: Dict[str, DistinctCounter] = {}
+        counts: Counter = Counter()
         sources: List[TierSlice] = []
         rows_by_tier: Dict[str, int] = {}
         total = 0
         for fog1, slices in plans:
             for node, tier, sub_since, sub_until in slices:
-                rows, pairs = self._segment_sketches(
-                    node, tier, fog1, sub_since, sub_until, category,
-                    parts, width, depth, precision,
+                segment_counts = self._segment_sketches(
+                    node, tier, fog1, sub_since, sub_until, category, parts
                 )
+                rows = segment_counts.total()
                 if rows:
                     total += rows
                     rows_by_tier[tier] = rows_by_tier.get(tier, 0) + rows
-                    for row_category, (seg_sketch, seg_counter) in pairs.items():
-                        sketch = frequency.get(row_category)
-                        if sketch is None:
-                            sketch = frequency[row_category] = CountMinSketch(width, depth)
-                            distinct[row_category] = DistinctCounter(precision)
-                        # Decomposable fold: one bulk merge per segment
-                        # instead of one sketch add per row.  The cached
-                        # pair is never mutated, only folded from.
-                        sketch.update(seg_sketch)
-                        distinct[row_category].update(seg_counter)
+                    # The cached counter is never mutated, only summed from.
+                    counts.update(segment_counts)
                 if rows or not scatter:
                     sources.append(TierSlice(node.node_id, tier, fog1.section_id, rows))
+
+        frequency: Dict[str, CountMinSketch] = {}
+        distinct: Dict[str, DistinctCounter] = {}
+        for (row_category, sensor_id), count in counts.items():
+            sketch = frequency.get(row_category)
+            if sketch is None:
+                sketch = frequency[row_category] = CountMinSketch(width, depth)
+                distinct[row_category] = DistinctCounter(precision)
+            sketch.add(sensor_id, count)
+            distinct[row_category].add(sensor_id)
 
         self.summaries_served += 1
         self._account(sources, rows_by_tier)
@@ -462,26 +465,20 @@ class QueryService:
         sub_until: float,
         category: Optional[str],
         parts: Optional[Dict[tuple, ReadingColumns]],
-        width: int,
-        depth: int,
-        precision: int,
-    ) -> Tuple[int, Dict[str, tuple]]:
-        """One chain segment's rows folded into per-category sketch pairs.
+    ) -> Counter:
+        """One chain segment reduced to exact ``(category, sensor)`` counts.
 
         Broad-tier (fog layer 2 / cloud) segments are cached by
-        ``(node, window, chain, category, sketch params)``: their contents
-        only change when data moves, at which point :meth:`invalidate`
-        drops the cache, so a repeated :meth:`summarize` over a synced
-        window folds one cached constant-size pair per segment instead of
-        re-adding every row.  Fog layer-1 segments are always computed
-        fresh (their stores churn with every ingest round).
+        ``(node, window, chain, category)``: their contents only change
+        when data moves, at which point :meth:`invalidate` drops the cache,
+        so a repeated :meth:`summarize` over a synced window sums one
+        cached counter per segment instead of re-scanning every row.  Fog
+        layer-1 segments are always computed fresh (their stores churn
+        with every ingest round).
         """
         key = None
         if tier != TIER_FOG_1:
-            key = (
-                node.node_id, sub_since, sub_until, fog1.node_id,
-                category, width, depth, precision,
-            )
+            key = (node.node_id, sub_since, sub_until, fog1.node_id, category)
             cached = self._sketch_cache.get(key)
             if cached is not None:
                 self._sketch_cache.move_to_end(key)
@@ -494,22 +491,12 @@ class QueryService:
         )
         if part is None:
             part = self._query_at(node, tier, fog1, sub_since, sub_until, None, category)
-        rows = len(part)
-        pairs: Dict[str, tuple] = {}
-        for sensor_id, row_category in zip(part.sensor_ids, part.categories):
-            pair = pairs.get(row_category)
-            if pair is None:
-                pair = pairs[row_category] = (
-                    CountMinSketch(width, depth),
-                    DistinctCounter(precision),
-                )
-            pair[0].add(sensor_id)
-            pair[1].add(sensor_id)
+        counts = Counter(zip(part.categories, part.sensor_ids))
         if key is not None:
-            self._sketch_cache[key] = (rows, pairs)
+            self._sketch_cache[key] = counts
             while len(self._sketch_cache) > self._SKETCH_CACHE_MAX_SEGMENTS:
                 self._sketch_cache.popitem(last=False)
-        return rows, pairs
+        return counts
 
     # ------------------------------------------------------------------ #
     # Resolution internals
@@ -729,11 +716,11 @@ class QueryService:
         here, one per segment, only when a cold window is actually served.
 
         Hydrated stores live in a byte-accounted LRU (capacity
-        :attr:`cold_store_capacity_bytes`, measured with the same
-        :meth:`ReadingColumns.memory_bytes` accounting as the window memo):
-        least-recently-served nodes are evicted over budget, and a single
-        hydration larger than the whole budget is served uncached — the
-        same rule the memo applies to oversized results.
+        :attr:`cold_store_capacity_bytes`, measured with
+        :meth:`ReadingColumns.memory_bytes` — a hydrated store *owns* what
+        it decoded): least-recently-served nodes are evicted over budget,
+        and a single hydration larger than the whole budget is served
+        uncached — the same rule the memo applies to oversized results.
         """
         state = (log.segment_count, log.appended_rows, log.dropped_segments)
         cached = self._cold_stores.get(node_id)

@@ -543,8 +543,8 @@ class ReadingColumns:
         Typed array columns count their packed buffer; list columns count
         one slot pointer per row plus each distinct referenced object once
         — the string and tag columns share references heavily (interning),
-        so a shared object is never double-charged.  An honest O(rows)
-        accounting for cache budgets, not an exact allocator model.
+        so a shared object is never double-charged.  An honest O(rows) count
+        for columns that *own* their objects (hydrated cold stores), not exact.
         """
         import sys
 

@@ -69,6 +69,8 @@ from repro.common.typedcols import (
 )
 from repro.sensors.readings import Reading, ReadingBatch, ReadingColumns
 
+_STALE = object()  # "not cached": ``None`` is a real oldest_timestamp() (empty store)
+
 
 class _Series:
     """One sensor's readings as parallel columns, timestamp-ordered.
@@ -524,6 +526,7 @@ class TimeSeriesStore:
         self._mixed_fog_sids: set = set()
         self._mixed_cat_sids: set = set()
         self._series_seq = 0
+        self._oldest: Any = _STALE  # cached oldest_timestamp(); reset by every mutating call
         #: Escape hatch for A/B measurement (and the equivalence property
         #: suite): ``False`` forces filtered queries back onto the full
         #: O(#series) scan path.
@@ -568,6 +571,7 @@ class TimeSeriesStore:
     def append(self, reading: Reading) -> None:
         """Insert a reading, keeping the series ordered by timestamp."""
         sensor_id = reading.sensor_id
+        self._oldest = _STALE
         series = self._series.get(sensor_id)
         if series is None:
             series = self._new_series(
@@ -628,6 +632,7 @@ class TimeSeriesStore:
         n = len(columns)
         if not n:
             return 0
+        self._oldest = _STALE
         series_map = self._series
         sensor_ids = columns.sensor_ids
         if n >= self._BULK_RUN_THRESHOLD and len(set(sensor_ids)) * self._BULK_RUN_THRESHOLD <= n:
@@ -943,12 +948,11 @@ class TimeSeriesStore:
         return dict(self._bytes_by_category)
 
     def oldest_timestamp(self) -> Optional[float]:
-        oldest: Optional[float] = None
-        for series in self._series.values():
-            timestamps = series.timestamps
-            if timestamps and (oldest is None or timestamps[0] < oldest):
-                oldest = timestamps[0]
-        return oldest
+        """Oldest stored timestamp (``None`` when empty); O(1) between mutating calls."""
+        if self._oldest is _STALE:
+            heads = [s.timestamps[0] for s in self._series.values() if s.timestamps]
+            self._oldest = min(heads, default=None)
+        return self._oldest
 
     # ------------------------------------------------------------------ #
     # Removal
@@ -967,6 +971,7 @@ class TimeSeriesStore:
         never visited individually.
         """
         removed = 0
+        self._oldest = _STALE
         for series in self._series.values():
             timestamps = series.timestamps
             if not timestamps or timestamps[0] >= cutoff:
@@ -991,6 +996,7 @@ class TimeSeriesStore:
         """
         if count <= 0:
             return []
+        self._oldest = _STALE
         # Each heap entry is (timestamp, series_order, position); series_order
         # reproduces the dict-iteration stability of the old sorted() pass.
         series_list = [series for series in self._series.values() if series.timestamps]
@@ -1024,3 +1030,4 @@ class TimeSeriesStore:
         self._mixed_fog_sids.clear()
         self._mixed_cat_sids.clear()
         self._series_seq = 0
+        self._oldest = _STALE

@@ -6,6 +6,7 @@ from repro.aggregation.averaging import WindowAveraging
 from repro.aggregation.compression import CalibratedCompression
 from repro.aggregation.pipeline import AggregationPipeline
 from repro.aggregation.redundancy import RedundantDataElimination
+from repro.aggregation import sketches
 from repro.aggregation.sketches import CountMinSketch, DistinctCounter, SketchSummaryAggregation
 from repro.common.errors import ConfigurationError
 from repro.sensors.readings import ReadingBatch
@@ -64,6 +65,45 @@ class TestWindowAveraging:
             WindowAveraging(window_seconds=0.0)
 
 
+class TestHashMemo:
+    """``_hash64`` is memoised on the key's ``repr`` — the text it digests."""
+
+    def test_equal_but_differently_printed_keys_keep_their_own_hashes(self):
+        # 1 == 1.0 == True and all three hash alike as dict keys; a memo
+        # keyed on the value itself would hand all of them one digest.
+        keys = [1, 1.0, True, "1"]
+        for seed in (0, 3, 0xC0FFEE):
+            sketches._digest64.cache_clear()
+            forward = [sketches._hash64(key, seed) for key in keys]
+            sketches._digest64.cache_clear()
+            backward = [sketches._hash64(key, seed) for key in reversed(keys)][::-1]
+            assert len(set(forward)) == 4
+            assert forward == backward  # no dependence on which came first
+
+    def test_memo_hits_and_is_bounded(self):
+        sketches._digest64.cache_clear()
+        first = sketches._hash64("sensor-1", 2)
+        assert sketches._hash64("sensor-1", 2) == first
+        assert sketches._hash64("sensor-1", 3) != first  # the seed is part of the key
+        info = sketches._digest64.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+        assert info.maxsize is not None and info.maxsize <= 1 << 16
+
+    def test_counted_add_equals_repeated_adds(self):
+        # What summarize() relies on: count-min is linear in the count and
+        # the distinct counter's register max is idempotent.
+        weighted, repeated = CountMinSketch(32, 3), CountMinSketch(32, 3)
+        once, thrice = DistinctCounter(6), DistinctCounter(6)
+        for key, count in (("a", 3), ("b", 1), (7, 5)):
+            weighted.add(key, count)
+            once.add(key)
+            for _ in range(count):
+                repeated.add(key)
+                thrice.add(key)
+        assert weighted._table == repeated._table and weighted.total == repeated.total
+        assert once._registers == thrice._registers
+
+
 class TestCountMinSketch:
     def test_never_undercounts(self):
         sketch = CountMinSketch(width=64, depth=4)
@@ -112,8 +152,8 @@ class TestCountMinSketch:
             CountMinSketch(64, 4).update(CountMinSketch(64, 2))
 
     def test_update_matches_row_wise_adds(self):
-        # Folding per-segment sketches must equal adding every row directly
-        # (the decomposability summarize()'s segment cache relies on).
+        # Folding per-node sketches must equal adding every row directly
+        # (the decomposability that lets nodes merge their summaries).
         direct = CountMinSketch(width=128, depth=4)
         seg_a = CountMinSketch(width=128, depth=4)
         seg_b = CountMinSketch(width=128, depth=4)

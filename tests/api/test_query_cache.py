@@ -9,6 +9,9 @@ hits cheap, and the *sparse* per-tier counter convention.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.api import F2CClient, PipelineConfig, QueryService
@@ -230,23 +233,71 @@ class TestSummarize:
 
 
 class TestHonestCosting:
-    """Memo entries are charged their *measured* footprint, not a flat
-    per-row guess — interned tags and fog ids cost what they cost."""
+    """Memo entries are charged what they *pin*: result columns alias the
+    store's objects, so dropping an entry frees only its list slots and
+    the timestamps re-boxed out of the store's typed arrays — a per-row
+    constant, computed in O(1) and checked here against ``tracemalloc``."""
 
-    def test_entry_cost_is_the_measured_column_footprint(
-        self, small_city, small_catalog
-    ):
+    def test_entry_cost_is_the_pinned_bytes_rule(self, small_city, small_catalog):
         client = _client(small_city, small_catalog)
         _seed(client)
         service = client.queries
         result = client.query(since=0.0, until=1_000.0, section_id="d-01/s-01")
         expected = (
             QueryService._CACHE_ENTRY_OVERHEAD
-            + result.columns.memory_bytes()
+            + len(result) * QueryService._CACHE_ROW_COST
             + len(result.sources) * QueryService._CACHE_SOURCE_COST
         )
+        assert len(result) == 8
         assert service.cache_bytes == expected
         assert service.stats()["cache_bytes"] == expected
+
+    @pytest.mark.parametrize("synced", [False, True], ids=["fog1", "broad-tiers"])
+    def test_charge_matches_what_dropping_the_entries_frees(
+        self, small_city, small_catalog, synced
+    ):
+        sections = [s.section_id for d in small_city.districts for s in d.sections]
+        client = _client(small_city, small_catalog, query_cache_bytes=64 * 1024 * 1024)
+        for index, section in enumerate(sections):
+            client.ingest(
+                [
+                    make_reading(
+                        sensor_id=f"t{index}-{i % 20}",
+                        value=i + 0.5,
+                        timestamp=100.0 + i,
+                        tags={"row": i},
+                    )
+                    for i in range(600)
+                ],
+                now=800.0,
+                default_section=section,
+            )
+        if synced:
+            client.synchronise(now=900.0)
+        service = client.queries
+        service.invalidate()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            # Section, city-scatter and sensor scopes; every window distinct,
+            # every result dropped on the floor so only the memo holds it.
+            for i in range(60):
+                if i % 3 == 0:
+                    client.query(since=100.0, until=200.0 + i, section_id=sections[i % 4])
+                elif i % 3 == 1:
+                    client.query(since=100.0, until=150.0 + i)
+                else:
+                    client.query(since=100.0 + i * 1e-3, until=900.0, sensor_id=f"t1-{i % 20}")
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            charged = service.cache_bytes
+            assert service.cache_size == 60 and service.cache_evictions == 0
+            service.invalidate()  # the stores stay alive; only the memo lets go
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert freed == pytest.approx(charged, rel=0.25)
 
     def test_memory_bytes_charges_shared_objects_once(self):
         from repro.sensors.readings import ReadingColumns

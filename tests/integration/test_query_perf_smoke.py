@@ -1,25 +1,21 @@
 """Perf smoke test: the query latency benchmark must stay runnable.
 
 Runs the query benchmark on a deliberately tiny workload and asserts
-(a) it completes well inside a generous wall-clock bound, and (b) the
-result dict has the ``BENCH_query.json`` v2 schema future perf PRs compare
-against.  Latency *ratios* are asserted only against catastrophic-
-regression floors — CI machines are noisy, and the tight acceptance
-ceilings are enforced by the benchmark's own gate on the committed
-full-size run.
+structure only: the result dict has the ``BENCH_query.json`` v2 schema,
+every scenario was served from the tier it names, and the memo stayed
+inside its byte budget.  No timing or latency ratio is asserted here —
+tier-1 is deterministic, and wall clock is owned by f2cbench's
+``compare.py`` (``benchmarks/f2cbench``).
 """
 
 import importlib.util
 import pathlib
-import time
 
 import pytest
 
 BENCH_PATH = (
     pathlib.Path(__file__).parent / ".." / ".." / "benchmarks" / "bench_query_latency.py"
 )
-
-WALL_CLOCK_BOUND_S = 90.0
 
 SCENARIOS = (
     "nearest_tier_hit",
@@ -53,22 +49,15 @@ def bench_module():
 
 @pytest.fixture(scope="module")
 def smoke_result(bench_module):
-    begin = time.perf_counter()
     # gate=False: the tiny workload's per-query times are tens of
     # microseconds, where constant overheads dominate and the acceptance
     # ceilings of the committed full-size run do not apply.
-    result = bench_module.run_benchmark(devices_per_type=3, repetitions=30, gate=False)
-    elapsed = time.perf_counter() - begin
-    return result, elapsed
+    return bench_module.run_benchmark(devices_per_type=3, repetitions=30, gate=False)
 
 
 class TestQueryBenchmarkSmoke:
-    def test_completes_under_wall_clock_bound(self, smoke_result):
-        _, elapsed = smoke_result
-        assert elapsed < WALL_CLOCK_BOUND_S
-
     def test_result_schema(self, smoke_result):
-        result, _ = smoke_result
+        result = smoke_result
         assert result["schema"] == "bench_query/v2"
         assert result["workload"]["cloud_readings"] > 0
         assert result["environment"]["cpu_count"] >= 1
@@ -82,26 +71,13 @@ class TestQueryBenchmarkSmoke:
         assert result["scenarios"]["summarize"]["summary_bytes"] > 0
 
     def test_serving_tiers_are_asserted_per_scenario(self, smoke_result):
-        result, _ = smoke_result
-        scenarios = result["scenarios"]
+        scenarios = smoke_result["scenarios"]
         assert scenarios["nearest_tier_hit"]["tiers"] == ["fog_layer_1"]
         assert scenarios["fog2_fallthrough"]["tiers"] == ["fog_layer_2"]
         assert scenarios["cloud_fallthrough"]["tiers"] == ["cloud"]
         assert scenarios["cloud_scatter_gather"]["tiers"] == ["cloud"]
         assert scenarios["cloud_scatter_gather_legacy"]["tiers"] == ["cloud"]
 
-    def test_indexed_and_partitioned_paths_not_catastrophically_slower(self, smoke_result):
-        # Floors only: the indexed fall-through and the partitioned scatter
-        # must not be *slower* than the scan/legacy engine they replace.
-        result, _ = smoke_result
-        assert result["ratios"]["indexed_speedup"] > 1.0
-        assert result["ratios"]["partitioned_speedup"] > 1.0
-
-    def test_memoized_hit_is_cheaper_than_a_cold_query(self, smoke_result):
-        result, _ = smoke_result
-        assert result["ratios"]["memoized_vs_nearest"] < 1.0
-
     def test_memo_stayed_bounded(self, smoke_result):
-        result, _ = smoke_result
-        served = result["served_from"]
+        served = smoke_result["served_from"]
         assert served["cache_bytes"] <= served["cache_capacity_bytes"]

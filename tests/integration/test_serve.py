@@ -47,9 +47,18 @@ def golden_digest():
     return run_workload(ShardedWorkload.golden()).cloud_digest()
 
 
-def query_forever(handle, counts, stop=None):
-    """A client thread: hammer the live service until the loop finishes."""
+def query_forever(handle, counts, stop=None, about_to_query=None):
+    """A client thread: hammer the live service until the loop finishes.
+
+    *about_to_query* is a barrier shared with a ``round_hook`` holding
+    round 0: the client reports in once it has seen the loop running and
+    is about to issue its first query, so "every client queried the live
+    service" is a property of the run, not of the thread scheduler.
+    """
     while handle.running and (stop is None or not stop.is_set()):
+        if about_to_query is not None:
+            about_to_query.wait(timeout=60)
+            about_to_query = None
         result = handle.submit_query()
         counts.append(len(result))
 
@@ -59,10 +68,28 @@ def query_forever(handle, counts, stop=None):
 # --------------------------------------------------------------------------- #
 class TestVirtualClockDeterminism:
     def test_serve_reproduces_run_digest_under_concurrent_load(self, golden_digest):
-        handle = serve(ShardedWorkload.golden(), clock=VirtualClock(seed=7))
         counts_per_client = [[] for _ in range(4)]
+        # A virtual-clock serve drains in microseconds — faster than a
+        # thread starts.  Round 0 waits (under the serve lock) until every
+        # client is past its ``handle.running`` check, so each one is
+        # answered by the live service whatever the scheduler does.
+        clients_ready = threading.Barrier(len(counts_per_client) + 1)
+
+        def hold_round_zero(_handle, round_index, _readings):
+            if round_index == 0:
+                clients_ready.wait(timeout=60)
+
+        handle = serve(
+            ShardedWorkload.golden(),
+            clock=VirtualClock(seed=7),
+            round_hook=hold_round_zero,
+        )
         clients = [
-            threading.Thread(target=query_forever, args=(handle, counts))
+            threading.Thread(
+                target=query_forever,
+                args=(handle, counts),
+                kwargs={"about_to_query": clients_ready},
+            )
             for counts in counts_per_client
         ]
         for thread in clients:
@@ -80,6 +107,7 @@ class TestVirtualClockDeterminism:
         # Every client got answers, and the deployment only ever grew.
         assert stats["queries_served"] >= sum(len(c) for c in counts_per_client) > 0
         for counts in counts_per_client:
+            assert counts, "a client never reached the live service"
             assert counts == sorted(counts)
             assert counts[-1] <= 420
 

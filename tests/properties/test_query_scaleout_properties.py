@@ -1,6 +1,6 @@
 """Property tests for the query-side scale-out machinery.
 
-Three layers of row-identity, checked with Hypothesis across random
+Four layers of row-identity, checked with Hypothesis across random
 ingest / eviction / sync interleavings:
 
 1. **Store**: ``query_window`` answered through the secondary indexes is
@@ -17,6 +17,11 @@ ingest / eviction / sync interleavings:
    indexes on or off — columns, sources, and rows-by-tier all equal —
    including after tier evictions and under a simulated sharded run where
    fog layer-1 stores are non-authoritative.
+4. **Service**: ``QueryService.summarize`` — which counts (category,
+   sensor) keys per segment and hashes each distinct key once — yields
+   sketches cell-identical to a per-row fold over the exact query's
+   columns, cold and warm from the segment cache, with the exact query's
+   rows, rows-by-tier and sources.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.aggregation.sketches import CountMinSketch, DistinctCounter
 from repro.api import F2CClient, PipelineConfig
+from repro.api.query import TIERS
 from repro.core.architecture import F2CDataManagement
 from repro.sensors.readings import Reading
 from repro.storage.timeseries import TimeSeriesStore
@@ -264,3 +271,87 @@ class TestServiceAnswersAreEngineInvariant:
             for since, until in [(float("-inf"), float("inf")), (500.0, 2500.0)]:
                 answers = _answers(client, since, until, **scope)
                 assert all(a == answers[0] for a in answers[1:]), scope
+
+
+# --------------------------------------------------------------------- #
+# summarize(): the count-then-hash fold against a per-row reference fold.
+# --------------------------------------------------------------------- #
+def _per_row_fold(columns, width, depth, precision):
+    """The obviously-correct fold: one sketch add per row, in row order."""
+    frequency, distinct = {}, {}
+    for sensor_id, category in zip(columns.sensor_ids, columns.categories):
+        if category not in frequency:
+            frequency[category] = CountMinSketch(width, depth)
+            distinct[category] = DistinctCounter(precision)
+        frequency[category].add(sensor_id)
+        distinct[category].add(sensor_id)
+    return frequency, distinct
+
+
+def _assert_summary_is_the_per_row_fold(client, since, until, scope, params):
+    exact = client.query(since=since, until=until, **scope)
+    frequency, distinct = _per_row_fold(exact.columns, **params)
+    # Cold, then warm from the broad tiers' segment cache — which is keyed
+    # without the sketch sizes, so the second pass also proves a cached
+    # segment serves whatever sizes are asked for.
+    client.queries.invalidate()
+    for _ in ("cold", "warm"):
+        summary = client.queries.summarize(since=since, until=until, **scope, **params)
+        assert summary.rows == len(exact)
+        assert summary.rows_by_tier == exact.rows_by_tier
+        assert summary.sources == exact.sources
+        assert list(summary.frequency) == list(frequency) == list(summary.distinct)
+        for category, sketch in frequency.items():
+            assert summary.frequency[category]._table == sketch._table
+            assert summary.frequency[category].total == sketch.total
+            assert summary.distinct[category]._registers == distinct[category]._registers
+
+
+def _deployed(small_city, small_catalog, program, sharded):
+    system = F2CDataManagement(
+        city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
+    )
+    client = F2CClient(system=system, config=PipelineConfig())
+    _run_rounds(client, program, sharded)
+    return client
+
+
+SUMMARY_SCOPES = ({}, {"category": "energy"}, {"section_id": "d-01/s-01"})
+SKETCH_PARAMS = (
+    {"width": 256, "depth": 4, "precision": 10},
+    {"width": 7, "depth": 2, "precision": 4},  # tiny: collisions everywhere
+)
+
+
+class TestSummarizeMatchesPerRowFold:
+    @pytest.mark.parametrize("sharded", [False, True])
+    @given(program=rounds)
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_cold_and_warm_summaries_are_cell_identical(
+        self, small_city, small_catalog, program, sharded
+    ):
+        client = _deployed(small_city, small_catalog, program, sharded)
+        for scope in SUMMARY_SCOPES:
+            for since, until in [(float("-inf"), float("inf")), (500.0, 2500.0)]:
+                for params in SKETCH_PARAMS:
+                    _assert_summary_is_the_per_row_fold(client, since, until, scope, params)
+
+    def test_a_window_spanning_all_three_tiers(self, small_city, small_catalog):
+        # Round 0 survives only in the cloud, round 1 also in fog L2, round 2
+        # only in fog L1 (not yet synced): one chain, three serving tiers.
+        program = [
+            ([(0, 0, "energy"), (1, 0, "traffic"), (2, 1, "energy")], True, "both"),
+            ([(0, 0, "energy"), (1, 0, "traffic"), (3, 1, "energy")], True, "fog1"),
+            ([(0, 0, "energy"), (0, 0, "energy"), (4, 1, "traffic")], False, None),
+        ]
+        client = _deployed(small_city, small_catalog, program, sharded=False)
+        window = (float("-inf"), float("inf"))
+        assert client.summarize(*window, section_id="d-01/s-01").tiers() == TIERS
+        for scope in SUMMARY_SCOPES:
+            for params in SKETCH_PARAMS:
+                _assert_summary_is_the_per_row_fold(client, *window, scope, params)
+        assert client.queries.sketch_cache_hits > 0

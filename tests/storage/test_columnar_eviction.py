@@ -204,3 +204,49 @@ class TestColumnarStoreIngest:
         noise_only = store.query_window(category="noise")
         assert len(noise_only) == 10
         assert all(r.category == "noise" for r in noise_only)
+
+
+# --------------------------------------------------------------------------- #
+# oldest_timestamp(): cached between mutating calls, never stale after one
+# --------------------------------------------------------------------------- #
+_timestamps = st.integers(min_value=0, max_value=50).map(float)
+_rows = st.tuples(st.sampled_from(("a", "b", "c", "d")), _timestamps)
+
+_mutations = st.one_of(
+    st.tuples(st.just("append"), _rows),  # drawn timestamps arrive in any order
+    # Short batches take the flat per-row path, long single-sensor runs the
+    # bucketed bulk path (>= _BULK_RUN_THRESHOLD rows per sensor).
+    st.tuples(st.just("extend_columns"), st.lists(_rows, max_size=6)),
+    st.tuples(
+        st.just("extend_columns"),
+        st.lists(st.tuples(st.just("a"), _timestamps), min_size=16, max_size=20),
+    ),
+    st.tuples(st.just("remove_older_than"), _timestamps),
+    st.tuples(st.just("remove_oldest"), st.integers(min_value=0, max_value=8)),
+    st.tuples(st.just("clear"), st.none()),
+)
+
+
+class TestOldestTimestampCache:
+    @given(program=st.lists(_mutations, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_a_brute_force_min_after_every_mutation(self, program):
+        store = TimeSeriesStore()
+        assert store.oldest_timestamp() is None
+        for op, arg in program:
+            if op == "append":
+                store.append(make_reading(sensor_id=arg[0], timestamp=arg[1]))
+            elif op == "extend_columns":
+                store.extend_columns(
+                    ReadingColumns.from_readings(
+                        [make_reading(sensor_id=sid, timestamp=ts) for sid, ts in arg]
+                    )
+                )
+            elif op == "clear":
+                store.clear()
+            else:
+                getattr(store, op)(arg)
+            expected = min((r.timestamp for r in store.all_readings()), default=None)
+            # Asked twice: the first call fills the cache, the second reads it.
+            assert store.oldest_timestamp() == expected
+            assert store.oldest_timestamp() == expected
