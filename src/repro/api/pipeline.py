@@ -24,23 +24,46 @@ byte-accounting fixtures reproducible from either surface.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from collections import Counter
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.city.barcelona import fog1_node_id
-from repro.common.errors import ConfigurationError, RoutingError
+from repro.common.errors import ConfigurationError
 from repro.common.serialization import FRAME_FORMATS, decode_csv_line
 from repro.messaging.broker import Broker, Message
 from repro.network.topology import LayerName
 from repro.sensors.readings import Reading, ReadingBatch, ReadingColumns
 
 from repro.api.config import PipelineConfig
+from repro.dlc.acquisition import acquire_round
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.api.client import F2CClient
     from repro.api.serving import ServeHandle
     from repro.core.architecture import F2CDataManagement
     from repro.runtime.shards import ShardedWorkload
+
+
+def _as_columns(readings: Iterable[Reading]) -> ReadingColumns:
+    """A round as one column set: a batch's own columns, or one bulk decomposition."""
+    if isinstance(readings, ReadingBatch):
+        return readings.columns
+    if isinstance(readings, ReadingColumns):
+        return readings
+    return ReadingColumns.from_readings(readings)
+
+
+def _group_by_rank(columns: ReadingColumns, ranks: List[int], groups: int) -> List[ReadingColumns]:
+    """*columns* split into one column set per rank, row order kept within each.
+
+    One stable C-level sort on the rank column and one gather, then a slice
+    per group.  A single group is the caller's instance itself, not a copy.
+    """
+    if groups == 1:
+        return [columns]
+    grouped = columns.gather(sorted(range(len(ranks)), key=ranks.__getitem__))
+    rows_per_rank = Counter(ranks)
+    return grouped.split(rows_per_rank[rank] for rank in range(groups))
 
 
 class Pipeline:
@@ -122,39 +145,13 @@ class Pipeline:
         The edge→fog hop is also recorded in the traffic accountant, so the
         per-layer byte report includes what fog layer 1 received from the
         sensors themselves.
-        """
-        system = self.system
-        timestamp = now if now is not None else system.simulator.clock.now()
-        if isinstance(readings, ReadingBatch):
-            return self.ingest_columns(readings.columns, now=timestamp, default_section=default_section)
-        if isinstance(readings, ReadingColumns):
-            return self.ingest_columns(readings, now=timestamp, default_section=default_section)
-        # Bucket into plain per-node lists first (one append per reading),
-        # then decompose each node's list into columns in bulk — the batch
-        # stays columnar from here to the cloud.  Routing is inlined with a
-        # persistent sensor → node cache: the cache hit is the common case
-        # and must not pay a function call per reading.
-        node_cache = system._sensor_node_cache
-        route = system._resolve_node_cached
-        per_node: Dict[str, List[Reading]] = defaultdict(list)
-        if default_section is None:
-            for reading in readings:
-                sensor_id = reading.sensor_id
-                node_id = node_cache.get(sensor_id)
-                if node_id is None:
-                    node_id = route(sensor_id, None)
-                per_node[node_id].append(reading)
-        else:
-            # A caller default overrides cached spread routes, so the cache
-            # is bypassed (assignment still wins inside the resolver).
-            for reading in readings:
-                per_node[route(reading.sensor_id, default_section)].append(reading)
 
-        acquired_counts: Dict[str, int] = {}
-        for node_id, node_readings in per_node.items():
-            batch = ReadingBatch.from_columns(ReadingColumns.from_reading_list(node_readings))
-            acquired_counts[node_id] = self._acquire_at_node(node_id, batch, timestamp)
-        return acquired_counts
+        Whatever the input — a :class:`ReadingBatch`, :class:`ReadingColumns`
+        or any iterable of :class:`Reading` — the round is turned into one
+        column set (a batch's own columns, untouched; a reading list by one
+        bulk decomposition) and handed whole to :meth:`ingest_columns`.
+        """
+        return self.ingest_columns(_as_columns(readings), now=now, default_section=default_section)
 
     def ingest_columns(
         self,
@@ -162,56 +159,91 @@ class Pipeline:
         now: Optional[float] = None,
         default_section: Optional[str] = None,
     ) -> Dict[str, int]:
-        """Columnar-native ingest: route and acquire a whole column batch.
+        """Columnar-native ingest: route and acquire a whole round of columns.
 
-        Same semantics as :meth:`ingest_rows` but the input is already in
-        the native column representation (e.g. decoded wire frames or an
-        in-process columnar feed), so no per-reading objects exist anywhere
-        on the path.
+        The round is routed at C speed (:meth:`_route_columns`: the sensor id
+        column mapped through the node cache, nodes kept in first-appearance
+        order — the order of the accountant's records and of the returned
+        dict) and offered whole to
+        :func:`~repro.dlc.acquisition.acquire_round`.  A *clean* round —
+        every node's block the default fused configuration and every row
+        provably scoring 1.0 (see that function) — is deduplicated, gathered
+        node-major and tagged once for the whole round, and only the
+        accounting and the store append run per node.  Any other round is
+        grouped per node by one stable sort and each node's slice takes
+        :meth:`FogNodeLevel1.ingest` — the general row loop, unchanged.
+        Both give the same rows, tags, results, counters and records.
+
+        *columns* is never mutated (rounds are replayed across benchmark
+        reps and serve runs); a single-node round that is not clean is
+        acquired from the caller's instance without a copy.
         """
         system = self.system
         timestamp = now if now is not None else system.simulator.clock.now()
-        node_cache = system._sensor_node_cache
-        route = system._resolve_node_cached
-        buckets: Dict[str, List[int]] = {}
-        index = 0
-        for sensor_id in columns.sensor_ids:
-            if default_section is None:
-                node_id = node_cache.get(sensor_id)
-                if node_id is None:
-                    node_id = route(sensor_id, None)
-            else:
-                node_id = route(sensor_id, default_section)
-            bucket = buckets.get(node_id)
-            if bucket is None:
-                bucket = buckets[node_id] = []
-            bucket.append(index)
-            index += 1
+        node_ids, ranks = self._route_columns(columns, default_section)
+        nodes = [system.fog1_node(node_id) for node_id in node_ids]
         acquired_counts: Dict[str, int] = {}
-        if len(buckets) == 1:
-            (node_id, _), = buckets.items()
-            acquired_counts[node_id] = self._acquire_at_node(
-                node_id, ReadingBatch.from_columns(columns), timestamp
-            )
+        outcomes = acquire_round([fog1.acquisition for fog1 in nodes], columns, ranks, timestamp)
+        if outcomes is not None:
+            for fog1, (acquired, result) in zip(nodes, outcomes):
+                offered = result.phase_results[0]
+                self._record_edge_transfer(fog1, timestamp, offered.input_bytes, offered.input_readings)
+                fog1.accept_acquired(offered.input_readings, acquired, result)
+                acquired_counts[fog1.node_id] = len(acquired)
             return acquired_counts
-        for node_id, indices in buckets.items():
-            batch = ReadingBatch.from_columns(columns.gather(indices))
-            acquired_counts[node_id] = self._acquire_at_node(node_id, batch, timestamp)
+        for fog1, node_columns in zip(nodes, _group_by_rank(columns, ranks, len(nodes))):
+            self._record_edge_transfer(fog1, timestamp, node_columns.total_bytes, len(node_columns))
+            acquired = fog1.ingest(ReadingBatch.from_columns(node_columns), timestamp)
+            acquired_counts[fog1.node_id] = len(acquired)
         return acquired_counts
 
-    def _acquire_at_node(self, node_id: str, batch: ReadingBatch, timestamp: float) -> int:
-        system = self.system
-        fog1 = system.fog1_node(node_id)
-        system.simulator.accountant.record_transfer(
+    def _record_edge_transfer(self, fog1, timestamp: float, size_bytes: int, readings: int) -> None:
+        """Account one round's sensors → fog layer-1 hop for one node."""
+        self.system.simulator.accountant.record_transfer(
             timestamp=timestamp,
             source=f"sensors/{fog1.section_id}",
-            target=node_id,
+            target=fog1.node_id,
             target_layer=LayerName.FOG_1,
-            size_bytes=batch.total_bytes,
-            message_count=len(batch),
+            size_bytes=size_bytes,
+            message_count=readings,
         )
-        acquired = fog1.ingest(batch, timestamp)
-        return len(acquired)
+
+    def _route_columns(
+        self, columns: ReadingColumns, default_section: Optional[str] = None
+    ) -> Tuple[List[str], List[int]]:
+        """The fog layer-1 node of every row: ``(node_ids, ranks)``.
+
+        *node_ids* are the distinct owning nodes in first-appearance order;
+        ``ranks[i]`` indexes the node of row *i* in it.  The one router
+        behind direct ingest and frame / CSV publishing: a ``map`` of the
+        sensor id column through the persistent sensor → node cache, with
+        only a cache miss (a sensor's first appearance) or a per-call
+        *default_section* paying the Python-level resolver, once per
+        distinct sensor.
+        """
+        system = self.system
+        sensor_ids = columns.sensor_ids
+        route = system._resolve_node_cached
+        if default_section is None:
+            node_of = system._sensor_node_cache
+            try:
+                row_nodes = list(map(node_of.__getitem__, sensor_ids))
+            except KeyError:
+                for sensor_id in dict.fromkeys(sensor_ids):
+                    if sensor_id not in node_of:
+                        route(sensor_id, None)
+                row_nodes = list(map(node_of.__getitem__, sensor_ids))
+        else:
+            # A caller default overrides cached spread routes, so the cache
+            # is bypassed (assignment still wins inside the resolver).
+            node_of = {
+                sensor_id: route(sensor_id, default_section)
+                for sensor_id in dict.fromkeys(sensor_ids)
+            }
+            row_nodes = list(map(node_of.__getitem__, sensor_ids))
+        node_ids = list(dict.fromkeys(row_nodes))
+        rank_of = {node_id: rank for rank, node_id in enumerate(node_ids)}
+        return node_ids, list(map(rank_of.__getitem__, row_nodes))
 
     # ------------------------------------------------------------------ #
     # Broker integration (moved from F2CDataManagement)
@@ -376,28 +408,14 @@ class Pipeline:
             acquired_counts[node_id] = len(acquired)
         return acquired_counts
 
-    def _route_per_section(
+    def _columns_per_section(
         self, readings: Iterable[Reading], default_section: Optional[str]
-    ) -> Dict[str, List[Reading]]:
-        """Group readings per owning section, exactly like direct ingest routes."""
-        system = self.system
-        section_by_node = {node_id: fog1.section_id for node_id, fog1 in system._fog1.items()}
-        node_cache = system._sensor_node_cache
-        route = system._resolve_node_cached
-        per_section: Dict[str, List[Reading]] = defaultdict(list)
-        for reading in readings:
-            if default_section is None:
-                node_id = node_cache.get(reading.sensor_id)
-                if node_id is None:
-                    node_id = route(reading.sensor_id, None)
-            else:
-                node_id = route(reading.sensor_id, default_section)
-            section_id = section_by_node.get(node_id)
-            if section_id is None:
-                # Same descriptive failure as the direct ingest path.
-                raise RoutingError(f"unknown fog layer-1 node: {node_id}")
-            per_section[section_id].append(reading)
-        return per_section
+    ) -> List[Tuple[str, ReadingColumns]]:
+        """``(section id, its rows)`` per owning section, routed like direct ingest."""
+        columns = _as_columns(readings)
+        node_ids, ranks = self._route_columns(columns, default_section)
+        sections = [self.system.fog1_node(node_id).section_id for node_id in node_ids]
+        return list(zip(sections, _group_by_rank(columns, ranks, len(sections))))
 
     def publish_frames(
         self,
@@ -438,22 +456,20 @@ class Pipeline:
             raise ConfigurationError(
                 f"frame_format must be one of {FRAME_FORMATS}, got {frame_format!r}"
             )
-        per_section = self._route_per_section(readings, default_section)
         published: Dict[str, int] = {}
         topic_cache = system._frame_topic_cache
-        for section_id, section_readings in per_section.items():
+        for section_id, columns in self._columns_per_section(readings, default_section):
             topic = topic_cache.get((city_slug, section_id))
             if topic is None:
                 topic = topic_cache[(city_slug, section_id)] = (
                     f"city/{city_slug}/{section_id}/frame"
                 )
-            columns = ReadingColumns.from_reading_list(section_readings)
             broker.publish(
                 topic,
                 columns.encode_frame(format=frame_format),
                 timestamp=timestamp,
             )
-            published[section_id] = len(section_readings)
+            published[section_id] = len(columns)
         return published
 
     def publish_csv(
@@ -480,18 +496,15 @@ class Pipeline:
             broker = system._broker
         if broker is None:
             raise ConfigurationError("no broker attached and none supplied")
-        per_section = self._route_per_section(readings, default_section)
         published: Dict[str, int] = {}
         publish = broker.publish
-        for section_id, section_readings in per_section.items():
+        for section_id, columns in self._columns_per_section(readings, default_section):
             prefix = f"city/{city_slug}/{section_id}/"
-            for reading in section_readings:
-                publish(
-                    f"{prefix}{reading.category}/{reading.sensor_type}",
-                    reading.encode(),
-                    timestamp=reading.timestamp,
-                )
-            published[section_id] = len(section_readings)
+            for category, sensor_type, payload, row_timestamp in zip(
+                columns.categories, columns.sensor_types, columns.encode_rows(), columns.timestamps
+            ):
+                publish(f"{prefix}{category}/{sensor_type}", payload, timestamp=row_timestamp)
+            published[section_id] = len(columns)
         return published
 
     # ------------------------------------------------------------------ #

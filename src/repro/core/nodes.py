@@ -164,10 +164,19 @@ class FogNodeLevel1(_BaseNode):
         queued for upward movement.
         """
         acquired, result = self.acquisition.run(batch, now)
-        self.last_acquisition_result = result
-        self.rejected_readings += max(0, len(batch) - len(acquired))
-        self.storage.ingest_batch(acquired, mark_for_upward=True)
+        self.accept_acquired(len(batch), acquired, result)
         return acquired
+
+    def accept_acquired(self, offered: int, acquired: ReadingBatch, result: BlockResult) -> None:
+        """Book and store the outcome of acquiring *offered* readings here.
+
+        The node-side half of :meth:`ingest`, for callers that ran this
+        node's acquisition themselves (the round-level
+        :func:`~repro.dlc.acquisition.acquire_round`).
+        """
+        self.last_acquisition_result = result
+        self.rejected_readings += max(0, offered - len(acquired))
+        self.storage.ingest_batch(acquired, mark_for_upward=True)
 
     def stats(self) -> Dict[str, object]:
         data = super().stats()

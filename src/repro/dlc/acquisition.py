@@ -13,12 +13,23 @@ Phases, in the order Fig. 2 prescribes:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Sequence
+from collections import Counter
+from operator import le
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.aggregation.redundancy import RedundantDataElimination
 from repro.dlc.model import BlockResult, LifeCycleBlock, Phase, PhaseResult
 from repro.dlc.quality import QualityAssessor, QualityPolicy, QualityReport
 from repro.sensors.catalog import SensorCatalog
 from repro.sensors.readings import Reading, ReadingBatch, ReadingColumns
+
+
+#: Tag keys the fused paths assign themselves; a static tag of the same name
+#: must win, which the copy-then-assign tag template cannot express.
+_TEMPLATE_KEYS = frozenset(("quality_score", "collected_at", "city", "category"))
+
+#: Value range of a sensor type the catalog does not know: never checked.
+_UNBOUNDED = (float("-inf"), float("inf"))
 
 
 class DataCollectionPhase(Phase):
@@ -188,6 +199,14 @@ class AcquisitionBlock(LifeCycleBlock):
     identical to running the phases sequentially — and is bypassed
     automatically when a phase (or the quality assessor) has been
     subclassed or a non-default aggregator is configured.
+
+    :meth:`run` is the one general path (penalties, rejections, custom
+    phases, assessors and resolvers).  :func:`acquire_round` acquires a
+    whole multi-node round at once when the round is *clean* — every
+    involved block in the default configuration and every row provably
+    scoring 1.0 — with outcomes identical to calling :meth:`run` per node;
+    which of the two runs is decided by the round's own content, never by
+    an option.
     """
 
     def __init__(
@@ -206,6 +225,36 @@ class AcquisitionBlock(LifeCycleBlock):
             phases=[self.collection, self.filtering, self.quality, self.description],
         )
 
+    def _fuses_dedup(self) -> bool:
+        """Whether the filter is the paper's default batch-scope redundant-data
+        elimination, which fuses into the quality/description pass."""
+        aggregator = self.filtering.aggregator
+        return (
+            type(self.filtering) is DataFilteringPhase
+            and type(aggregator) is RedundantDataElimination
+            and aggregator.scope == "batch"
+        )
+
+    def _fuses_whole_rounds(self) -> bool:
+        """Whether :func:`acquire_round` may stand in for :meth:`run` here.
+
+        The default fog layer-1 configuration exactly: nothing subclassed,
+        no collection sources, the fused batch-scope dedup, a constant fog
+        node and static tags the tag template can carry.
+        """
+        description = self.description
+        return (
+            type(self) is AcquisitionBlock
+            and type(self.collection) is DataCollectionPhase
+            and not self.collection._sources
+            and self._fuses_dedup()
+            and type(self.quality) is DataQualityPhase
+            and type(self.quality.assessor) is QualityAssessor
+            and type(description) is DataDescriptionPhase
+            and description.fog_node_id is not None
+            and _TEMPLATE_KEYS.isdisjoint(description.static_tags)
+        )
+
     def run(self, batch: ReadingBatch, now: float) -> tuple[ReadingBatch, BlockResult]:
         if type(self.quality) is not DataQualityPhase or type(self.description) is not DataDescriptionPhase:
             return super().run(batch, now)
@@ -218,14 +267,7 @@ class AcquisitionBlock(LifeCycleBlock):
         # twice and no intermediate column set is built.  Any other
         # aggregator (pipelines, other techniques, subclasses) runs through
         # its own phase unchanged.
-        from repro.aggregation.redundancy import RedundantDataElimination
-
-        aggregator = self.filtering.aggregator
-        if (
-            type(self.filtering) is DataFilteringPhase
-            and type(aggregator) is RedundantDataElimination
-            and aggregator.scope == "batch"
-        ):
+        if self._fuses_dedup():
             output, filter_result, quality_result, description_result = self._run_fused(
                 current, now, dedup=True
             )
@@ -238,12 +280,67 @@ class AcquisitionBlock(LifeCycleBlock):
         result.phase_results.append(description_result)
         return output, result
 
-    def _run_fused_quality_description(
-        self, batch: ReadingBatch, now: float
-    ) -> tuple[ReadingBatch, PhaseResult, PhaseResult]:
-        """Backwards-compatible wrapper around :meth:`_run_fused`."""
-        output, _, quality_result, description_result = self._run_fused(batch, now, dedup=False)
-        return output, quality_result, description_result
+    def _tag_template(self, now: float) -> Optional[Dict[str, object]]:
+        """The tag dict shared by rows that arrive without tags and score 1.0.
+
+        Key order matches the sequential phases: quality_score,
+        collected_at, city, category, static tags (``fog_node`` is assigned
+        after the copy).  ``None`` when a static tag shadows a built-in key:
+        assign-after-copy would win where the sequential phases let the
+        static tag win, so such blocks build every row's tags key by key.
+        """
+        static_tags = self.description.static_tags
+        if not _TEMPLATE_KEYS.isdisjoint(static_tags):
+            return None
+        template: Dict[str, object] = {
+            "quality_score": 1.0,
+            "collected_at": now,
+            "city": self.description.city_name,
+            "category": None,
+        }
+        template.update(static_tags)
+        return template
+
+    def _fused_results(
+        self,
+        offered: int,
+        offered_bytes: int,
+        deduplicated: int,
+        deduplicated_bytes: int,
+        admitted: int,
+        admitted_bytes: int,
+        report: QualityReport,
+    ) -> tuple[PhaseResult, PhaseResult, PhaseResult]:
+        """The filter / quality / description results of one fused pass.
+
+        *offered* rows entered the filter, *deduplicated* left it for the
+        quality phase, *admitted* passed quality and were tagged.
+        """
+        filter_result = PhaseResult(
+            self.filtering.name,
+            offered,
+            deduplicated,
+            offered_bytes,
+            deduplicated_bytes,
+            {"technique": "redundant_data_elimination", "bytes_after_encoding": None},
+        )
+        quality_result = PhaseResult(
+            self.quality.name,
+            deduplicated,
+            admitted,
+            deduplicated_bytes,
+            admitted_bytes,
+            {
+                "admitted": report.admitted,
+                "rejected": report.rejected,
+                "mean_score": round(report.mean_score, 3),
+                "rejection_reasons": dict(report.rejection_reasons),
+            },
+        )
+        description_result = PhaseResult(
+            self.description.name, admitted, admitted, admitted_bytes, admitted_bytes, {"tagged": admitted}
+        )
+        return filter_result, quality_result, description_result
 
     def _run_fused(
         self, batch: ReadingBatch, now: float, dedup: bool
@@ -261,23 +358,8 @@ class AcquisitionBlock(LifeCycleBlock):
         dedup_removed_bytes = 0
         # Tag template for rows that arrive without tags (the norm for raw
         # sensor streams): one dict copy + three assignments per row instead
-        # of building the dict key by key.  Key order matches the sequential
-        # phases: quality_score, collected_at, city, category, static tags,
-        # fog_node.
-        tag_template: Optional[Dict[str, object]] = {
-            "quality_score": 1.0,
-            "collected_at": now,
-            "city": city_name,
-            "category": None,
-        }
-        if static_tags:
-            if set(static_tags) & set(tag_template):
-                # A static tag shadows a built-in key: the template's
-                # assign-after-copy would win where the sequential phases
-                # let the static tag win.  Fall back to per-row builds.
-                tag_template = None
-            else:
-                tag_template.update(static_tags)
+        # of building the dict key by key.
+        tag_template = self._tag_template(now)
         # Tag-dict memo for template-eligible rows: all rows of a batch that
         # share (score, category, fog node) get the *same* tag dict object —
         # one dict build per distinct combination per batch instead of one
@@ -460,39 +542,132 @@ class AcquisitionBlock(LifeCycleBlock):
         report.admitted = len(out)
         output = ReadingBatch.from_columns(out)
         quality.last_report = report
-        admitted = len(output)
-        admitted_bytes = output.total_bytes
-        filter_result: Optional[PhaseResult] = None
-        quality_input_readings = len(batch) - dedup_removed
-        quality_input_bytes = batch.total_bytes - dedup_removed_bytes
-        if dedup:
-            filter_result = PhaseResult(
-                phase_name=self.filtering.name,
-                input_readings=len(batch),
-                output_readings=quality_input_readings,
-                input_bytes=batch.total_bytes,
-                output_bytes=quality_input_bytes,
-                details={"technique": "redundant_data_elimination", "bytes_after_encoding": None},
+        filter_result, quality_result, description_result = self._fused_results(
+            len(batch),
+            batch.total_bytes,
+            len(batch) - dedup_removed,
+            batch.total_bytes - dedup_removed_bytes,
+            len(output),
+            output.total_bytes,
+            report,
+        )
+        return output, filter_result if dedup else None, quality_result, description_result
+
+
+def acquire_round(
+    blocks: Sequence[AcquisitionBlock],
+    columns: ReadingColumns,
+    ranks: Sequence[int],
+    now: float,
+) -> Optional[List[Tuple[ReadingBatch, BlockResult]]]:
+    """Acquire one routed round for all its fog nodes at once, if it is *clean*.
+
+    Row *i* of *columns* belongs to ``blocks[ranks[i]]``; all rows of one
+    sensor id must share a rank (true of anything routed by sensor id), so
+    that round-wide first occurrence of a dedup key is its first occurrence
+    at its node.  Returns, per block, exactly the ``(acquired, result)`` that
+    ``block.run`` returns for that block's rows in their original order —
+    same rows, tag dict contents, key order and sharing (one dict per node
+    and category), phase results and ``quality.last_report`` — or ``None``,
+    having touched nothing, when the round is not clean and the caller must
+    run each block's row loop instead.
+
+    A round is clean when every block is the default fused configuration
+    (:meth:`AcquisitionBlock._fuses_whole_rounds`) with one shared quality
+    policy and catalog, and every row scores exactly 1.0 on the template-tag
+    path: the value is exactly a ``float`` inside its type's catalog range
+    (a NaN is inside no range), id and type are non-empty, the row carries
+    no tags and no fog node yet, and its timestamp is neither NaN, nor past
+    ``now + max_future_skew_s``, nor older than ``max_age_s``.  Every test is
+    a C-level pass over a column.  Penalised, rejected or pre-tagged rows
+    are what the row loop is for.
+
+    *columns* is only read: the survivors are gathered into new columns.
+    """
+    if not blocks:
+        return []
+    if not all(block._fuses_whole_rounds() for block in blocks):
+        return None
+    assessor = blocks[0].quality.assessor
+    policy, catalog = assessor.policy, assessor.catalog
+    for block in blocks:
+        other = block.quality.assessor
+        if other.catalog is not catalog or other.policy != policy:
+            return None
+
+    count = len(columns)
+    sensor_ids, sensor_types, values = columns.sensor_ids, columns.sensor_types, columns.values
+    timestamps = columns.timestamps
+    if (
+        set(map(type, values)) != {float}
+        or not all(sensor_ids)
+        or not all(sensor_types)
+        or any(columns.tags)
+        or columns.fog_node_ids.count(None) != count
+    ):
+        return None
+    # min()/max() are order-dependent around a NaN; a sum is NaN if any term is.
+    timestamp_sum = sum(timestamps)
+    if (
+        timestamp_sum != timestamp_sum
+        or max(timestamps) > now + policy.max_future_skew_s
+        or now - min(timestamps) > policy.max_age_s
+    ):
+        return None
+    if catalog is not None:
+        low_of: Dict[str, float] = {}
+        high_of: Dict[str, float] = {}
+        for sensor_type in set(sensor_types):
+            low_of[sensor_type], high_of[sensor_type] = (
+                catalog.get(sensor_type).value_range if sensor_type in catalog else _UNBOUNDED
             )
-        quality_result = PhaseResult(
-            phase_name=quality.name,
-            input_readings=quality_input_readings,
-            output_readings=admitted,
-            input_bytes=quality_input_bytes,
-            output_bytes=admitted_bytes,
-            details={
-                "admitted": report.admitted,
-                "rejected": report.rejected,
-                "mean_score": round(report.mean_score, 3),
-                "rejection_reasons": dict(report.rejection_reasons),
-            },
+        if not (
+            all(map(le, map(low_of.__getitem__, sensor_types), values))
+            and all(map(le, values, map(high_of.__getitem__, sensor_types)))
+        ):
+            return None
+
+    # Batch-scope dedup for the whole round: zipping the keys in reverse
+    # leaves each key mapped to its first row.
+    keys = zip(reversed(sensor_ids), reversed(sensor_types), reversed(values))
+    first_row = dict(zip(keys, reversed(range(count))))
+    node_major = sorted(range(count), key=ranks.__getitem__)
+    survivors = list(filter(set(first_row.values()).__contains__, node_major))
+    offered_rows = Counter(ranks)
+    offered_sizes = list(map(columns.sizes.__getitem__, node_major))
+    kept_rows = Counter(map(ranks.__getitem__, survivors))
+    kept = columns.gather(survivors).split(kept_rows[rank] for rank in range(len(blocks)))
+
+    outcomes = []
+    offered_start = 0
+    for rank, (block, out) in enumerate(zip(blocks, kept)):
+        offered = offered_rows[rank]
+        offered_bytes = sum(offered_sizes[offered_start:offered_start + offered])
+        offered_start += offered
+        admitted = len(out)
+        node_id = block.description.fog_node_id
+        out.fog_node_ids = [node_id] * admitted
+        template = block._tag_template(now)
+        tags_of = {}
+        for category in set(out.categories):
+            tags = tags_of[category] = dict(template)
+            tags["category"] = category
+            tags["fog_node"] = node_id
+        out.tags = list(map(tags_of.__getitem__, out.categories))
+        admitted_bytes = out.total_bytes
+        report = QualityReport(assessed=admitted, admitted=admitted, scores=[1.0] * admitted)
+        block.quality.last_report = report
+        collection_result = PhaseResult(
+            block.collection.name,
+            offered,
+            offered,
+            offered_bytes,
+            offered_bytes,
+            {"pulled_from_sources": 0, "source_count": 0},
         )
-        description_result = PhaseResult(
-            phase_name=description.name,
-            input_readings=admitted,
-            output_readings=admitted,
-            input_bytes=admitted_bytes,
-            output_bytes=admitted_bytes,
-            details={"tagged": admitted},
+        fused_results = block._fused_results(
+            offered, offered_bytes, admitted, admitted_bytes, admitted, admitted_bytes, report
         )
-        return output, filter_result, quality_result, description_result
+        result = BlockResult(block.name, [collection_result, *fused_results])
+        outcomes.append((ReadingBatch.from_columns(out), result))
+    return outcomes

@@ -21,15 +21,16 @@ from __future__ import annotations
 
 import os
 import zlib
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.serialization import DEFAULT_FRAME_FORMAT
 from repro.runtime import ipc
 from repro.sensors.catalog import BARCELONA_CATALOG, SensorCatalog
 from repro.sensors.generator import ReadingGenerator
-from repro.sensors.readings import Reading
+from repro.sensors.readings import ReadingBatch
 
 
 def shard_of_section(section_id: str, workers: int) -> int:
@@ -187,14 +188,23 @@ class WorkerSpec:
 
 def build_shard_rounds(
     spec: WorkerSpec, system, generator: ReadingGenerator
-) -> List[Tuple[float, List[Reading]]]:
-    """The shard's per-round reading lists, assigned into *system*.
+) -> List[Tuple[float, ReadingBatch]]:
+    """The shard's rounds as ``(ingest time, batch)``, assigned into *system*.
 
     Mirrors the single-process drivers exactly: a device's section comes
     from the workload's assignment mode; devices whose section hashes into
     this shard are kept (and assigned on *system* so routing matches), the
     rest are never sampled — their RNGs are untouched, so the kept devices
     emit exactly the readings they emit in a full-population run.
+
+    Every round is born as columns: a columns-backed
+    :class:`~repro.sensors.readings.ReadingBatch` (sized, truthy, and
+    materializing ``Reading`` objects only if a caller iterates it), which
+    the ingest path consumes without building a single ``Reading``.  A
+    stream round holds its rows in timestamp order, ties device-major —
+    row for row what ``sorted(stream_for(...), key=timestamp)`` bucketed
+    per round gives.  Rounds are replayed (benchmark reps, serve runs):
+    ingesting one never mutates it.
     """
     workload = spec.workload
     sections = [s.section_id for s in system.city.sections]
@@ -215,24 +225,24 @@ def build_shard_rounds(
 
     shard_devices = generator.shard_devices(keep)
 
-    rounds: List[Tuple[float, List[Reading]]]
     if workload.kind == "transactions":
-        rounds = []
-        for i in range(workload.rounds):
-            timestamp = workload.start + i * workload.interval
-            batch = ReadingGenerator.transaction_for(shard_devices, timestamp)
-            rounds.append((timestamp, list(batch)))
-    else:
-        per_round: Dict[int, List[Reading]] = {
-            slot: [] for slot in range(workload.round_count())
-        }
-        for reading in ReadingGenerator.stream_for(shard_devices, 0.0, workload.duration_s):
-            per_round[int(reading.timestamp // workload.round_s)].append(reading)
-        rounds = [
-            ((slot + 1) * workload.round_s, sorted(readings, key=lambda r: r.timestamp))
-            for slot, readings in sorted(per_round.items())
+        timestamps = [workload.start + i * workload.interval for i in range(workload.rounds)]
+        return [
+            (timestamp, ReadingGenerator.transaction_for(shard_devices, timestamp))
+            for timestamp in timestamps
         ]
-    return rounds
+    # One stable sort of the whole device-major stream by timestamp puts the
+    # rounds in order and every round in timestamp order at once (a round is
+    # a timestamp interval); the rounds are then consecutive slices.
+    stream = ReadingGenerator.stream_columns_for(shard_devices, 0.0, workload.duration_s)
+    stream = stream.gather(sorted(range(len(stream)), key=stream.timestamps.__getitem__))
+    round_s = workload.round_s
+    rows_per_round = Counter(int(timestamp // round_s) for timestamp in stream.timestamps)
+    slots = range(workload.round_count())
+    return [
+        ((slot + 1) * round_s, ReadingBatch.from_columns(columns))
+        for slot, columns in zip(slots, stream.split(rows_per_round[slot] for slot in slots))
+    ]
 
 
 def shard_section_ids(city, workers: int, shard_index: int) -> List[str]:

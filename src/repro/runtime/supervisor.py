@@ -205,6 +205,10 @@ class _InlineWorkerDied(Exception):
         self.code = code
 
 
+#: How long a worker that was not abandoned gets to exit on its own.
+_EXIT_GRACE_S = 0.25
+
+
 class _ProcessChannel:
     """A forked worker process plus its data/control pipes."""
 
@@ -254,11 +258,20 @@ class _ProcessChannel:
                 pass
 
     def join(self) -> None:
+        """Reap the worker (call after :meth:`close`).
+
+        A worker that has sent FINAL is already exiting and is reaped within
+        the grace period.  An abandoned one is killed, not waited for:
+        closing our pipe ends cannot unblock it, because every forked worker
+        also holds copies of them (its own and its elder siblings'), so its
+        blocked write never sees EPIPE.  It owns nothing but its pipes.
+        The reaped process object is closed too: it holds two sentinel fds.
+        """
+        self.process.join(timeout=_EXIT_GRACE_S)
         if self.process.is_alive():
-            self.process.join(timeout=30.0)
-            if self.process.is_alive():  # pragma: no cover - defensive
-                self.process.kill()
-                self.process.join(timeout=5.0)
+            self.process.kill()
+            self.process.join()
+        self.process.close()
 
 
 class _ShardHandle:

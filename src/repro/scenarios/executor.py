@@ -142,7 +142,7 @@ class _EventApplier:
             # expected reading loss is the round's whole offered count —
             # CRC-protected frames guarantee rejection, never silent
             # mis-decode.
-            frames = len(client.pipeline._route_per_section(readings, None))
+            frames = len(client.pipeline._route_columns(readings.columns)[0])
             client.session.broker.corrupt_next(frames, seed=self.scenario.seed)
             self.run.expected_corrupt_loss += len(readings)
 

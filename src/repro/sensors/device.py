@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.sensors.catalog import SensorTypeSpec
-from repro.sensors.readings import Reading
+from repro.sensors.readings import Reading, ReadingColumns
 
 
 class Sensor:
@@ -77,6 +77,30 @@ class Sensor:
         step = self.spec.value_resolution * self._rng.choice([-3, -2, -1, 1, 2, 3])
         return self._quantise(self._last_value + step)
 
+    def sample_into(self, columns: ReadingColumns, timestamp: float) -> None:
+        """Append one sample at *timestamp* to *columns* as a row.
+
+        The columnar twin of :meth:`sample`: the same ``_next_value()`` draw
+        and sequence step, so a device emits the same stream whichever way
+        it is sampled, but no :class:`Reading` object is built (the row's
+        tags column holds ``None``, which materializes as ``{}``).
+        """
+        value = self._next_value()
+        self._last_value = value
+        spec = self.spec
+        columns.append_row(
+            self.sensor_id,
+            spec.name,
+            spec.category.value,
+            value,
+            timestamp,
+            self.fog_node_id,
+            spec.message_size_bytes,
+            self._sequence,
+            None,
+        )
+        self._sequence += 1
+
     def sample(self, timestamp: float) -> Reading:
         """Produce one reading at simulation time *timestamp*."""
         value = self._next_value()
@@ -103,6 +127,39 @@ class Sensor:
         while timestamp < end:
             yield self.sample(timestamp)
             timestamp += interval
+
+    def stream_into(self, columns: ReadingColumns, start: float, end: float) -> None:
+        """Append every sample of ``[start, end)`` to *columns* (columnar :meth:`stream`).
+
+        Same timestamps, draws and sequence numbers as :meth:`stream`; the
+        constant columns are built in bulk instead of once per row.
+        """
+        if end < start:
+            raise ConfigurationError("end must not precede start")
+        interval = self.spec.sampling_interval_seconds
+        values = []
+        timestamps = []
+        timestamp = start
+        while timestamp < end:
+            value = self._next_value()
+            self._last_value = value
+            values.append(value)
+            timestamps.append(timestamp)
+            timestamp += interval
+        count = len(values)
+        spec = self.spec
+        columns.extend_arrays(
+            [self.sensor_id] * count,
+            [spec.name] * count,
+            [spec.category.value] * count,
+            values,
+            timestamps,
+            [self.fog_node_id] * count,
+            [spec.message_size_bytes] * count,
+            range(self._sequence, self._sequence + count),
+            [None] * count,
+        )
+        self._sequence += count
 
     @property
     def samples_emitted(self) -> int:

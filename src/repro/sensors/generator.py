@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 from repro.common.errors import ConfigurationError
 from repro.sensors.catalog import SensorCatalog, SensorCategory, SensorTypeSpec
 from repro.sensors.device import Sensor
-from repro.sensors.readings import Reading, ReadingBatch
+from repro.sensors.readings import Reading, ReadingBatch, ReadingColumns
 
 
 class ReadingGenerator:
@@ -109,12 +109,13 @@ class ReadingGenerator:
 
         Equivalent to :meth:`transaction` restricted to *devices* (which
         must be passed in canonical order for batch-order equivalence with
-        the full-population transaction).
+        the full-population transaction).  The batch is built column-wise:
+        no :class:`Reading` exists until a caller iterates it.
         """
-        batch = ReadingBatch()
+        columns = ReadingColumns()
         for device in devices:
-            batch.append(device.sample(timestamp))
-        return batch
+            device.sample_into(columns, timestamp)
+        return ReadingBatch.from_columns(columns)
 
     @staticmethod
     def stream_for(
@@ -127,6 +128,16 @@ class ReadingGenerator:
         """
         for device in devices:
             yield from device.stream(start, end)
+
+    @staticmethod
+    def stream_columns_for(
+        devices: Iterable[Sensor], start: float = 0.0, end: float = 86_400.0
+    ) -> ReadingColumns:
+        """:meth:`stream_for` as one column set (device-major, same rows)."""
+        columns = ReadingColumns()
+        for device in devices:
+            device.stream_into(columns, start, end)
+        return columns
 
     def scale_factor(self, spec: SensorTypeSpec) -> float:
         """Ratio between the real population and the simulated sample.
@@ -142,13 +153,15 @@ class ReadingGenerator:
     # ------------------------------------------------------------------ #
     def transaction(self, timestamp: float, category: Optional[SensorCategory] = None) -> ReadingBatch:
         """One synchronised measurement round across the (sampled) population."""
-        batch = ReadingBatch()
-        for spec in self.catalog:
-            if category is not None and spec.category != category:
-                continue
-            for device in self._devices[spec.name]:
-                batch.append(device.sample(timestamp))
-        return batch
+        return self.transaction_for(
+            (
+                device
+                for spec in self.catalog
+                if category is None or spec.category == category
+                for device in self._devices[spec.name]
+            ),
+            timestamp,
+        )
 
     def transactions(
         self,

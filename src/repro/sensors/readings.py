@@ -457,6 +457,30 @@ class ReadingColumns:
         out._total_bytes = column_sum(out.sizes)
         return out
 
+    def slice(self, start: int, stop: int) -> "ReadingColumns":
+        """New columns holding rows ``[start, stop)`` (nine C-level slices)."""
+        out = ReadingColumns()
+        out.sensor_ids = self.sensor_ids[start:stop]
+        out.sensor_types = self.sensor_types[start:stop]
+        out.categories = self.categories[start:stop]
+        out.values = self.values[start:stop]
+        out.timestamps = self.timestamps[start:stop]  # slices keep the backing type
+        out.fog_node_ids = self.fog_node_ids[start:stop]
+        out.sizes = self.sizes[start:stop]
+        out.sequences = self.sequences[start:stop]
+        out.tags = self.tags[start:stop]
+        out._total_bytes = column_sum(out.sizes)
+        return out
+
+    def split(self, counts: Iterable[int]) -> List["ReadingColumns"]:
+        """Consecutive :meth:`slice` s of the given lengths, from row 0 on."""
+        parts = []
+        start = 0
+        for count in counts:
+            parts.append(self.slice(start, start + count))
+            start += count
+        return parts
+
     @property
     def frozen(self) -> bool:
         """Whether the instance is read-only (see :meth:`freeze`)."""
@@ -582,18 +606,19 @@ class ReadingColumns:
     # ------------------------------------------------------------------ #
     # Wire format
     # ------------------------------------------------------------------ #
+    def encode_rows(self) -> Iterator[bytes]:
+        """Each row's wire encoding (same bytes as ``Reading.encode()``)."""
+        return map(
+            _encode_row, self.sensor_ids, self.sensor_types, self.values, self.timestamps, self.sizes
+        )
+
     def encode(self) -> bytes:
         """Per-reading wire encodings, concatenated (no frame header).
 
         Byte-identical to concatenating ``Reading.encode()`` over the
         materialized rows.
         """
-        return b"".join(
-            _encode_row(sid, st, value, ts, size)
-            for sid, st, value, ts, size in zip(
-                self.sensor_ids, self.sensor_types, self.values, self.timestamps, self.sizes
-            )
-        )
+        return b"".join(self.encode_rows())
 
     def encode_frame(self, format: Optional[str] = None) -> bytes:
         """One self-describing wire frame for the whole column set.

@@ -146,19 +146,21 @@ class CloudArchive:
     def datasets(self) -> List[str]:
         return sorted(self._entries.keys())
 
-    def versions(self, dataset: str) -> List[ArchiveEntry]:
+    def _stored_versions(self, dataset: str) -> List[ArchiveEntry]:
+        """The dataset's live version list itself (never empty; do not mutate)."""
         try:
-            return list(self._entries[dataset])
+            return self._entries[dataset]
         except KeyError as exc:
             raise StorageError(f"unknown dataset: {dataset!r}") from exc
 
+    def versions(self, dataset: str) -> List[ArchiveEntry]:
+        return list(self._stored_versions(dataset))
+
     def latest(self, dataset: str) -> ArchiveEntry:
-        versions = self.versions(dataset)
-        return versions[-1]
+        return self._stored_versions(dataset)[-1]
 
     def get(self, dataset: str, version: int) -> ArchiveEntry:
-        versions = self.versions(dataset)
-        matches = [entry for entry in versions if entry.version == version]
+        matches = [entry for entry in self._stored_versions(dataset) if entry.version == version]
         if len(matches) > 1:
             raise StorageError(
                 f"dataset {dataset!r} holds {len(matches)} entries for version "

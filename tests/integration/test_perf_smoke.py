@@ -2,23 +2,18 @@
 
 Runs a deliberately tiny workload through all benchmark pipelines —
 including all three column-frame wire formats and the multi-process
-sharded runtime under both BATCH codecs — and asserts (a) it completes
-well inside a generous wall-clock bound, and (b) the result dict has the
-``BENCH_ingest.json`` v5 schema future perf PRs compare against.
-Throughput *ratios* are not asserted tightly here — CI machines are noisy —
-beyond catastrophic-regression floors (batching and both frame formats must
-not be slower than the per-message baseline).
+sharded runtime under both BATCH codecs — and asserts the result dict has
+the ``BENCH_ingest.json`` v5 schema plus the digest, byte-count and
+equivalence facts the run establishes.  Nothing here reads the clock:
+wall-clock comparisons belong to ``benchmarks/f2cbench/compare.py``.
 """
 
 import importlib.util
 import pathlib
-import time
 
 import pytest
 
 BENCH_PATH = pathlib.Path(__file__).parent / ".." / ".." / "benchmarks" / "bench_ingest_throughput.py"
-
-WALL_CLOCK_BOUND_S = 120.0
 
 PIPELINES = (
     "per_message",
@@ -41,25 +36,15 @@ def bench_module():
 
 @pytest.fixture(scope="module")
 def smoke_result(bench_module):
-    begin = time.perf_counter()
-    # Best-of-2: with a single repetition the tiny workload's wall times are
-    # milliseconds and one scheduler hiccup can flip the (deliberately
-    # loose) speedup floors when the suite runs on a loaded container.
-    result = bench_module.run_benchmark(
+    return bench_module.run_benchmark(
         devices_per_type=3, duration_s=900.0, round_s=300.0, with_micro=False,
-        repetitions=2, sharded_workers=(1, 2),
+        repetitions=1, sharded_workers=(1, 2),
     )
-    elapsed = time.perf_counter() - begin
-    return result, elapsed
 
 
 class TestIngestBenchmarkSmoke:
-    def test_completes_under_wall_clock_bound(self, smoke_result):
-        _, elapsed = smoke_result
-        assert elapsed < WALL_CLOCK_BOUND_S
-
     def test_result_schema(self, smoke_result):
-        result, _ = smoke_result
+        result = smoke_result
         assert result["schema"] == "bench_ingest/v5"
         assert result["workload"]["total_readings"] > 0
         assert result["environment"]["cpu_count"] >= 1
@@ -88,7 +73,7 @@ class TestIngestBenchmarkSmoke:
         # run_benchmark itself raises when a sharded run's cloud digest
         # diverges from the single-process binary-frames pipeline, so a
         # returned result implies the byte-identical check passed.
-        result, _ = smoke_result
+        result = smoke_result
         reference = result["pipelines"]["columnar_frames_binary"]
         for leg, frame_format in (
             ("sharded_frames", "binary"),
@@ -115,38 +100,20 @@ class TestIngestBenchmarkSmoke:
     def test_durable_leg_schema_and_digest(self, smoke_result):
         # run_benchmark raises when the durable leg's cloud digest diverges
         # from direct_batch, so a returned result implies byte-identity.
-        result, _ = smoke_result
+        result = smoke_result
         durable = result["durable"]
         assert durable["digest_verified"] is True
-        assert durable["gate_max_overhead"] == 1.5
         assert durable["overhead_vs_direct"] > 0
         assert durable["segments"] > 0
         assert durable["log_bytes"] > 0
         stats = result["pipelines"]["direct_batch_durable"]
         assert stats["cloud_digest"] == result["pipelines"]["direct_batch"]["cloud_digest"]
-        # The ≤1.5x wall-clock gate itself is asserted by the CI durability
-        # leg on the city-hour workload, where encode cost amortizes; the
-        # smoke workload is milliseconds and only the ratio's presence and a
-        # catastrophic ceiling are checked here.
-        assert durable["overhead_vs_direct"] < 10.0
-
-    def test_batching_not_slower_than_per_message(self, smoke_result):
-        result, _ = smoke_result
-        assert result["speedup"]["batched_broker_vs_per_message"] > 1.0
-
-    def test_frame_pipelines_not_slower_than_per_message(self, smoke_result):
-        # Catastrophic-regression floor only: both wire formats must beat
-        # one-synchronous-acquisition-per-message by a wide margin even on a
-        # noisy CI machine.
-        result, _ = smoke_result
-        assert result["speedup"]["columnar_frames_json_vs_per_message"] > 1.0
-        assert result["speedup"]["columnar_frames_binary_vs_per_message"] > 1.0
 
     def test_binary_frames_ship_fewer_bytes_than_json(self, smoke_result):
         # The tight ≥2.5x floor lives in test_frame_shrink.py on a
         # city-scale workload; the smoke workload is tiny (a handful of
         # rows per frame), so only the direction is asserted here.
-        result, _ = smoke_result
+        result = smoke_result
         wire = result["frame_wire_bytes"]
         assert wire["binary"] < wire["json"]
         assert wire["shrink_factor"] > 1.0
@@ -158,7 +125,7 @@ class TestIngestBenchmarkSmoke:
         # the Table-I wire size), so both frame wire formats must preserve
         # exactly what direct in-process ingestion preserves — same
         # readings, same byte accounting.
-        result, _ = smoke_result
+        result = smoke_result
         direct_stats = result["pipelines"]["direct_batch"]
         for name in (
             "columnar_frames_json",

@@ -225,25 +225,40 @@ class TestWorkerFaults:
         assert supervisor.worker_faults
         assert all(fault["worker"] == 0 for fault in supervisor.worker_faults)
 
-    def test_abandoned_run_tears_down_every_worker_and_pipe(self):
+    def test_abandoned_run_tears_down_every_worker_and_pipe(self, monkeypatch):
         """WorkerFailure must not leak the other shards' processes or fds."""
+        import multiprocessing
+        import os
+        from multiprocessing.process import BaseProcess
+
         from repro.runtime.supervisor import WorkerFailure
 
+        killed = []
+        kill = BaseProcess.kill
+
+        def recording_kill(process):
+            killed.append(process.pid)
+            kill(process)
+
+        monkeypatch.setattr(BaseProcess, "kill", recording_kill)
         supervisor = ShardSupervisor(
             workers=2,
             workload=ShardedWorkload.golden(),
             fault=WorkerFault(shard_index=0, die_after_round=0),
             max_restarts=0,
         )
+        open_fds = len(os.listdir("/proc/self/fd"))
         with pytest.raises(WorkerFailure):
             supervisor.run()
         for shard in supervisor._shards:
             assert shard.channel is None  # closed and joined by run()'s finally
-        import multiprocessing
-
-        for child in multiprocessing.active_children():
-            child.join(timeout=10.0)
-            assert not child.is_alive()
+        # Everything is already reaped and closed when run() returns — pipes
+        # and process sentinels alike.  The faulted worker exited by itself;
+        # its sibling, blocked on a pipe nobody reads any more, was signalled
+        # rather than waited for.
+        assert not multiprocessing.active_children()
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert len(killed) == 1
 
     def test_restart_budget_exhaustion_raises(self):
         from repro.runtime.supervisor import WorkerFailure

@@ -130,9 +130,84 @@ class TestPerShardGeneration:
         rounds = build_shard_rounds(spec, system, generator)
         assert [t for t, _ in rounds] == [900.0, 1800.0, 2700.0, 3600.0]
         for round_end, readings in rounds:
-            assert readings == sorted(readings, key=lambda r: r.timestamp)
+            assert list(readings) == sorted(readings, key=lambda r: r.timestamp)
             for reading in readings:
                 assert round_end - 900.0 <= reading.timestamp < round_end
+
+    @pytest.mark.parametrize("assignment", ["round_robin", "spread"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_stream_rounds_materialise_to_the_sorted_reading_stream(self, assignment, workers):
+        from dataclasses import replace
+
+        workload = replace(
+            ShardedWorkload.stream_rounds(devices_per_type=3, seed=7), assignment=assignment
+        )
+        for shard_index in range(workers):
+            spec = WorkerSpec(
+                shard_index=shard_index, workers=workers, workload=workload,
+                catalog=BARCELONA_CATALOG,
+            )
+            generator = ReadingGenerator(BARCELONA_CATALOG, devices_per_type=3, seed=7)
+            rounds = build_shard_rounds(spec, F2CDataManagement(catalog=BARCELONA_CATALOG), generator)
+            # The reference: the same shard's devices, sampled reading by
+            # reading, sorted by timestamp and bucketed per round.
+            system = F2CDataManagement(catalog=BARCELONA_CATALOG)
+            sections = [s.section_id for s in system.city.sections]
+            twin = ReadingGenerator(BARCELONA_CATALOG, devices_per_type=3, seed=7)
+            devices = twin.shard_devices(
+                lambda index, device: shard_of_section(
+                    sections[index % len(sections)]
+                    if assignment == "round_robin"
+                    else system.spread_section(device.sensor_id),
+                    workers,
+                )
+                == shard_index
+            )
+            stream = sorted(
+                ReadingGenerator.stream_for(devices, 0.0, workload.duration_s),
+                key=lambda r: r.timestamp,
+            )
+            assert len(rounds) == workload.round_count()
+            for slot, (round_end, batch) in enumerate(rounds):
+                assert isinstance(batch, ReadingBatch)
+                assert round_end == (slot + 1) * workload.round_s
+                expected = [r for r in stream if int(r.timestamp // workload.round_s) == slot]
+                assert len(batch) == len(expected) and bool(batch) == bool(expected)
+                assert list(batch) == expected
+            # Sampled column-wise, the devices are left exactly where the
+            # reading-by-reading twin's are.
+            state = lambda d: (d.sensor_id, d.samples_emitted, d._last_value, d._rng.getstate())
+            assert [state(d) for d in generator.all_devices() if d.samples_emitted] == [
+                state(d) for d in devices
+            ]
+
+    @pytest.mark.parametrize("transport", ["direct", "frames-binary-v2"])
+    def test_stream_rounds_are_ingested_without_building_a_reading(self, transport, monkeypatch):
+        from repro.api import connect
+
+        built = []
+        init = Reading.__init__
+
+        def counting_init(reading, *args, **kwargs):
+            built.append(reading)
+            init(reading, *args, **kwargs)
+
+        monkeypatch.setattr(Reading, "__init__", counting_init)
+        workload = ShardedWorkload.stream_rounds(devices_per_type=3, seed=7)
+        client = connect(transport=transport, catalog=BARCELONA_CATALOG)
+        spec = WorkerSpec(shard_index=0, workers=1, workload=workload, catalog=BARCELONA_CATALOG)
+        generator = ReadingGenerator(BARCELONA_CATALOG, devices_per_type=3, seed=7)
+        rounds = build_shard_rounds(spec, client.system, generator)
+        offered = acquired = 0
+        for timestamp, batch in rounds:
+            offered += len(batch)
+            acquired += sum(client.ingest(batch, now=timestamp).values())
+            client.synchronise(now=timestamp)
+        assert 0 < acquired < offered  # the batch-scope dedup dropped the repeats
+        assert len(client.system.cloud.storage) == acquired
+        assert built == []
+        # The counter does count: asking for per-reading access builds them.
+        assert len(list(rounds[0][1])) == len(built) > 0
 
     def test_generator_shard_helpers_sample_identically(self):
         full = ReadingGenerator(BARCELONA_CATALOG, devices_per_type=4, seed=11)

@@ -24,6 +24,26 @@ class TestVersioning:
         assert (first.version, second.version) == (1, 2)
         assert archive.latest("energy/day-0").version == 2
 
+    def test_latest_is_the_last_archived_entry_and_survives_purge(self, archive):
+        entries = [
+            archive.archive("d", batch_of(1), archived_at=float(i), expiry=10.0 if i % 2 else None)
+            for i in range(9)
+        ]
+        for count, entry in enumerate(entries, start=1):
+            assert entry.version == count
+        assert archive.latest("d") is entries[-1]
+        # latest() reads the stored list; versions() still hands out a copy.
+        handed_out = archive.versions("d")
+        handed_out.clear()
+        assert archive.latest("d") is entries[-1]
+        assert archive.purge_expired(now=20.0) == 4
+        assert archive.latest("d") is entries[-1]
+        assert [entry.version for entry in archive.versions("d")] == [1, 3, 5, 7, 9]
+        last = archive.archive("d", batch_of(1), archived_at=30.0, expiry=40.0)
+        assert archive.latest("d") is last
+        archive.purge_expired(now=50.0)
+        assert archive.latest("d") is entries[-1]
+
     def test_get_specific_version(self, archive):
         archive.archive("d", batch_of(1), archived_at=0.0)
         archive.archive("d", batch_of(5), archived_at=1.0)
