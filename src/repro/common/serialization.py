@@ -130,9 +130,15 @@ _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
 
+#: Canonical (sorted-key, compact) JSON, built once: ``json.dumps`` with
+#: these arguments constructs an encoder per call, and every extended frame
+#: — IPC and segment log — encodes several identity-table entries.
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def encode_json(record: Mapping[str, Any]) -> bytes:
     """Encode a mapping as canonical (sorted-key, compact) JSON bytes."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _canonical_json(record).encode("utf-8")
 
 
 def decode_json(payload: bytes) -> dict:
@@ -937,7 +943,7 @@ def _append_json_table(body: bytearray, values, key, what: str, expect: type) ->
                 f"binary column frame {what} entry must be {expect.__name__} or None, "
                 f"got {type(entry).__name__}"
             )
-        raw = json.dumps(entry, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        raw = _canonical_json(entry).encode("utf-8")
         body += _U32.pack(len(raw))
         body += raw
     body += column_to_bytes(array(_index_typecode(len(table) or 1), indices))

@@ -49,7 +49,7 @@ from repro.network.simulator import NetworkSimulator
 from repro.network.topology import LayerName, NetworkTopology
 from repro.network.traffic import TrafficAccountant
 from repro.sensors.catalog import SensorCatalog
-from repro.sensors.readings import Reading, ReadingBatch, ReadingColumns
+from repro.sensors.readings import Reading, ReadingColumns
 
 
 def _warn_legacy_entry_point(old: str, new: str) -> None:
@@ -418,27 +418,17 @@ class F2CDataManagement:
     # ------------------------------------------------------------------ #
     # Sharded-runtime integration (supervisor side)
     # ------------------------------------------------------------------ #
-    def receive_worker_batch(self, node_id: str, batch: ReadingBatch, now: float) -> int:
-        """Absorb a fog L1 batch that was acquired in a worker process.
+    def receive_worker_columns(self, node_id: str, columns, now: float) -> int:
+        """Absorb a fog L1 node's columns that were acquired in a worker process.
 
-        The batch already went through the acquisition block in the worker
-        (it is what the node's ``drain_for_upward`` returned there); this
+        The rows already went through the acquisition block in the worker
+        (they are what the node's ``drain_for_upward`` returned there); this
         hop simulates and accounts the fog L1 → fog L2 transfer exactly
         like :meth:`~repro.core.movement.DataMovementScheduler.sync_fog1_to_fog2`
-        does for a locally-drained node, then hands the batch to the parent
-        fog L2 node.  Returns the bytes moved.
-        """
-        self.fog1_node(node_id)  # validates the id
-        return self.scheduler.move_up_from_fog1(node_id, batch, now)
-
-    def receive_worker_columns(self, node_id: str, columns, now: float) -> int:
-        """Columns-native :meth:`receive_worker_batch` (no batch wrapper).
-
-        The supervisor hands decoded worker columns straight through:
-        transfer simulation, fog L2 storage and the pending-upward queue
-        all consume the columns directly, so absorbing a sync point
-        allocates no per-batch ``ReadingBatch`` objects.  Returns the
-        bytes moved.
+        does for a locally-drained node, then hands them to the parent fog
+        L2 node.  Transfer simulation, fog L2 storage and the pending-upward
+        queue all consume the decoded columns directly — no ``ReadingBatch``
+        wrapper per node.  Returns the bytes moved.
         """
         self.fog1_node(node_id)  # validates the id
         return self.scheduler.move_up_from_fog1_columns(node_id, columns, now)

@@ -121,10 +121,9 @@ class DataMovementScheduler:
     def move_up_from_fog1(self, node_id: str, batch: ReadingBatch, now: float) -> int:
         """Push one already-drained fog L1 batch to the node's parent.
 
-        The single-node building block of :meth:`sync_fog1_to_fog2`, also
-        used by the sharded supervisor to absorb batches that were acquired
-        and drained in a worker process: the transfer is simulated and
-        accounted exactly as the in-process hop.  Returns the bytes moved.
+        The single-node building block of :meth:`sync_fog1_to_fog2`: the
+        transfer is simulated and accounted, the parent stores the batch and
+        logs what it stored.  Returns the bytes moved.
         """
         parent_id = self.architecture.parent_of(node_id)
         transfer = self._transfer(node_id, parent_id, batch, now)
@@ -139,10 +138,12 @@ class DataMovementScheduler:
     def move_up_from_fog1_columns(self, node_id: str, columns, now: float) -> int:
         """Columns-native :meth:`move_up_from_fog1` (no batch wrapper).
 
-        The sharded supervisor's absorb path: decoded worker columns go to
-        the parent fog L2 node as-is — transfer simulation, accounting and
-        storage all consume the columns directly, so no per-batch
-        ``ReadingBatch`` object is created on the supervisor's hot loop.
+        The sharded supervisor's absorb path, for columns that were acquired
+        and drained in a worker process: they go to the parent fog L2 node
+        as-is and the hop is simulated and accounted exactly as the
+        in-process one — transfer simulation, accounting and storage all
+        consume the columns directly, so no per-batch ``ReadingBatch``
+        object is created on the supervisor's hot loop.
         """
         parent_id = self.architecture.parent_of(node_id)
         transfer = self._record_transfer(

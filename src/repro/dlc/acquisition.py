@@ -450,7 +450,9 @@ class AcquisitionBlock(LifeCycleBlock):
                     else:
                         score -= 0.4
                 if reason is None:
-                    if timestamp > now + max_future_skew_s:
+                    if timestamp - timestamp != 0:  # NaN or ±inf
+                        score, reason = 0.0, "non_finite_timestamp"
+                    elif timestamp > now + max_future_skew_s:
                         score, reason = 0.0, "timestamp_in_future"
                     else:
                         if now - timestamp > max_age_s:
@@ -577,8 +579,8 @@ def acquire_round(
     policy and catalog, and every row scores exactly 1.0 on the template-tag
     path: the value is exactly a ``float`` inside its type's catalog range
     (a NaN is inside no range), id and type are non-empty, the row carries
-    no tags and no fog node yet, and its timestamp is neither NaN, nor past
-    ``now + max_future_skew_s``, nor older than ``max_age_s``.  Every test is
+    no tags and no fog node yet, and its timestamp is finite, not past
+    ``now + max_future_skew_s`` and not older than ``max_age_s``.  Every test is
     a C-level pass over a column.  Penalised, rejected or pre-tagged rows
     are what the row loop is for.
 

@@ -81,8 +81,8 @@ class QualityAssessor:
 
         Identical checks to :meth:`score` without requiring a ``Reading``
         object: the score starts at 1.0 and loses weight for each failed
-        check; a hard failure (non-numeric value when required, absurd
-        timestamp) returns a reason immediately.
+        check; a hard failure (non-numeric value when required, non-finite
+        or absurd timestamp) returns a reason immediately.
         """
         policy = self.policy
         score = 1.0
@@ -93,6 +93,11 @@ class QualityAssessor:
                 return 0.0, "non_numeric_value"
             score -= 0.4
 
+        # NaN fails every comparison below and -inf only takes the age
+        # penalty, but neither can be placed on the cloud's day axis: x - x
+        # is 0 exactly when x is finite.
+        if timestamp - timestamp != 0:
+            return 0.0, "non_finite_timestamp"
         if timestamp > now + policy.max_future_skew_s:
             return 0.0, "timestamp_in_future"
         if now - timestamp > policy.max_age_s:

@@ -3,25 +3,36 @@
 Every message travels as one length-prefixed, CRC-protected stream record
 (see :mod:`repro.common.serialization`'s stream framing); the record payload
 is one byte of message type followed by a type-specific body.  The heavy
-message — an acquired fog layer-1 batch — embeds the packed **binary column
-frame** the broker wire path already uses for the seven wire columns, plus
-the two fields that never travel on the broker wire but must survive the
-process boundary to keep cloud contents byte-identical: the per-row tag
-dicts written by the acquisition block, and the fog-node assignment.  With
-the default v1 frames those ride as trailing JSON sidecars — interned
-tables (tag dicts are shared per-batch by the fused acquisition loop, so
-the table is a handful of JSON entries) with adaptive-width row indices,
-mirroring the frame layout's string table.  With ``frame_format
-"binary-v2"`` the batch ships one *extended* v2 frame instead: the same
-identity tables travel as dictionary-coded columns inside the frame body,
-compressed under the deployment dictionary in the same pass as the wire
-columns, and the sidecars (plus their duplicate interning work) disappear.
-The decoder auto-detects which shape arrived from the frame header, so a
-supervisor absorbs v1 and v2 workers interchangeably.
+message — BATCH — carries **one whole sync point of one worker**: a node
+table ``[(fog layer-1 node id, row count), …]`` in canonical section order
+and a single packed **binary column frame** over the nodes' drained rows,
+concatenated node-major.  The decoder cuts the frame back into per-node
+columns along the table, so the supervisor absorbs node by node exactly as
+if each node had shipped its own frame — at one frame's fixed cost (header,
+string table, deflate, CRC) per (worker, sync point) instead of one per
+section.
+
+Besides the seven wire columns the frame carries the two fields that never
+travel on the broker wire but must survive the process boundary to keep
+cloud contents byte-identical: the per-row tag dicts written by the
+acquisition block, and the fog-node assignment.  With v1 frames
+(``frame_format "binary"``) those ride as trailing JSON sidecars — tables
+interned once over the whole batch (tag dicts are shared per node and
+category by the acquisition loop, so the table is a few JSON entries per
+node) with adaptive-width row indices, mirroring the frame layout's string
+table.  With ``"binary-v2"`` the batch ships one *extended* v2 frame
+instead: the same identity tables travel as dictionary-coded columns inside
+the frame body, compressed under the deployment dictionary in the same pass
+as the wire columns, and the sidecars disappear.  The decoder auto-detects
+which shape arrived from the frame header, so a supervisor absorbs v1 and
+v2 workers interchangeably.
 
 Failure semantics match the broker path's ``dropped_payloads`` accounting:
-a message decodes whole or not at all.  :class:`MessageReader` counts every
-rejected record in ``dropped_frames`` (the supervisor surfaces the sum as
+a message decodes whole or not at all — a BATCH whose node table does not
+describe its frame (duplicate or undecodable ids, counts that do not sum to
+the frame's rows) is rejected like any other malformed payload, never
+absorbed in part.  :class:`MessageReader` counts every rejected record in
+``dropped_frames`` (the supervisor surfaces the sum as
 ``dropped_ipc_frames``); a record that cannot even be skipped safely
 abandons the stream, which the supervisor treats as a worker fault — data
 is then re-run, never partially ingested.
@@ -45,9 +56,10 @@ from repro.sensors.readings import ReadingColumns
 
 #: Message types.  READY is sent once at worker start-up (the supervisor
 #: answers with a go byte on the control pipe, so workload construction is
-#: excluded from timed runs); BATCH carries one fog node's drained acquired
-#: batch for one sync point; SYNC_DONE closes a worker's sync point and
-#: carries the edge-traffic accounting; FINAL carries the worker's fog
+#: excluded from timed runs); BATCH carries everything a worker's fog
+#: layer-1 nodes drained for one sync point (at most one per sync point:
+#: none when nothing was drained); SYNC_DONE closes a worker's sync point
+#: and carries the edge-traffic accounting; FINAL carries the worker's fog
 #: layer-1 storage statistics; ERROR carries a traceback.
 MSG_READY = 1
 MSG_BATCH = 2
@@ -137,39 +149,44 @@ def encode_ready() -> bytes:
 
 def encode_batch(
     sync_index: int,
-    node_id: str,
-    columns: ReadingColumns,
+    node_batches: Sequence[Tuple[str, ReadingColumns]],
     frame_format: Optional[str] = None,
 ) -> bytes:
-    """One drained fog layer-1 batch.
+    """One worker's drained fog layer-1 batches for one sync point.
+
+    *node_batches* is ``[(node id, drained columns), …]`` in the order the
+    supervisor should see them (canonical section order).  The message is
+    the sync index, the node table — each id with its row count — and one
+    column frame over all the rows, node-major.
 
     *frame_format* ``None``/``"binary"`` emits the v1 shape (binary column
-    frame + tag/fog JSON sidecars, byte-identical to earlier releases);
-    ``"binary-v2"`` emits one extended v2 frame with the identity columns
-    in-body and no sidecars.
+    frame + tag/fog JSON sidecars); ``"binary-v2"`` emits one extended v2
+    frame with the identity columns in-body and no sidecars.
     """
     if frame_format not in (None, "binary", "binary-v2"):
         raise ValueError(f"IPC batches require a binary frame format, got {frame_format!r}")
     out = bytearray([MSG_BATCH])
     out += _U32.pack(sync_index)
-    node_raw = node_id.encode("utf-8")
-    out += _U16.pack(len(node_raw))
-    out += node_raw
-    if frame_format == "binary-v2":
-        frame = columns.encode_frame_extended()
-        out += _U32.pack(len(frame))
-        out += frame
-        return bytes(out)
-    frame = columns.encode_frame(format="binary")
+    out += _U16.pack(len(node_batches))
+    columns = ReadingColumns()
+    for node_id, node_columns in node_batches:
+        node_raw = node_id.encode("utf-8")
+        out += _U16.pack(len(node_raw))
+        out += node_raw
+        out += _U32.pack(len(node_columns))
+        columns.extend_columns(node_columns)
+    extended = frame_format == "binary-v2"
+    frame = columns.encode_frame_extended() if extended else columns.encode_frame(format="binary")
     out += _U32.pack(len(frame))
     out += frame
-    # Tag dicts are interned by object identity: the acquisition block hands
-    # rows of one batch the *same* dict per (score, category, fog) combo, so
-    # the table stays tiny and the decoder re-creates the same sharing.
-    tag_table, tag_indices = _intern(columns.tags, key=id)
-    _pack_json_table(out, tag_table, tag_indices)
-    fog_table, fog_indices = _intern(columns.fog_node_ids, key=lambda value: value)
-    _pack_json_table(out, fog_table, fog_indices)
+    if not extended:
+        # Tag dicts are interned by object identity: the acquisition block
+        # hands rows of one node the *same* dict per (score, category) combo,
+        # so the table stays small and the decoder re-creates the same sharing.
+        tag_table, tag_indices = _intern(columns.tags, key=id)
+        _pack_json_table(out, tag_table, tag_indices)
+        fog_table, fog_indices = _intern(columns.fog_node_ids, key=lambda value: value)
+        _pack_json_table(out, fog_table, fog_indices)
     return bytes(out)
 
 
@@ -208,50 +225,7 @@ def decode_message(payload: bytes) -> Tuple[int, Dict[str, Any]]:
             raise IpcProtocolError("READY message has trailing bytes")
         return msg_type, {}
     if msg_type == MSG_BATCH:
-        offset = 1
-        if offset + _U32.size + _U16.size > len(view):
-            raise IpcProtocolError("IPC batch truncated in header")
-        (sync_index,) = _U32.unpack_from(view, offset)
-        offset += _U32.size
-        (node_len,) = _U16.unpack_from(view, offset)
-        offset += _U16.size
-        if offset + node_len + _U32.size > len(view):
-            raise IpcProtocolError("IPC batch truncated in node id")
-        try:
-            node_id = bytes(view[offset:offset + node_len]).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IpcProtocolError("IPC batch node id is not valid UTF-8") from exc
-        offset += node_len
-        (frame_len,) = _U32.unpack_from(view, offset)
-        offset += _U32.size
-        if offset + frame_len > len(view):
-            raise IpcProtocolError("IPC batch truncated in column frame")
-        frame = bytes(view[offset:offset + frame_len])
-        try:
-            columns = ReadingColumns.decode_frame(frame)
-        except ValueError as exc:
-            raise IpcProtocolError(f"IPC batch column frame is invalid: {exc}") from exc
-        offset += frame_len
-        if frame_carries_identity(frame):
-            # Extended v2 batch: tags and fog ids arrived inside the frame,
-            # validated per table entry by the frame decoder — no sidecars.
-            if offset != len(view):
-                raise IpcProtocolError("IPC batch has trailing bytes")
-            return msg_type, {"sync_index": sync_index, "node_id": node_id, "columns": columns}
-        n = len(columns)
-        tags, offset = _unpack_json_table(view, offset, n, "tags")
-        fogs, offset = _unpack_json_table(view, offset, n, "fog ids")
-        if offset != len(view):
-            raise IpcProtocolError("IPC batch has trailing bytes")
-        for tag in tags:
-            if tag is not None and not isinstance(tag, dict):
-                raise IpcProtocolError("IPC batch tags table entry is not an object")
-        for fog in fogs:
-            if fog is not None and not isinstance(fog, str):
-                raise IpcProtocolError("IPC batch fog table entry is not a string")
-        columns.tags = tags
-        columns.fog_node_ids = fogs
-        return msg_type, {"sync_index": sync_index, "node_id": node_id, "columns": columns}
+        return msg_type, _decode_batch(view)
     if msg_type == MSG_SYNC_DONE:
         if len(view) < 1 + _U32.size:
             raise IpcProtocolError("SYNC_DONE message truncated")
@@ -294,6 +268,74 @@ def decode_message(payload: bytes) -> Tuple[int, Dict[str, Any]]:
     if msg_type == MSG_ERROR:
         return msg_type, {"text": payload[1:].decode("utf-8", "replace")}
     raise IpcProtocolError(f"unknown IPC message type {msg_type}")
+
+
+def _decode_batch(view: memoryview) -> Dict[str, Any]:
+    """BATCH body: ``{"sync_index", "batches": {node id: columns}}``.
+
+    ``batches`` keeps the node table's order.  The table must describe the
+    frame exactly — ids decodable and unique, counts summing to the frame's
+    rows — or the whole message is rejected.
+    """
+    offset = 1
+    if offset + _U32.size + _U16.size > len(view):
+        raise IpcProtocolError("IPC batch truncated in header")
+    (sync_index,) = _U32.unpack_from(view, offset)
+    offset += _U32.size
+    (node_count,) = _U16.unpack_from(view, offset)
+    offset += _U16.size
+    node_ids: List[str] = []
+    counts: List[int] = []
+    for _ in range(node_count):
+        if offset + _U16.size > len(view):
+            raise IpcProtocolError("IPC batch truncated in node table")
+        (node_len,) = _U16.unpack_from(view, offset)
+        offset += _U16.size
+        if offset + node_len + _U32.size > len(view):
+            raise IpcProtocolError("IPC batch truncated in node table")
+        try:
+            node_ids.append(str(view[offset:offset + node_len], "utf-8"))
+        except UnicodeDecodeError as exc:
+            raise IpcProtocolError("IPC batch node id is not valid UTF-8") from exc
+        offset += node_len
+        counts.append(_U32.unpack_from(view, offset)[0])
+        offset += _U32.size
+    if len(set(node_ids)) != node_count:
+        raise IpcProtocolError("IPC batch node table repeats a node id")
+    if offset + _U32.size > len(view):
+        raise IpcProtocolError("IPC batch truncated in column frame")
+    (frame_len,) = _U32.unpack_from(view, offset)
+    offset += _U32.size
+    if offset + frame_len > len(view):
+        raise IpcProtocolError("IPC batch truncated in column frame")
+    frame = bytes(view[offset:offset + frame_len])
+    try:
+        columns = ReadingColumns.decode_frame(frame)
+    except ValueError as exc:
+        raise IpcProtocolError(f"IPC batch column frame is invalid: {exc}") from exc
+    offset += frame_len
+    n = len(columns)
+    if sum(counts) != n:
+        raise IpcProtocolError(
+            f"IPC batch node table counts {sum(counts)} rows, its frame carries {n}"
+        )
+    if not frame_carries_identity(frame):
+        # v1 batch: tags and fog ids follow the frame as JSON sidecars (an
+        # extended v2 frame carries them in-body, validated per table entry
+        # by the frame decoder).
+        tags, offset = _unpack_json_table(view, offset, n, "tags")
+        fogs, offset = _unpack_json_table(view, offset, n, "fog ids")
+        for tag in tags:
+            if tag is not None and not isinstance(tag, dict):
+                raise IpcProtocolError("IPC batch tags table entry is not an object")
+        for fog in fogs:
+            if fog is not None and not isinstance(fog, str):
+                raise IpcProtocolError("IPC batch fog table entry is not a string")
+        columns.tags = tags
+        columns.fog_node_ids = fogs
+    if offset != len(view):
+        raise IpcProtocolError("IPC batch has trailing bytes")
+    return {"sync_index": sync_index, "batches": dict(zip(node_ids, columns.split(counts)))}
 
 
 def _decode_json_body(raw: bytes, what: str) -> Dict[str, Any]:

@@ -9,8 +9,8 @@ workload locally (device RNGs are derived per device at construction, so a
 subset samples bit-identically to the full-population run — no input bytes
 cross the process boundary), runs acquisition + fog layer-1 aggregation on
 its own :class:`~repro.core.architecture.F2CDataManagement`, and ships each
-sync point's drained acquired batches upward as packed binary column frames
-over the IPC stream.
+sync point's drained acquired batches upward as one packed binary column
+frame over the IPC stream.
 
 The worker body (:func:`run_shard`) is process-agnostic: it writes messages
 through a callable, so tests drive it in-process against an in-memory
@@ -268,11 +268,12 @@ def run_shard(
 
     Builds the architecture and workload first, then sends READY and blocks
     on *wait_for_go* (when given) so supervisors can exclude construction
-    from timed runs.  Per sync point: ingest the due rounds, drain each
-    owned fog layer-1 node in canonical section order into a BATCH message,
-    then close the point with SYNC_DONE carrying the sensors → fog L1
-    traffic records accumulated since the previous point.  Ends with FINAL
-    (per-node storage statistics + drop counters).
+    from timed runs.  Per sync point: ingest the due rounds, drain the
+    owned fog layer-1 nodes in canonical section order into one BATCH
+    message (none when nothing was pending), then close the point with
+    SYNC_DONE carrying the sensors → fog L1 traffic records accumulated
+    since the previous point.  Ends with FINAL (per-node storage statistics
+    + drop counters).
 
     *die* is the fault-injection exit (``os._exit`` in a real worker; tests
     substitute an exception to simulate the death in-process).
@@ -307,10 +308,13 @@ def run_shard(
             ingested += 1
             if fault is not None and fault.die_after_round == ingested - 1:
                 die(17)
-        for node in own_nodes:
-            if node.storage.pending_upward_count:
-                batch = node.drain_for_upward()
-                send(ipc.encode_batch(sync_index, node.node_id, batch.columns, frame_format))
+        drained = [
+            (node.node_id, node.drain_for_upward().columns)
+            for node in own_nodes
+            if node.storage.pending_upward_count
+        ]
+        if drained:
+            send(ipc.encode_batch(sync_index, drained, frame_format))
         new_records = accountant.records[records_seen:]
         records_seen += len(new_records)
         send(

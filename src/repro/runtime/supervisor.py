@@ -512,14 +512,14 @@ class ShardSupervisor:
                         f"worker skipped sync point {sync_index} "
                         f"(sent {body['sync_index']})"
                     )
-                batches[body["node_id"]] = body["columns"]
+                batches.update(body["batches"])
                 continue
             if msg_type == ipc.MSG_SYNC_DONE:
                 if body["sync_index"] < sync_index:
                     # Replay of an already-absorbed point.  Its BATCH
-                    # messages preceded it in the stream and were already
-                    # discarded by the index check above, so `batches` only
-                    # ever holds current-point entries here.
+                    # preceded it in the stream and was already discarded
+                    # by the index check above, so `batches` only ever
+                    # holds current-point entries here.
                     continue
                 if body["sync_index"] > sync_index:
                     raise _ShardDied(

@@ -646,11 +646,13 @@ class ReadingColumns:
         Unlike :meth:`encode_frame`, the per-row tag dicts and fog-node
         assignments travel inside the frame as dictionary-coded columns
         (identity-interned, so rows sharing one tag dict decode back to one
-        shared object).  This is the IPC batch payload — the broker wire
-        keeps the plain seven-column layout, where the receiving node's
-        acquisition block assigns tags and fog ids itself.  It uses the
-        codec's *fast* deflate: pipe bytes are CPU-bound, not
-        bandwidth-bound.
+        shared object).  Two writers use it, both carrying rows that were
+        already acquired: the shard IPC BATCH (one frame per worker and sync
+        point) and the durable segment log (one frame per record).  The
+        broker wire keeps the plain seven-column layout, where the receiving
+        node's acquisition block assigns tags and fog ids itself.  It uses
+        the codec's *fast* deflate: a local pipe or log file is CPU-bound,
+        not bandwidth-bound.
         """
         return encode_columns_binary_v2(
             self._wire_columns(), tags=self.tags, fog_node_ids=self.fog_node_ids, fast=True
@@ -678,29 +680,32 @@ class ReadingColumns:
         record = decode_columns(payload)
         out = cls()
         n = len(record["sensor_ids"])
-        out.sensor_ids = [str(s) for s in record["sensor_ids"]]
-        out.sensor_types = [str(s) for s in record["sensor_types"]]
-        out.categories = [str(s) for s in record["categories"]]
-        out.values = list(record["values"])
-        try:
-            timestamps = record["timestamps"]
-            out.timestamps = (
-                as_float_column(timestamps)
-                if type(timestamps) is not list
-                else float_column(float(t) for t in timestamps)
-            )
-            sizes = record["sizes"]
-            out.sizes = (
-                as_int_column(sizes)
-                if type(sizes) is not list
-                else int_column(int(s) for s in sizes)
-            )
-            out.sequences = [int(s) for s in record["sequences"]]
-        except (TypeError, OverflowError) as exc:
-            # JSON frames can smuggle non-numeric or >64-bit entries into
-            # the numeric columns; they must fail frame validation, not
-            # corrupt a typed column downstream.
-            raise ValueError(f"column frame carries a non-numeric column entry: {exc}") from exc
+        timestamps = record["timestamps"]
+        if type(timestamps) is not list:
+            # Binary layouts: the decoder built every column typed and
+            # validated — strings out of its string table, f64 timestamps,
+            # i64 sizes and sequences — so they are adopted as they are.
+            out.sensor_ids = record["sensor_ids"]
+            out.sensor_types = record["sensor_types"]
+            out.categories = record["categories"]
+            out.values = record["values"]
+            out.timestamps = timestamps
+            out.sizes = record["sizes"]
+            out.sequences = record["sequences"].tolist()
+        else:
+            out.sensor_ids = [str(s) for s in record["sensor_ids"]]
+            out.sensor_types = [str(s) for s in record["sensor_types"]]
+            out.categories = [str(s) for s in record["categories"]]
+            out.values = list(record["values"])
+            try:
+                out.timestamps = float_column(float(t) for t in timestamps)
+                out.sizes = int_column(int(s) for s in record["sizes"])
+                out.sequences = [int(s) for s in record["sequences"]]
+            except (TypeError, OverflowError) as exc:
+                # JSON frames can smuggle non-numeric or >64-bit entries into
+                # the numeric columns; they must fail frame validation, not
+                # corrupt a typed column downstream.
+                raise ValueError(f"column frame carries a non-numeric column entry: {exc}") from exc
         smallest = column_min(out.sizes)
         if smallest is not None and smallest < 0:
             # A reading can never carry a negative wire size (Reading and
@@ -711,9 +716,9 @@ class ReadingColumns:
         # validated per table entry by the frame decoder); every other
         # layout leaves them for the receiving acquisition block to assign.
         tags = record.get("tags")
-        out.tags = list(tags) if tags is not None else [None] * n
+        out.tags = tags if tags is not None else [None] * n
         fog_node_ids = record.get("fog_node_ids")
-        out.fog_node_ids = list(fog_node_ids) if fog_node_ids is not None else [None] * n
+        out.fog_node_ids = fog_node_ids if fog_node_ids is not None else [None] * n
         out._total_bytes = column_sum(out.sizes)
         return out
 

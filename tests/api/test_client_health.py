@@ -5,6 +5,8 @@ drops and worker restarts, and the query service's served-from counters all
 surface through the same report — and through ``client.summary()``.
 """
 
+import pytest
+
 from repro.api import F2CClient, PipelineConfig
 from repro.core.architecture import F2CDataManagement
 from repro.runtime import ShardedWorkload, WorkerFault, run_sharded
@@ -127,6 +129,32 @@ class TestConservationLedger:
         tiers = client.health()["conservation"]["tiers"]
         assert tiers["fog_layer_1"]["rejected_readings"] == 1
         assert tiers["fog_layer_1"]["ingested_readings"] == 0
+
+
+    @pytest.mark.parametrize("timestamp", [float("nan"), float("-inf"), float("inf")], ids=repr)
+    def test_non_finite_timestamps_are_rejected_at_fog1_not_crashed_on_at_the_cloud(
+        self, small_city, small_catalog, timestamp
+    ):
+        # NaN fails both timestamp comparisons and -inf only looked old, so
+        # both used to be admitted and then broke the cloud's day bucketing
+        # (floor(t / day_seconds)) at the next synchronise.
+        client = _client(small_city, small_catalog)
+        client.ingest(
+            [
+                make_reading(sensor_id="fine-1", value=1.0, timestamp=5.0),
+                make_reading(sensor_id="broken-1", value=1.0, timestamp=timestamp),
+            ],
+            now=5.0,
+            default_section="d-01/s-01",
+        )
+        fog1 = client.system.fog1_for_section("d-01/s-01")
+        assert fog1.rejected_readings == 1
+        assert fog1.acquisition.quality.last_report.rejection_reasons == {"non_finite_timestamp": 1}
+        client.synchronise(now=4000.0)
+        tiers = client.health()["conservation"]["tiers"]
+        assert tiers["fog_layer_1"]["rejected_readings"] == 1
+        assert tiers["fog_layer_1"]["ingested_readings"] == 1
+        assert tiers["cloud"]["ingested_readings"] == 1
 
 
 class TestAvailabilityInHealth:

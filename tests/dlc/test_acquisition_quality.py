@@ -73,6 +73,17 @@ class TestDataQualityPhase:
         assert result.details["rejected"] == 2
         assert phase.last_report.rejection_reasons["timestamp_in_future"] == 1
 
+    @pytest.mark.parametrize("timestamp", [float("nan"), float("-inf"), float("inf")], ids=repr)
+    def test_rejects_non_finite_timestamps(self, timestamp):
+        phase = DataQualityPhase()
+        batch = batch_of(
+            make_reading(sensor_id="ok", value=20.0, timestamp=10.0),
+            make_reading(sensor_id="broken", value=20.0, timestamp=timestamp),
+        )
+        output, _ = phase.run(batch, now=20.0)
+        assert [r.sensor_id for r in output] == ["ok"]
+        assert phase.last_report.rejection_reasons == {"non_finite_timestamp": 1}
+
     def test_admitted_readings_tagged_with_score(self):
         phase = DataQualityPhase()
         output, _ = phase.run(batch_of(make_reading(value=20.0)), now=10.0)
@@ -254,6 +265,9 @@ class TestFusedQualityDescription:
             make_reading(sensor_id="bool-value", value=True, timestamp=9.0),
             make_reading(sensor_id="future", value=20.0, timestamp=10.0 + 120.0),
             make_reading(sensor_id="stale", value=20.0, timestamp=-100_000.0),
+            make_reading(sensor_id="nan-time", value=20.0, timestamp=float("nan")),
+            make_reading(sensor_id="minus-inf-time", value=20.0, timestamp=float("-inf")),
+            make_reading(sensor_id="plus-inf-time", value=20.0, timestamp=float("inf")),
             make_reading(sensor_id="", value=20.0, timestamp=9.0),
             make_reading(sensor_id="soft-range", value=55.0, timestamp=9.0),  # outside [0,50]
             make_reading(sensor_id="hard-range", value=500.0, timestamp=9.0),  # beyond span

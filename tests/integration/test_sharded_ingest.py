@@ -241,9 +241,12 @@ class TestWorkerFaults:
             kill(process)
 
         monkeypatch.setattr(BaseProcess, "kill", recording_kill)
+        # Enough rounds that the sibling's stream (~156 kB as binary-v2)
+        # cannot fit a 64 KiB pipe: it is still blocked writing when the run
+        # is abandoned, whichever frame format the workers ship.
         supervisor = ShardSupervisor(
             workers=2,
-            workload=ShardedWorkload.golden(),
+            workload=ShardedWorkload(rounds=24, sync_plan=((24, 21600.0),)),
             fault=WorkerFault(shard_index=0, die_after_round=0),
             max_restarts=0,
         )

@@ -18,12 +18,18 @@ module checks it three ways:
    semantics) yields a *subsequence of the original payloads* — corrupted
    records are dropped and counted, and no flipped bit ever produces a
    payload that was not written.
+
+One level up, the BATCH message cuts one column frame back into per-node
+columns along its node table: a fourth property checks that **any partition
+of a column set into node runs** survives encode → decode as the same
+per-node columns, tag-dict sharing included, in both frame formats.
 """
 
 import io
 import os
 import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +39,8 @@ from repro.common.serialization import (
     StreamFrameError,
     encode_stream_frame,
 )
+from repro.runtime import ipc
+from repro.sensors.readings import ReadingColumns
 
 payloads_strategy = st.lists(st.binary(max_size=200), max_size=12)
 
@@ -158,3 +166,70 @@ class TestExhaustiveCorruption:
             frames, dropped, _ = _drain_with_resync(a[:cut] + b)
             assert _is_subsequence(frames, [b"A" * 33, b"B" * 57])
             assert dropped >= 1 or frames == [b"B" * 57]
+
+
+# --------------------------------------------------------------------------- #
+# BATCH: one frame, cut back into per-node columns along the node table
+# --------------------------------------------------------------------------- #
+#: A few tag dicts (and no tags at all) for rows to share by identity.
+TAG_POOL = [None, {"city": "barcelona", "quality_score": 1.0}, {"category": "energy"}, {}]
+
+batch_rows = st.lists(
+    st.tuples(
+        st.text(max_size=12),                                            # sensor_id
+        st.sampled_from(["temperature", "traffic", ""]),                 # sensor_type
+        st.sampled_from(["energy", "urban"]),                            # category
+        st.one_of(st.floats(allow_nan=False), st.integers(-5, 5), st.none(), st.text(max_size=5)),
+        st.floats(allow_nan=False),                                      # timestamp
+        st.sampled_from([None, "fog1/a", "fog1/b"]),                     # fog node id
+        st.integers(min_value=0, max_value=2**20),                       # size
+        st.integers(min_value=0, max_value=2**20),                       # sequence
+        st.integers(min_value=0, max_value=len(TAG_POOL)),               # tag choice
+    ),
+    max_size=40,
+)
+
+
+@st.composite
+def partitioned_columns(draw):
+    """A column set and a partition of its rows into consecutive node runs."""
+    rows = draw(batch_rows)
+    columns = ReadingColumns()
+    for *fields, tag_choice in rows:
+        # The last choice is a dict of the row's own: equal dicts that are
+        # not the same object must stay apart.
+        tags = TAG_POOL[tag_choice] if tag_choice < len(TAG_POOL) else {"solo": True}
+        columns.append_row(*fields, tags)
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=6)))
+    counts = [stop - start for start, stop in zip([0] + cuts, cuts + [len(rows)])]
+    return columns, counts
+
+
+def _row_view(columns: ReadingColumns, dict_ids: dict) -> str:
+    """Everything observable about *columns*, tag sharing included."""
+    return repr(
+        [
+            columns.sensor_ids, columns.sensor_types, columns.categories, columns.values,
+            list(columns.timestamps), columns.fog_node_ids, list(columns.sizes),
+            list(columns.sequences), columns.tags,
+            [None if tags is None else dict_ids.setdefault(id(tags), len(dict_ids)) for tags in columns.tags],
+            columns.total_bytes,
+        ]
+    )
+
+
+class TestBatchPartitionProperty:
+    @pytest.mark.parametrize("frame_format", ["binary", "binary-v2"])
+    @given(drawn=partitioned_columns())
+    @settings(max_examples=60, deadline=None)
+    def test_any_partition_into_node_runs_round_trips(self, frame_format, drawn):
+        columns, counts = drawn
+        sent = list(zip((f"fog1/node-{i}" for i in range(len(counts))), columns.split(counts)))
+        msg_type, body = ipc.decode_message(ipc.encode_batch(3, sent, frame_format))
+        assert (msg_type, body["sync_index"]) == (ipc.MSG_BATCH, 3)
+        assert list(body["batches"]) == [node_id for node_id, _ in sent]
+        sent_ids, received_ids = {}, {}
+        for node_id, node_columns in sent:
+            # One numbering of tag dicts per side, across the whole batch:
+            # the sharing pattern must match within and across nodes.
+            assert _row_view(body["batches"][node_id], received_ids) == _row_view(node_columns, sent_ids)

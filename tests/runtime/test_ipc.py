@@ -2,7 +2,7 @@
 
 Covers the length-prefixed stream framing (clean round trips, EOF
 semantics, resync-able vs fatal corruption), the typed message codecs
-(including the batch message's tag/fog sidecars), and the
+(including the batch message's node table and tag/fog sidecars), and the
 ``dropped_frames`` accounting of :class:`MessageReader` — the
 ``dropped_payloads``-style counter for the process boundary.
 """
@@ -42,6 +42,23 @@ def _columns(n=3, tags=True) -> ReadingColumns:
             shared_tag if (tags and i % 2 == 0) else ({"solo": i} if tags else None),
         )
     return columns
+
+
+def _assert_same_columns(decoded: ReadingColumns, columns: ReadingColumns) -> None:
+    assert decoded.sensor_ids == columns.sensor_ids
+    assert decoded.sensor_types == columns.sensor_types
+    assert decoded.categories == columns.categories
+    assert decoded.values == columns.values
+    assert list(decoded.timestamps) == list(columns.timestamps)
+    assert list(decoded.sizes) == list(columns.sizes)
+    assert list(decoded.sequences) == list(columns.sequences)
+    assert decoded.fog_node_ids == columns.fog_node_ids
+    assert decoded.tags == columns.tags
+    assert decoded.total_bytes == columns.total_bytes
+
+
+#: Both BATCH frame codecs: v1 frame + JSON sidecars, extended v2 frame.
+FRAME_FORMATS = ["binary", "binary-v2"]
 
 
 class TestStreamFraming:
@@ -148,118 +165,131 @@ class TestMessageCodecs:
         with pytest.raises(ipc.IpcProtocolError):
             ipc.decode_message(ipc.encode_ready() + b"x")
 
-    def test_batch_round_trip_preserves_all_columns(self):
-        columns = _columns()
-        msg_type, body = ipc.decode_message(ipc.encode_batch(7, "fog1/d-01/s-01", columns))
+    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
+    def test_batch_round_trip_preserves_rows_and_node_boundaries(self, frame_format):
+        nodes = [("fog1/d-01/s-01", _columns(3)), ("fog1/d-01/s-02", _columns(5)),
+                 ("fog1/d-02/s-01", _columns(1))]
+        msg_type, body = ipc.decode_message(ipc.encode_batch(7, nodes, frame_format))
         assert msg_type == ipc.MSG_BATCH
         assert body["sync_index"] == 7
-        assert body["node_id"] == "fog1/d-01/s-01"
-        decoded = body["columns"]
-        assert decoded.sensor_ids == columns.sensor_ids
-        assert decoded.sensor_types == columns.sensor_types
-        assert decoded.categories == columns.categories
-        assert decoded.values == columns.values
-        assert list(decoded.timestamps) == list(columns.timestamps)
-        assert list(decoded.sizes) == list(columns.sizes)
-        assert list(decoded.sequences) == list(columns.sequences)
-        assert decoded.fog_node_ids == columns.fog_node_ids
-        assert decoded.tags == columns.tags
-        assert decoded.total_bytes == columns.total_bytes
+        # The node table comes back in the order it was sent.
+        assert list(body["batches"]) == [node_id for node_id, _ in nodes]
+        for node_id, columns in nodes:
+            _assert_same_columns(body["batches"][node_id], columns)
 
-    def test_batch_tag_sharing_survives_the_boundary(self):
-        # Rows that shared one tag dict (the fused acquisition memo) must
-        # come back sharing one dict: same memory shape, not just equality.
-        columns = _columns(n=6)
-        _, body = ipc.decode_message(ipc.encode_batch(0, "node", columns))
-        decoded_tags = body["columns"].tags
-        assert decoded_tags[0] is decoded_tags[2] is decoded_tags[4]
-        assert decoded_tags[1] is not decoded_tags[3]  # distinct dicts stay distinct
+    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
+    def test_batch_tag_sharing_survives_the_boundary(self, frame_format):
+        # Rows that shared one tag dict (the acquisition loop's memo) must
+        # come back sharing one dict — same memory shape, not just equality
+        # — inside a node and across the nodes of one batch.
+        first, second = _columns(n=6), _columns(n=4)
+        second.tags[1] = first.tags[0]
+        _, body = ipc.decode_message(
+            ipc.encode_batch(0, [("a", first), ("b", second)], frame_format)
+        )
+        tags_a, tags_b = body["batches"]["a"].tags, body["batches"]["b"].tags
+        assert tags_a[0] is tags_a[2] is tags_a[4]
+        assert tags_a[1] is not tags_a[3]  # distinct dicts stay distinct
+        assert tags_b[1] is tags_a[0]
+        # Equal but separately built dicts are not merged.
+        assert tags_b[0] == tags_a[0] and tags_b[0] is not tags_a[0]
 
-    def test_batch_none_tags_and_fogs(self):
+    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
+    def test_batch_none_tags_and_fogs(self, frame_format):
         columns = _columns(tags=False)
-        _, body = ipc.decode_message(ipc.encode_batch(0, "node", columns))
-        assert body["columns"].tags == columns.tags
-        assert body["columns"].fog_node_ids == columns.fog_node_ids
+        _, body = ipc.decode_message(ipc.encode_batch(0, [("node", columns)], frame_format))
+        assert body["batches"]["node"].tags == columns.tags
+        assert body["batches"]["node"].fog_node_ids == columns.fog_node_ids
 
-    def test_empty_batch_round_trip(self):
-        _, body = ipc.decode_message(ipc.encode_batch(1, "node", ReadingColumns()))
-        assert len(body["columns"]) == 0
+    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
+    def test_empty_batches_round_trip(self, frame_format):
+        _, body = ipc.decode_message(ipc.encode_batch(1, [], frame_format))
+        assert body == {"sync_index": 1, "batches": {}}
+        nodes = [("a", ReadingColumns()), ("b", _columns(2)), ("c", ReadingColumns())]
+        _, body = ipc.decode_message(ipc.encode_batch(1, nodes, frame_format))
+        assert [len(columns) for columns in body["batches"].values()] == [0, 2, 0]
 
-    def test_batch_from_acquired_reading_batch(self):
-        # The real producer: a fog L1 node's drained acquired batch.
+    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
+    def test_batch_from_acquired_reading_batches(self, frame_format):
+        # The real producer: fog L1 nodes' drained acquired batches.
         from repro.core.nodes import FogNodeLevel1
         from repro.sensors.readings import ReadingBatch
 
-        node = FogNodeLevel1(node_id="fog1/x", section_id="x")
-        readings = [
-            Reading(
-                sensor_id=f"s-{i}", sensor_type="temperature", category="energy",
-                value=float(i), timestamp=1.0, size_bytes=30,
-            )
-            for i in range(5)
-        ]
-        node.ingest(ReadingBatch(readings), now=1.0)
-        drained = node.drain_for_upward()
-        _, body = ipc.decode_message(ipc.encode_batch(0, node.node_id, drained.columns))
-        decoded = body["columns"]
-        assert decoded.tags == drained.columns.tags
-        assert decoded.fog_node_ids == ["fog1/x"] * len(drained)
+        drained = []
+        for name in ("x", "y"):
+            node = FogNodeLevel1(node_id=f"fog1/{name}", section_id=name)
+            readings = [
+                Reading(
+                    sensor_id=f"{name}-{i}", sensor_type="temperature", category="energy",
+                    value=float(i), timestamp=1.0, size_bytes=30,
+                )
+                for i in range(5)
+            ]
+            node.ingest(ReadingBatch(readings), now=1.0)
+            drained.append((node.node_id, node.drain_for_upward().columns))
+        _, body = ipc.decode_message(ipc.encode_batch(0, drained, frame_format))
+        for node_id, columns in drained:
+            decoded = body["batches"][node_id]
+            assert decoded.tags == columns.tags
+            assert decoded.fog_node_ids == [node_id] * len(columns)
 
-    def test_batch_trailing_bytes_rejected(self):
-        payload = ipc.encode_batch(0, "node", _columns())
-        with pytest.raises(ipc.IpcProtocolError):
+    def test_v2_batch_is_the_v1_batch_without_sidecars(self):
+        nodes = [("a", _columns(3)), ("b", _columns(2))]
+        _, v1 = ipc.decode_message(ipc.encode_batch(7, nodes, "binary"))
+        _, v2 = ipc.decode_message(ipc.encode_batch(7, nodes, "binary-v2"))
+        for node_id, _ in nodes:
+            _assert_same_columns(v1["batches"][node_id], v2["batches"][node_id])
+
+    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
+    def test_batch_trailing_bytes_rejected(self, frame_format):
+        payload = ipc.encode_batch(0, [("node", _columns())], frame_format)
+        with pytest.raises(ipc.IpcProtocolError, match="trailing bytes"):
             ipc.decode_message(payload + b"\x00")
 
-    def test_batch_truncations_rejected(self):
-        payload = ipc.encode_batch(0, "node", _columns())
+    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
+    def test_batch_truncations_rejected(self, frame_format):
+        payload = ipc.encode_batch(0, [("a", _columns(2)), ("b", _columns(3))], frame_format)
         for cut in range(1, len(payload)):
-            with pytest.raises((ipc.IpcProtocolError, ValueError)):
+            with pytest.raises(ipc.IpcProtocolError):
                 ipc.decode_message(payload[:cut])
 
-    def test_v2_batch_round_trip_without_sidecars(self):
-        # binary-v2 folds the identity columns into the frame itself: the
-        # message is frame-only, and decode returns the same columns.
-        columns = _columns()
-        v1 = ipc.encode_batch(7, "fog1/d-01/s-01", columns)
-        v2 = ipc.encode_batch(7, "fog1/d-01/s-01", columns, frame_format="binary-v2")
-        msg_type, body = ipc.decode_message(v2)
-        assert msg_type == ipc.MSG_BATCH
-        assert body["sync_index"] == 7
-        assert body["node_id"] == "fog1/d-01/s-01"
-        decoded = body["columns"]
-        assert decoded.sensor_ids == columns.sensor_ids
-        assert decoded.values == columns.values
-        assert decoded.tags == columns.tags
-        assert decoded.fog_node_ids == columns.fog_node_ids
-        assert decoded.total_bytes == columns.total_bytes
-        # The v1 message for the same batch carries JSON sidecars after the
-        # frame; the v2 message must not.
-        _, v1_body = ipc.decode_message(v1)
-        assert v1_body["columns"].tags == decoded.tags
-
-    def test_v2_batch_tag_sharing_survives_the_boundary(self):
-        columns = _columns(n=6)
-        _, body = ipc.decode_message(
-            ipc.encode_batch(0, "node", columns, frame_format="binary-v2")
-        )
-        decoded_tags = body["columns"].tags
-        assert decoded_tags[0] is decoded_tags[2] is decoded_tags[4]
-        assert decoded_tags[1] is not decoded_tags[3]
-
-    def test_v2_batch_trailing_bytes_rejected(self):
-        payload = ipc.encode_batch(0, "node", _columns(), frame_format="binary-v2")
+    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
+    def test_batch_truncated_node_table_rejected(self, frame_format):
+        # A table that claims more entries than it holds runs into the frame
+        # bytes: whatever it reads there, the message is rejected.
+        payload = bytearray(ipc.encode_batch(0, [("a", _columns(2)), ("b", _columns(3))], frame_format))
+        assert payload[5:7] == b"\x02\x00"
+        payload[5:7] = b"\x03\x00"
         with pytest.raises(ipc.IpcProtocolError):
-            ipc.decode_message(payload + b"\x00")
+            ipc.decode_message(bytes(payload))
 
-    def test_v2_batch_truncations_rejected(self):
-        payload = ipc.encode_batch(0, "node", _columns(), frame_format="binary-v2")
-        for cut in range(1, len(payload)):
-            with pytest.raises((ipc.IpcProtocolError, ValueError)):
-                ipc.decode_message(payload[:cut])
+    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_batch_counts_must_sum_to_the_frame_rows(self, frame_format, delta):
+        payload = bytearray(ipc.encode_batch(0, [("a", _columns(2)), ("b", _columns(3))], frame_format))
+        # header (1 + 4 + 2), then per entry: u16 length, id, u32 count.
+        first_count = 7 + 2 + 1
+        assert payload[first_count:first_count + 4] == b"\x02\x00\x00\x00"
+        payload[first_count] += delta
+        with pytest.raises(ipc.IpcProtocolError, match="node table counts"):
+            ipc.decode_message(bytes(payload))
+
+    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
+    def test_batch_duplicate_node_id_rejected(self, frame_format):
+        payload = ipc.encode_batch(0, [("a", _columns(2)), ("a", _columns(3))], frame_format)
+        with pytest.raises(ipc.IpcProtocolError, match="repeats a node id"):
+            ipc.decode_message(payload)
+
+    def test_batch_undecodable_node_id_rejected(self):
+        payload = bytearray(ipc.encode_batch(0, [("a", _columns(2))]))
+        assert payload[9:10] == b"a"
+        payload[9] = 0xFF
+        with pytest.raises(ipc.IpcProtocolError, match="UTF-8"):
+            ipc.decode_message(bytes(payload))
 
     def test_batch_rejects_non_binary_frame_formats(self):
         with pytest.raises(ValueError, match="binary frame format"):
-            ipc.encode_batch(0, "node", _columns(), frame_format="json")
+            ipc.encode_batch(0, [("node", _columns())], frame_format="json")
 
     def test_sync_done_round_trip(self):
         transfers = [
@@ -369,7 +399,7 @@ class TestMessageReaderAccounting:
     def test_never_partial_ingest_under_batch_corruption(self):
         # A corrupted batch record must vanish whole: the reader yields the
         # surrounding intact messages only.
-        good = ipc.encode_batch(0, "node", _columns())
+        good = ipc.encode_batch(0, [("node", _columns())])
         corrupted = bytearray(encode_stream_frame(good))
         corrupted[30] ^= 0x10
         data = (

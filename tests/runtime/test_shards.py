@@ -23,7 +23,7 @@ from repro.runtime.shards import (
 )
 from repro.sensors.catalog import BARCELONA_CATALOG
 from repro.sensors.generator import ReadingGenerator
-from repro.sensors.readings import Reading, ReadingBatch
+from repro.sensors.readings import Reading, ReadingBatch, ReadingColumns
 from tests.conftest import make_reading
 
 
@@ -229,24 +229,52 @@ class TestRunShardProtocol:
         run_shard(spec, lambda payload: messages.append(ipc.decode_message(payload)))
         return messages
 
-    def test_message_sequence_shape(self):
-        spec = WorkerSpec(shard_index=0, workers=2,
-                          workload=ShardedWorkload.golden(), catalog=BARCELONA_CATALOG)
-        messages = self._run(spec)
-        types = [t for t, _ in messages]
-        assert types[0] == ipc.MSG_READY
-        assert types[-1] == ipc.MSG_FINAL
-        assert types.count(ipc.MSG_SYNC_DONE) == 1  # golden plan: one sync
-        assert ipc.MSG_BATCH in types
-        # Batches precede their SYNC_DONE and carry only owned sections.
-        owned = set()
-        for msg_type, body in messages:
-            if msg_type == ipc.MSG_BATCH:
-                assert body["sync_index"] == 0
-                owned.add(body["node_id"])
+    @pytest.mark.parametrize("workers", [1, 2, 4], ids=lambda w: f"workers{w}")
+    def test_message_sequence_shape(self, workers):
+        """READY, then per sync point one BATCH (if anything drained) and one
+        SYNC_DONE, then FINAL; the shards' tables partition the sections."""
+        workload = ShardedWorkload(sync_plan=((2, 1800.0), (4, 3600.0)))
         system = F2CDataManagement(catalog=BARCELONA_CATALOG)
-        own_sections = set(shard_section_ids(system.city, 2, 0))
-        assert {node.split("fog1/")[1] for node in owned} <= own_sections
+        canonical = [node.node_id for node in system.fog1_nodes()]
+        seen_per_sync = [[] for _ in workload.sync_plan]
+        for shard_index in range(workers):
+            spec = WorkerSpec(shard_index=shard_index, workers=workers,
+                              workload=workload, catalog=BARCELONA_CATALOG)
+            messages = self._run(spec)
+            # Every shard owns sections with devices, so neither sync point
+            # is empty: exactly one BATCH, then the SYNC_DONE closing it.
+            assert [(t, body.get("sync_index")) for t, body in messages] == [
+                (ipc.MSG_READY, None),
+                (ipc.MSG_BATCH, 0), (ipc.MSG_SYNC_DONE, 0),
+                (ipc.MSG_BATCH, 1), (ipc.MSG_SYNC_DONE, 1),
+                (ipc.MSG_FINAL, None),
+            ]
+            owned = {f"fog1/{s}" for s in shard_section_ids(system.city, workers, shard_index)}
+            for msg_type, body in messages:
+                if msg_type != ipc.MSG_BATCH:
+                    continue
+                # One BATCH carries the whole sync point: owned nodes only,
+                # each non-empty, in canonical section order.
+                table = list(body["batches"])
+                assert set(table) <= owned
+                assert table == [node_id for node_id in canonical if node_id in set(table)]
+                assert all(len(columns) for columns in body["batches"].values())
+                seen_per_sync[body["sync_index"]].extend(table)
+        # Every section has devices on the golden layout: over all shards,
+        # each sync point's tables name every section exactly once.
+        for table in seen_per_sync:
+            assert sorted(table) == sorted(canonical)
+
+    def test_sync_point_with_nothing_drained_sends_no_batch(self):
+        # Two sync points after the only rounds: the second has nothing
+        # pending, so it is closed by a bare SYNC_DONE.
+        workload = ShardedWorkload(sync_plan=((4, 3600.0), (4, 7200.0)))
+        spec = WorkerSpec(shard_index=0, workers=2, workload=workload, catalog=BARCELONA_CATALOG)
+        types = [(t, body.get("sync_index")) for t, body in self._run(spec)]
+        assert types == [
+            (ipc.MSG_READY, None), (ipc.MSG_BATCH, 0), (ipc.MSG_SYNC_DONE, 0),
+            (ipc.MSG_SYNC_DONE, 1), (ipc.MSG_FINAL, None),
+        ]
 
     def test_edge_transfers_cover_only_own_sections(self):
         spec = WorkerSpec(shard_index=1, workers=2,
@@ -309,7 +337,7 @@ class TestRunShardProtocol:
 
 
 class TestArchitectureMergeApis:
-    def test_receive_worker_batch_matches_local_drain(self, small_city, small_catalog):
+    def test_receive_worker_columns_matches_local_drain(self, small_city, small_catalog):
         """The absorb hop must equal the in-process fog1→fog2 sync."""
 
         def seeded_system():
@@ -328,7 +356,7 @@ class TestArchitectureMergeApis:
         worker = seeded_system()
         node = worker.fog1_for_section("d-01/s-01")
         drained = node.drain_for_upward()
-        moved = remote.receive_worker_batch(node.node_id, drained, now=10.0)
+        moved = remote.receive_worker_columns(node.node_id, drained.columns, now=10.0)
         assert moved == drained.total_bytes
         for record in worker.simulator.accountant.records:
             remote.merge_edge_transfers([
@@ -344,12 +372,12 @@ class TestArchitectureMergeApis:
         assert remote.traffic_report() == local.traffic_report()
         assert len(remote.cloud.storage) == len(local.cloud.storage)
 
-    def test_receive_worker_batch_validates_node_id(self, small_city, small_catalog):
+    def test_receive_worker_columns_validates_node_id(self, small_city, small_catalog):
         from repro.common.errors import RoutingError
 
         system = F2CDataManagement(city=small_city, catalog=small_catalog)
         with pytest.raises(RoutingError):
-            system.receive_worker_batch("fog1/not-a-section", ReadingBatch(), now=0.0)
+            system.receive_worker_columns("fog1/not-a-section", ReadingColumns(), now=0.0)
 
     def test_merge_edge_transfers_lands_in_fog1_layer(self, small_city, small_catalog):
         system = F2CDataManagement(city=small_city, catalog=small_catalog)

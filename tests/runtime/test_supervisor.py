@@ -4,7 +4,8 @@ The integration tests kill real workers; these tests instead hand the
 supervisor hand-crafted byte streams (real worker output, then corrupted,
 truncated, reordered or replaced), pinning down every detection branch:
 damage before READY, mid-sync stream corruption, explicit worker ERROR
-messages, skipped sync points, death before FINAL — and the
+messages, skipped sync points, death between a BATCH and its SYNC_DONE,
+death before FINAL — and the
 ``dropped_ipc_frames`` accounting the supervisor surfaces for records it
 had to throw away.
 """
@@ -15,7 +16,7 @@ import pathlib
 
 import pytest
 
-from repro.common.serialization import encode_stream_frame
+from repro.common.serialization import FrameStreamReader, encode_stream_frame
 from repro.runtime import ipc
 from repro.runtime.shards import ShardedWorkload, WorkerSpec, run_shard
 from repro.runtime.supervisor import ShardSupervisor, WorkerFailure
@@ -77,8 +78,6 @@ def healthy_streams():
 
 def _first_record_span(stream: bytes) -> int:
     reader = io.BytesIO(stream)
-    from repro.common.serialization import FrameStreamReader
-
     FrameStreamReader(reader.read).read_frame()
     return reader.tell()
 
@@ -187,8 +186,6 @@ class TestMidProtocolFailures:
         # healthy FINAL is the last record; find its start by scanning.
         stream = healthy_streams[0]
         reader_buf = io.BytesIO(stream)
-        from repro.common.serialization import FrameStreamReader
-
         frame_reader = FrameStreamReader(reader_buf.read)
         last_start = 0
         while True:
@@ -232,6 +229,38 @@ class TestMidProtocolFailures:
         result = supervisor.run()
         assert result.golden_report() == golden
         assert result.worker_restarts == 1
+
+
+class TestDeathBetweenBatchAndSyncDone:
+    """A BATCH that arrived whole is still not absorbed without its SYNC_DONE."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 4], ids=lambda w: f"workers{w}")
+    def test_worker_killed_mid_barrier_is_rerun_to_the_golden_digest(self, workers, golden):
+        durability = json.loads(
+            GOLDEN_PATH.with_name("durability_golden.json").read_text(encoding="utf-8")
+        )
+        streams = [worker_stream(i, workers) for i in range(workers)]
+        victim = workers - 1
+        # Cut the victim's stream right after its BATCH record: the whole
+        # sync point reached the supervisor, the SYNC_DONE closing it never
+        # does.
+        buffer = io.BytesIO(streams[victim])
+        frames = FrameStreamReader(buffer.read)
+        while ipc.decode_message(frames.read_frame())[0] != ipc.MSG_BATCH:
+            pass
+        killed = streams[victim][: buffer.tell()]
+        assert ipc.decode_message(frames.read_frame())[0] == ipc.MSG_SYNC_DONE
+        scripts = [[stream] for stream in streams]
+        scripts[victim] = [killed, streams[victim]]
+        result = ScriptedSupervisor(scripts).run()
+        assert result.worker_restarts == 1
+        assert result.failure_state.is_node_failed(f"worker-{victim}")
+        assert "exited mid-protocol" in result.worker_faults[0]["reason"]
+        # Nothing of the dead worker's barrier was absorbed, and the re-run's
+        # was absorbed once.
+        assert result.total_readings_absorbed == golden["storage"]["cloud"]["ingested_readings"]
+        assert result.golden_report() == golden
+        assert result.cloud_digest() == durability["golden_workload_cloud_sha256"]
 
 
 class TestDroppedFrameAccounting:
