@@ -94,10 +94,11 @@ class PipelineConfig:
         round or sync point to complete) before giving up.
     durable_dir:
         Directory for the durable segment logs
-        (:mod:`repro.storage.segments`).  When set, every batch synced
-        into the cloud tier is appended as a CRC-framed ``\\x00RBS`` record
-        and fsync'd at sync-point boundaries; a crashed run is recovered
-        with :func:`repro.api.recover`.  ``None`` (the default) keeps the
+        (:mod:`repro.storage.segments`).  When set, what each sync point
+        moves into the cloud tier is written as one CRC-framed ``\\x00RBS``
+        record and fsync'd at the sync-point boundary — a sync point is on
+        disk whole or not at all; a crashed run is recovered with
+        :func:`repro.api.recover`.  ``None`` (the default) keeps the
         deployment memory-only.
     durable_fog2:
         Also keep per-district segment logs for the fog layer-2 tiers

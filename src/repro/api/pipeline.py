@@ -164,15 +164,10 @@ class Pipeline:
         The round is routed at C speed (:meth:`_route_columns`: the sensor id
         column mapped through the node cache, nodes kept in first-appearance
         order — the order of the accountant's records and of the returned
-        dict) and offered whole to
-        :func:`~repro.dlc.acquisition.acquire_round`.  A *clean* round —
-        every node's block the default fused configuration and every row
-        provably scoring 1.0 (see that function) — is deduplicated, gathered
-        node-major and tagged once for the whole round, and only the
-        accounting and the store append run per node.  Any other round is
-        grouped per node by one stable sort and each node's slice takes
-        :meth:`FogNodeLevel1.ingest` — the general row loop, unchanged.
-        Both give the same rows, tags, results, counters and records.
+        dict) and acquired by :meth:`_acquire_routed`, the post-routing code
+        this entry shares with :meth:`flush_broker`: once for the whole
+        round when it is clean, node by node through the general row loop
+        otherwise.
 
         *columns* is never mutated (rounds are replayed across benchmark
         reps and serve runs); a single-node round that is not clean is
@@ -182,26 +177,70 @@ class Pipeline:
         timestamp = now if now is not None else system.simulator.clock.now()
         node_ids, ranks = self._route_columns(columns, default_section)
         nodes = [system.fog1_node(node_id) for node_id in node_ids]
+        sources = [f"sensors/{fog1.section_id}" for fog1 in nodes]
+        return self._acquire_routed(nodes, sources, columns, ranks, timestamp)
+
+    def _acquire_routed(
+        self,
+        nodes: list,
+        sources: List[str],
+        columns: ReadingColumns,
+        ranks: List[int],
+        now: Optional[float],
+        per_node: bool = False,
+    ) -> Dict[str, int]:
+        """Acquire one routed round: row *i* of *columns* is ``nodes[ranks[i]]``'s.
+
+        The round is offered whole to
+        :func:`~repro.dlc.acquisition.acquire_round`.  A *clean* round —
+        every node's block the default fused configuration and every row
+        provably scoring 1.0 (see that function) — is deduplicated, gathered
+        node-major and tagged once for the whole round, and only the
+        accounting (one record per node, from ``sources[rank]``) and the
+        store append run per node.  Any other round is grouped per node by
+        one stable sort and each node's slice takes
+        :meth:`FogNodeLevel1.ingest` — the general row loop, unchanged.
+        Both give the same rows, tags, results, counters and records, and
+        the returned acquired-rows-per-node dict is in *nodes* order.
+
+        *per_node* sends the round straight to the row loop (a caller that
+        knows the round-wide pass would not be the per-node one); so does
+        ``now=None``, which acquires each node's rows at their own largest
+        timestamp.
+        """
         acquired_counts: Dict[str, int] = {}
-        outcomes = acquire_round([fog1.acquisition for fog1 in nodes], columns, ranks, timestamp)
+        outcomes = None
+        if now is not None and not per_node:
+            outcomes = acquire_round([fog1.acquisition for fog1 in nodes], columns, ranks, now)
         if outcomes is not None:
-            for fog1, (acquired, result) in zip(nodes, outcomes):
+            for fog1, source, (acquired, result) in zip(nodes, sources, outcomes):
                 offered = result.phase_results[0]
-                self._record_edge_transfer(fog1, timestamp, offered.input_bytes, offered.input_readings)
+                self._record_edge_transfer(
+                    fog1, source, now, offered.input_bytes, offered.input_readings
+                )
                 fog1.accept_acquired(offered.input_readings, acquired, result)
                 acquired_counts[fog1.node_id] = len(acquired)
             return acquired_counts
-        for fog1, node_columns in zip(nodes, _group_by_rank(columns, ranks, len(nodes))):
-            self._record_edge_transfer(fog1, timestamp, node_columns.total_bytes, len(node_columns))
+        grouped = _group_by_rank(columns, ranks, len(nodes))
+        for fog1, source, node_columns in zip(nodes, sources, grouped):
+            # Batch maximum, not the last arrival: with out-of-order arrivals
+            # an older last row would make newer readings look like they are
+            # from the future and fail the quality phase's skew check.
+            timestamp = now if now is not None else max(node_columns.timestamps)
+            self._record_edge_transfer(
+                fog1, source, timestamp, node_columns.total_bytes, len(node_columns)
+            )
             acquired = fog1.ingest(ReadingBatch.from_columns(node_columns), timestamp)
             acquired_counts[fog1.node_id] = len(acquired)
         return acquired_counts
 
-    def _record_edge_transfer(self, fog1, timestamp: float, size_bytes: int, readings: int) -> None:
-        """Account one round's sensors → fog layer-1 hop for one node."""
+    def _record_edge_transfer(
+        self, fog1, source: str, timestamp: float, size_bytes: int, readings: int
+    ) -> None:
+        """Account one round's hop into fog layer 1 for one node."""
         self.system.simulator.accountant.record_transfer(
             timestamp=timestamp,
-            source=f"sensors/{fog1.section_id}",
+            source=source,
             target=fog1.node_id,
             target_layer=LayerName.FOG_1,
             size_bytes=size_bytes,
@@ -347,66 +386,64 @@ class Pipeline:
             columns = self._decode_message_columns(message)
             if columns is None or not len(columns):
                 return
-            system = self.system
             timestamp = max(columns.timestamps)
-            fog1 = system.fog1_node(node_id)
-            system.simulator.accountant.record_transfer(
-                timestamp=timestamp,
-                source=f"broker/{node_id}",
-                target=node_id,
-                target_layer=LayerName.FOG_1,
-                size_bytes=columns.total_bytes,
-                message_count=len(columns),
+            fog1 = self.system.fog1_node(node_id)
+            self._record_edge_transfer(
+                fog1, f"broker/{node_id}", timestamp, columns.total_bytes, len(columns)
             )
             fog1.ingest(ReadingBatch.from_columns(columns), timestamp)
 
         return handle
 
     def flush_broker(self, now: Optional[float] = None) -> Dict[str, int]:
-        """Drain every fog node's broker inbox and acquire it as one batch.
+        """Drain every fog node's broker inbox and acquire the flush as one round.
 
-        Only meaningful after ``attach_broker(..., batched=True)``.  Returns
-        the number of readings acquired per fog layer-1 node.  The traffic
-        accountant records one transfer per (node, flush) with the summed
-        byte volume, mirroring what :meth:`ingest_rows` does for direct
-        batch ingestion.
+        Only meaningful after ``attach_broker(..., batched=True)``.  Every
+        fog layer-1 inbox is drained in deployment order and each payload
+        decoded (a malformed one is dropped and counted in
+        ``dropped_payloads``, never aborting the flush); the decoded rows
+        are concatenated node-major into one column set with a rank column —
+        a row belongs to the node whose inbox it arrived in — and handed to
+        :meth:`_acquire_routed`, the post-routing code of
+        :meth:`ingest_columns`: a clean flush is acquired once for all its
+        nodes, any other one node by node through the row loop.  Returns the
+        number of readings acquired per fog layer-1 node; the traffic
+        accountant records one ``broker/<node>`` transfer per (node, flush)
+        with the summed byte volume, mirroring what :meth:`ingest_rows` does
+        for direct batch ingestion.
+
+        Two flushes always take the row loop: one with ``now=None`` (each
+        node's batch is acquired at its own largest timestamp), and one in
+        which a sensor id shows up in two nodes' inboxes — the fused dedup
+        is per node, so both nodes admit their copy, where a round-wide pass
+        would keep only the first.
         """
         system = self.system
         if system._broker is None:
             raise ConfigurationError("no broker attached")
         if not system._broker_batched:
             raise ConfigurationError("broker was not attached in batched mode")
-        acquired_counts: Dict[str, int] = {}
         # Drain only this architecture's own fog layer-1 subscriptions: other
         # batched clients may share the broker and own their inboxes.
+        drain = system._broker.drain_inbox
         decode = self._decode_message_columns
-        for node_id in system._fog1:
-            messages = system._broker.drain_inbox(node_id)
-            if not messages:
-                continue
-            columns = ReadingColumns()
-            for message in messages:
+        nodes: list = []
+        ranks: List[int] = []
+        columns = ReadingColumns()
+        for node_id, fog1 in system._fog1.items():
+            rows_before = len(columns)
+            for message in drain(node_id):
                 decoded = decode(message)
                 if decoded is not None:
                     columns.extend_columns(decoded)
-            if not len(columns):
-                continue
-            # Batch maximum, not the last arrival: with out-of-order arrivals
-            # an older last message would make newer readings look like they
-            # are from the future and fail the quality phase's skew check.
-            timestamp = now if now is not None else max(columns.timestamps)
-            fog1 = system.fog1_node(node_id)
-            system.simulator.accountant.record_transfer(
-                timestamp=timestamp,
-                source=f"broker/{node_id}",
-                target=node_id,
-                target_layer=LayerName.FOG_1,
-                size_bytes=columns.total_bytes,
-                message_count=len(columns),
-            )
-            acquired = fog1.ingest(ReadingBatch.from_columns(columns), timestamp)
-            acquired_counts[node_id] = len(acquired)
-        return acquired_counts
+            rows = len(columns) - rows_before
+            if rows:
+                ranks += [len(nodes)] * rows
+                nodes.append(fog1)
+        sources = [f"broker/{fog1.node_id}" for fog1 in nodes]
+        last_rank_of = dict(zip(columns.sensor_ids, ranks))
+        shared_sensor = list(map(last_rank_of.__getitem__, columns.sensor_ids)) != ranks
+        return self._acquire_routed(nodes, sources, columns, ranks, now, per_node=shared_sensor)
 
     def _columns_per_section(
         self, readings: Iterable[Reading], default_section: Optional[str]

@@ -713,7 +713,8 @@ class QueryService:
         shadow are row-identical — including row order and the fog/category
         attribution carried in the extended frames — to what the in-memory
         engine would have answered before eviction.  Frames are decoded
-        here, one per segment, only when a cold window is actually served.
+        here, one per segment (a sync point, ingested part by part as the
+        tier received it), only when a cold window is actually served.
 
         Hydrated stores live in a byte-accounted LRU (capacity
         :attr:`cold_store_capacity_bytes`, measured with
@@ -736,7 +737,7 @@ class QueryService:
 
         store = TieredStore(name=f"{node_id}:cold")
         cost = self._CACHE_ENTRY_OVERHEAD
-        for _segment, columns in log.replay():
+        for _child_id, _sync_time, columns in log.replay():
             store.ingest_columns(columns, mark_for_upward=False)
             cost += columns.memory_bytes()
         self.cold_store_builds += 1

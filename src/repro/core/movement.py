@@ -131,7 +131,7 @@ class DataMovementScheduler:
         stored = parent.receive_from_child(node_id, batch, transfer.arrival_time)
         if parent.segment_log is not None and stored is not None:
             # Log what the tier stored (a layer-2 aggregator may have
-            # reduced the batch); fsync'd by the sync-point commit.
+            # reduced the batch); written and fsync'd by the sync-point commit.
             parent.segment_log.append(node_id, stored.columns, transfer.arrival_time)
         return batch.total_bytes
 
@@ -175,12 +175,12 @@ class DataMovementScheduler:
         return moved
 
     def _commit_durable(self) -> None:
-        """fsync every durable segment log — the sync-point boundary.
+        """Write and fsync every durable log's sync point — the boundary.
 
         Runs at the end of each one-shot synchronisation, so the durability
-        contract ("at most the current round's un-fsync'd tail can be
-        lost") holds for both hops on both the single-process and the
-        sharded supervisor drive paths.
+        contract ("a sync point is on disk whole or not at all") holds for
+        both hops on both the single-process and the sharded supervisor
+        drive paths.
         """
         durable = self.architecture.durable
         if durable is not None:

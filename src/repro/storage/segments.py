@@ -2,34 +2,44 @@
 
 Everything the reproduction stores is in process memory; the paper's cloud
 tier, however, is the *permanent* home of city data.  This module adds the
-on-disk substrate: every batch synced into a broad tier (the cloud always,
-fog layer 2 optionally) is appended to a per-node :class:`SegmentLog` as one
-length-prefixed ``\\x00RBS`` record — the same CRC-framed stream layout the
-sharded runtime ships over worker pipes — and fsync'd once per sync-point
-boundary.
+on-disk substrate: what a sync point moves into a broad tier (the cloud
+always, fog layer 2 optionally) is written to the tier node's
+:class:`SegmentLog` as **one** length-prefixed ``\\x00RBS`` record — the same
+CRC-framed stream layout the sharded runtime ships over worker pipes — and
+fsync'd at the sync-point boundary.
 
-One record = one *segment*: a small fixed envelope (record version, row
-count, sync time, the batch's timestamp span, the delivering child node)
-followed by the batch itself as an **extended v2 column frame**
+One record = one *segment* = one sync point at one tier node: a small fixed
+envelope (record version, part count, row count, the rows' timestamp span),
+a node table ``[(delivering child, rows, sync time), …]`` with one entry per
+batch the tier received, and the batches' rows in arrival order as **one
+extended v2 column frame**
 (:meth:`~repro.sensors.readings.ReadingColumns.encode_frame_extended`), so
 tags and fog-node attribution survive the disk round trip and replay
 reproduces the cloud contents — and therefore the SHA-256 cloud digest —
-byte for byte.
+byte for byte.  It is the shard IPC ``BATCH`` shape (a node table plus one
+frame over the node-major rows) applied to the log: the frame's fixed cost
+is paid once per tier node and sync point, not once per delivering child.
 
 Durability contract
 -------------------
-* Appends happen inside the data-movement scheduler as each batch lands in
-  the tier; :meth:`SegmentLog.commit` (flush + ``fsync``) runs once per
-  sync-point boundary.  A crash between boundaries can lose at most the
-  un-fsync'd tail of the current round — never a prefix, never part of a
-  record.
-* On open the log rebuilds its in-memory per-(child, time-window) segment
-  index by scanning record envelopes — no frame is decoded.  A truncated or
-  corrupt tail record is dropped-and-counted (``dropped_records`` /
+* :meth:`SegmentLog.append` runs inside the data-movement scheduler as each
+  batch lands in the tier and only adds a *part* to the log's open sync
+  point — nothing is encoded or written.  :meth:`SegmentLog.commit` writes
+  the open parts as one record, flushes and ``fsync`` s, once per sync-point
+  boundary.  **A sync point is on disk whole or not at all**: a crash before
+  the commit loses the whole open sync point, a crash inside it leaves a
+  torn record that the next open drops — never some of a sync point's
+  batches without the others.
+* On open the log rebuilds its in-memory segment index by scanning record
+  envelopes and node tables — no frame is decoded.  A truncated or corrupt
+  tail record is dropped-and-counted (``dropped_records`` /
   ``dropped_bytes``, the ``dropped_ipc_frames`` discipline) and the file is
-  truncated back to the last intact record boundary so subsequent appends
-  land on a valid stream.  A damaged record is rejected whole, never
-  partially ingested.
+  truncated back to the last intact record boundary so subsequent records
+  land on a valid stream.  A CRC-valid record this layout does not
+  understand — a foreign or future envelope, a version-1 record of the
+  per-child layout this one replaced, a node table that is cut short or
+  does not add up to the envelope's rows — is skipped and counted the same
+  way.  A damaged record is rejected whole, never partially ingested.
 * Segment payloads are decoded lazily: the index scan, TTL drops and
   byte accounting never touch frame bytes; :meth:`SegmentLog.read` decodes
   one frame on demand (cold queries, replay).
@@ -43,7 +53,7 @@ from __future__ import annotations
 import io
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import StorageError, ValidationError
@@ -55,33 +65,34 @@ from repro.common.serialization import (
 from repro.sensors.readings import ReadingColumns
 
 #: Layout version of the segment envelope (bumped on incompatible change).
-SEGMENT_RECORD_VERSION = 1
+#: Version 1 was one record per (delivering child, sync point).
+SEGMENT_RECORD_VERSION = 2
 
 #: File suffix of one node's segment log inside the durable directory.
 SEGMENT_LOG_SUFFIX = ".seglog"
 
-# Envelope at the head of every record payload: everything the index needs,
-# so reopening scans headers without decoding (or decompressing) any frame.
-#   u8  record version | u16 child-id length | u32 rows
-#   f64 sync time      | f64 min timestamp   | f64 max timestamp
-_ENVELOPE = struct.Struct("<BHIddd")
+# Envelope at the head of every record payload, then one table entry per
+# part: everything the index needs, so reopening scans headers without
+# decoding (or decompressing) any frame.
+#   u8  record version | u16 part count | u32 rows
+#   f64 min timestamp  | f64 max timestamp
+_ENVELOPE = struct.Struct("<BHIdd")
+#   u16 child-id length | u32 rows | f64 sync time, then the child id
+_PART = struct.Struct("<HId")
 
 
 @dataclass(frozen=True)
 class Segment:
-    """Index entry for one appended record (no payload bytes held)."""
+    """Index entry for one record — one sync point (no payload bytes held)."""
 
-    child_id: str  #: node that delivered the batch into the tier
-    sync_time: float  #: sync-point time the batch arrived at
-    t_min: float  #: smallest reading timestamp in the batch
-    t_max: float  #: largest reading timestamp in the batch
+    #: ``(delivering child, rows, sync time)`` per batch, in arrival order
+    parts: Tuple[Tuple[str, int, float], ...]
+    t_min: float  #: smallest reading timestamp in the record
+    t_max: float  #: largest reading timestamp in the record
     rows: int
     offset: int  #: byte offset of the stream record in the log file
     length: int  #: on-disk size of the stream record (framing included)
-
-    def overlaps(self, since: float, until: float) -> bool:
-        """Does the segment's time window intersect ``[since, until)``?"""
-        return self.t_min < until and self.t_max >= since
+    header: int  #: envelope + node table bytes ahead of the column frame
 
 
 class SegmentLog:
@@ -89,7 +100,7 @@ class SegmentLog:
 
     Opening an existing file rebuilds the segment index from record
     envelopes and repairs a damaged tail (truncate-and-count).  The same
-    open handle serves appends and lazy segment reads.
+    open handle serves writes and lazy segment reads.
     """
 
     def __init__(self, path: str, node_id: Optional[str] = None) -> None:
@@ -101,7 +112,8 @@ class SegmentLog:
         self.dropped_segment_rows = 0
         self.appended_rows = 0
         self._segments: List[Segment] = []
-        self._by_child: Dict[str, List[Segment]] = {}
+        #: The open sync point: ``(child id, columns, sync time)`` per part.
+        self._open: List[Tuple[str, ReadingColumns, float]] = []
         self._file = open(self.path, "a+b")
         self._writer = FrameStreamWriter(self._file.write)
         self._end = 0
@@ -123,7 +135,7 @@ class SegmentLog:
             except StreamFrameError:
                 # Damaged tail (torn write, bit rot): everything from the
                 # last intact boundary is dropped whole and counted, and
-                # the file is cut back so new appends extend a valid
+                # the file is cut back so new records extend a valid
                 # stream.  Nothing partial ever reaches a store.
                 self.dropped_records += 1
                 self.dropped_bytes += size - offset
@@ -134,88 +146,113 @@ class SegmentLog:
                 break
             end = fh.tell()
             try:
-                segment = self._parse_envelope(payload, offset, end - offset)
+                segment = self._parse_header(payload, offset, end - offset)
             except (struct.error, ValueError):
-                # CRC-valid record with an unknown envelope (foreign or
-                # future layout): skip-and-count, later records stay valid.
+                # CRC-valid record with an envelope or node table this
+                # layout does not understand (foreign, future, version 1,
+                # inconsistent): skip-and-count, later records stay valid.
                 self.dropped_records += 1
                 self.dropped_bytes += end - offset
                 offset = end
                 continue
-            self._index(segment)
+            self._segments.append(segment)
             offset = end
         self._end = offset
 
     @staticmethod
-    def _parse_envelope(payload: bytes, offset: int, length: int) -> Segment:
-        version, child_len, rows, sync_time, t_min, t_max = _ENVELOPE.unpack_from(payload)
+    def _parse_header(payload: bytes, offset: int, length: int) -> Segment:
+        """The index entry of one record: its envelope and node table."""
+        version, part_count, rows, t_min, t_max = _ENVELOPE.unpack_from(payload)
         if version != SEGMENT_RECORD_VERSION:
             raise ValueError(f"unsupported segment record version {version}")
+        parts = []
         head = _ENVELOPE.size
-        if len(payload) < head + child_len:
-            raise ValueError("segment envelope truncated")
-        child_id = payload[head : head + child_len].decode("utf-8")
+        for _ in range(part_count):
+            child_len, part_rows, sync_time = _PART.unpack_from(payload, head)
+            head += _PART.size
+            if len(payload) < head + child_len:
+                raise ValueError("segment node table truncated")
+            parts.append((payload[head : head + child_len].decode("utf-8"), part_rows, sync_time))
+            head += child_len
+        if sum(part_rows for _, part_rows, _ in parts) != rows:
+            raise ValueError("segment node table does not add up to the envelope's rows")
         return Segment(
-            child_id=child_id,
-            sync_time=sync_time,
+            parts=tuple(parts),
             t_min=t_min,
             t_max=t_max,
             rows=rows,
             offset=offset,
             length=length,
+            header=head,
         )
 
-    def _index(self, segment: Segment) -> None:
-        self._segments.append(segment)
-        self._by_child.setdefault(segment.child_id, []).append(segment)
-
     # ------------------------------------------------------------------ #
-    # Appending
+    # Writing: parts accumulate, a sync point is written as one record
     # ------------------------------------------------------------------ #
-    def append(self, child_id: str, columns: ReadingColumns, sync_time: float) -> Optional[Segment]:
-        """Append one synced batch as a segment; returns its index entry.
+    def append(self, child_id: str, columns: ReadingColumns, sync_time: float) -> None:
+        """Add one synced batch to the open sync point (no encode, no I/O).
 
         Empty batches are not recorded (nothing reached the tier).  The
-        record is buffered; it is on disk for sure only after the next
-        :meth:`commit` — the per-sync-point boundary the durability
-        contract is defined at.
+        batch is held by reference until the next :meth:`commit` — the
+        per-sync-point boundary the durability contract is defined at — so
+        *columns* must not be mutated in between.
         """
-        if not len(columns):
-            return None
+        if len(columns):
+            self._open.append((child_id, columns, sync_time))
+
+    def stage(self) -> None:
+        """Write the open sync point as one record and hand it to the OS.
+
+        The record is complete in the file afterwards but not yet forced
+        to disk; :meth:`commit` is what makes it durable.
+        """
+        parts = self._open
+        if not parts:
+            return
+        self._open = []
+        if len(parts) == 1:
+            columns = parts[0][1]
+        else:
+            columns = ReadingColumns()
+            for _, part_columns, _ in parts:
+                columns.extend_columns(part_columns)
         timestamps = columns.timestamps
         t_min, t_max = min(timestamps), max(timestamps)
-        frame = columns.encode_frame_extended()
-        child = child_id.encode("utf-8")
-        envelope = _ENVELOPE.pack(
-            SEGMENT_RECORD_VERSION, len(child), len(columns), sync_time, t_min, t_max
+        header = bytearray(
+            _ENVELOPE.pack(SEGMENT_RECORD_VERSION, len(parts), len(columns), t_min, t_max)
         )
-        fh = self._file
-        fh.seek(0, os.SEEK_END)
-        written = self._writer.write_frame(envelope + child + frame)
-        segment = Segment(
-            child_id=child_id,
-            sync_time=sync_time,
-            t_min=t_min,
-            t_max=t_max,
-            rows=len(columns),
-            offset=self._end,
-            length=written,
+        table = []
+        for child_id, part_columns, sync_time in parts:
+            child = child_id.encode("utf-8")
+            header += _PART.pack(len(child), len(part_columns), sync_time)
+            header += child
+            table.append((child_id, len(part_columns), sync_time))
+        written = self._writer.write_frame(bytes(header) + columns.encode_frame_extended())
+        self._file.flush()
+        self._segments.append(
+            Segment(
+                parts=tuple(table),
+                t_min=t_min,
+                t_max=t_max,
+                rows=len(columns),
+                offset=self._end,
+                length=written,
+                header=len(header),
+            )
         )
         self._end += written
         self.appended_rows += len(columns)
         self._dirty = True
-        self._index(segment)
-        return segment
 
     def commit(self) -> None:
-        """Flush buffered records and ``fsync`` — the sync-point barrier.
+        """Write the open sync point and ``fsync`` — the sync-point barrier.
 
         A no-op on a clean log: a deployment whose sync round only touched
         some tiers does not pay an ``fsync`` per untouched log.
         """
+        self.stage()
         if not self._dirty:
             return
-        self._file.flush()
         os.fsync(self._file.fileno())
         self._dirty = False
 
@@ -230,16 +267,6 @@ class SegmentLog:
     def segment_count(self) -> int:
         return len(self._segments)
 
-    def segments_overlapping(
-        self,
-        since: float = float("-inf"),
-        until: float = float("inf"),
-        child_id: Optional[str] = None,
-    ) -> List[Segment]:
-        """Index lookup: segments whose time window intersects the query."""
-        pool = self._segments if child_id is None else self._by_child.get(child_id, [])
-        return [segment for segment in pool if segment.overlaps(since, until)]
-
     def oldest_time(self) -> Optional[float]:
         """Smallest reading timestamp still covered by a live segment."""
         if not self._segments:
@@ -247,9 +274,8 @@ class SegmentLog:
         return min(segment.t_min for segment in self._segments)
 
     def read(self, segment: Segment) -> ReadingColumns:
-        """Decode one segment's batch (the lazy ``decode_frame`` path)."""
+        """Decode one record's rows, all parts (the lazy ``decode_frame`` path)."""
         fh = self._file
-        fh.flush()
         fh.seek(segment.offset)
         data = fh.read(segment.length)
         if len(data) != segment.length:
@@ -258,13 +284,20 @@ class SegmentLog:
                 "is shorter than its index entry"
             )
         payload = FrameStreamReader(io.BytesIO(data).read).read_frame()
-        child_len = _ENVELOPE.unpack_from(payload)[1]
-        return ReadingColumns.decode_frame(payload[_ENVELOPE.size + child_len :])
+        columns = ReadingColumns.decode_frame(payload[segment.header :])
+        if len(columns) != segment.rows:
+            raise StorageError(
+                f"segment log {self.path!r}: record at offset {segment.offset} "
+                f"holds {len(columns)} rows, its envelope says {segment.rows}"
+            )
+        return columns
 
-    def replay(self) -> Iterator[Tuple[Segment, ReadingColumns]]:
-        """Yield every live segment with its decoded batch, in append order."""
+    def replay(self) -> Iterator[Tuple[str, float, ReadingColumns]]:
+        """Yield ``(child id, sync time, columns)`` per live part, in append order."""
         for segment in list(self._segments):
-            yield segment, self.read(segment)
+            batches = self.read(segment).split(rows for _, rows, _ in segment.parts)
+            for (child_id, _, sync_time), columns in zip(segment.parts, batches):
+                yield child_id, sync_time, columns
 
     # ------------------------------------------------------------------ #
     # Retention
@@ -287,19 +320,16 @@ class SegmentLog:
             segment.rows for segment in self._segments if segment.t_max < cutoff
         )
         self._segments = kept
-        self._by_child = {}
-        for segment in kept:
-            self._by_child.setdefault(segment.child_id, []).append(segment)
         return dropped
 
     def compact(self) -> int:
         """Rewrite the file keeping only live segments; returns bytes freed.
 
         Copies the surviving records into a sibling temp file and atomically
-        replaces the log, then re-points the index at the new offsets.
+        replaces the log, then re-points the index at the new offsets.  An
+        open sync point stays open.
         """
         fh = self._file
-        fh.flush()
         before = self._end
         temp_path = self.path + ".compact"
         survivors: List[Segment] = []
@@ -307,19 +337,8 @@ class SegmentLog:
         with open(temp_path, "wb") as out:
             for segment in self._segments:
                 fh.seek(segment.offset)
-                record = fh.read(segment.length)
-                out.write(record)
-                survivors.append(
-                    Segment(
-                        child_id=segment.child_id,
-                        sync_time=segment.sync_time,
-                        t_min=segment.t_min,
-                        t_max=segment.t_max,
-                        rows=segment.rows,
-                        offset=offset,
-                        length=segment.length,
-                    )
-                )
+                out.write(fh.read(segment.length))
+                survivors.append(replace(segment, offset=offset))
                 offset += segment.length
             out.flush()
             os.fsync(out.fileno())
@@ -329,9 +348,6 @@ class SegmentLog:
         self._writer = FrameStreamWriter(self._file.write)
         self._dirty = False  # every surviving record was fsync'd pre-replace
         self._segments = survivors
-        self._by_child = {}
-        for segment in survivors:
-            self._by_child.setdefault(segment.child_id, []).append(segment)
         self._end = offset
         return before - offset
 
@@ -353,7 +369,7 @@ class SegmentLog:
 
     def close(self) -> None:
         if not self._file.closed:
-            self._file.flush()
+            self.stage()
             self._file.close()
 
     def __len__(self) -> int:
@@ -410,7 +426,14 @@ class DurableTierLogs:
         )
 
     def commit(self) -> None:
-        """fsync every open log — called once per sync-point boundary."""
+        """Write and fsync every log's open sync point — the boundary itself.
+
+        Every record is written before the first ``fsync``, so the forced
+        writes of one log overlap the others' instead of queueing behind
+        them log by log.
+        """
+        for log in self._logs.values():
+            log.stage()
         for log in self._logs.values():
             log.commit()
 
@@ -437,29 +460,29 @@ class DurableTierLogs:
             log = getattr(fog2, "segment_log", None)
             if log is None or not log.segment_count:
                 continue
-            for _, columns in log.replay():
+            for _, _, columns in log.replay():
                 fog2.storage.ingest_columns(columns, mark_for_upward=False)
-                counters["replayed_records"] += 1
                 counters["replayed_rows"] += len(columns)
+            counters["replayed_records"] += log.segment_count
             restored_fog2.add(fog2.node_id)
         cloud_log = getattr(architecture.cloud, "segment_log", None)
         if cloud_log is not None:
-            for segment, columns in cloud_log.replay():
-                if segment.child_id not in restored_fog2:
+            for child_id, sync_time, columns in cloud_log.replay():
+                if child_id not in restored_fog2:
                     # The delivering fog L2 node held exactly the rows it
                     # synced upward (upward drains copy, they do not
                     # remove), so the cloud log doubles as its backup.
                     try:
-                        fog2 = architecture.fog2_node(segment.child_id)
+                        fog2 = architecture.fog2_node(child_id)
                     except RoutingError:
                         fog2 = None
                     if fog2 is not None:
                         fog2.storage.ingest_columns(columns, mark_for_upward=False)
                         counters["fog2_mirrored_records"] += 1
                 batch = ReadingBatch.from_columns(columns)
-                architecture.cloud.receive_from_fog(segment.child_id, batch, segment.sync_time)
-                counters["replayed_records"] += 1
+                architecture.cloud.receive_from_fog(child_id, batch, sync_time)
                 counters["replayed_rows"] += len(columns)
+            counters["replayed_records"] += cloud_log.segment_count
         architecture.merge_fog1_stats(
             {fog1.node_id: fog1.stats() for fog1 in architecture.fog1_nodes()}
         )

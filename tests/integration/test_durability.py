@@ -9,6 +9,9 @@ The contract under test, against the committed golden digests in
   ``fsync`` point — recovers from its segment logs alone to exactly that
   boundary's golden cloud digest, across the direct and sharded (1 and 2
   worker) drive paths;
+* a process killed *inside* a sync point — after any number of the cloud
+  log's appends, before its commit — recovers to the previous boundary:
+  a sync point is one record, on disk whole or not at all;
 * a torn tail record is dropped-and-counted on reopen, never partially
   ingested — recovery lands on the previous boundary's digest;
 * a worker killed and restarted mid-run (the PR 4 fault machinery) does
@@ -48,6 +51,25 @@ def golden():
 
 def stream_workload(golden) -> ShardedWorkload:
     return ShardedWorkload.stream_rounds(**golden["stream_workload"])
+
+
+@pytest.fixture(scope="module")
+def rows_at_boundary(golden, tmp_path_factory) -> list:
+    """Rows in the cloud log after each sync boundary of the stream workload.
+
+    The cloud log holds one record per sync point, so the running sum over
+    its segments is what a recovery from boundary *k* must replay.
+    """
+    state = str(tmp_path_factory.mktemp("reference") / "state")
+    client = run_workload(stream_workload(golden), durable_dir=state)
+    segments = client.system.durable.log_for("cloud").segments
+    client.system.durable.close()
+    assert len(segments) == len(golden["boundary_cloud_sha256"])
+    totals, total = [], 0
+    for segment in segments:
+        total += segment.rows
+        totals.append(total)
+    return totals
 
 
 def record_boundary_digests(run) -> list:
@@ -238,6 +260,106 @@ class TestCrashReplayBattery:
 
 
 # --------------------------------------------------------------------------- #
+# Killed inside a sync point: between the k-th cloud append and the commit
+# --------------------------------------------------------------------------- #
+MID_SYNC_CHILD = """
+import os, sys
+sys.path.insert(0, {src!r})
+from repro.core.movement import DataMovementScheduler
+from repro.storage.segments import SegmentLog
+
+syncs = [0]
+appends = [0]
+original_sync = DataMovementScheduler.sync_fog2_to_cloud
+original_append = SegmentLog.append
+
+def counting_sync(self, now=None):
+    syncs[0] += 1
+    appends[0] = 0
+    return original_sync(self, now)
+
+def dying_append(self, child_id, columns, sync_time):
+    out = original_append(self, child_id, columns, sync_time)
+    if self.node_id == "cloud" and syncs[0] == {kill_sync} and len(columns):
+        appends[0] += 1
+        if appends[0] == {kill_append}:
+            os._exit({exit_code})  # crash *inside* the sync point, before its commit
+    return out
+
+DataMovementScheduler.sync_fog2_to_cloud = counting_sync
+SegmentLog.append = dying_append
+from repro.api import run_workload
+from repro.runtime import ShardedWorkload, run_sharded
+workload = ShardedWorkload.stream_rounds(**{workload!r})
+if {workers}:
+    run_sharded(workers={workers}, workload=workload, inline=True, durable_dir={durable_dir!r})
+else:
+    run_workload(workload, durable_dir={durable_dir!r}, durable_fog2=True)
+"""
+
+
+def crash_inside_sync(golden, durable_dir, *, kill_sync, kill_append, workers):
+    child = MID_SYNC_CHILD.format(
+        src=SRC_PATH,
+        kill_sync=kill_sync,
+        kill_append=kill_append,
+        exit_code=CRASH_EXIT,
+        workload=golden["stream_workload"],
+        workers=workers,
+        durable_dir=durable_dir,
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=300
+    )
+    # Exit 0 would mean the sync point had fewer cloud appends than asked for.
+    assert proc.returncode == CRASH_EXIT, proc.stderr
+
+
+class TestKilledInsideASyncPoint:
+    """A sync point's cloud appends, one per district, are one record: all or none.
+
+    Before records were sync points, each append wrote its own record and
+    the next append's ``seek`` flushed it, so a kill after the k-th append
+    left k-1 child records of an uncommitted sync point on disk — and
+    ``recover()`` replayed them into a cloud matching no boundary, with
+    nothing counted as dropped.
+    """
+
+    # The stream workload's third sync point delivers from nine districts:
+    # the first append, one in the middle, and the last one before the commit.
+    @pytest.mark.parametrize("kill_append", [1, 5, 9], ids=lambda k: f"append{k}")
+    def test_recovery_lands_on_the_previous_boundary(
+        self, golden, rows_at_boundary, tmp_path, kill_append
+    ):
+        state = str(tmp_path / "state")
+        crash_inside_sync(golden, state, kill_sync=3, kill_append=kill_append, workers=2)
+
+        client = recover(durable_dir=state, catalog=BARCELONA_CATALOG)
+        assert client.cloud_digest() == golden["boundary_cloud_sha256"][1]
+        report = client.health()["durable"]
+        assert report["dropped_log_records"] == 0  # nothing of sync 3 was ever written
+        assert report["replayed_records"] == report["segments"] == 2
+        assert report["replayed_rows"] == rows_at_boundary[1]
+        client.system.durable.close()
+
+    def test_fog2_logs_a_hop_ahead_do_not_move_the_cloud(self, golden, tmp_path):
+        """Single-process drive with fog L2 logs: the fog1→fog2 hop of the
+        dying sync point *was* committed; the cloud still lands on the
+        boundary before it."""
+        state = str(tmp_path / "state")
+        crash_inside_sync(golden, state, kill_sync=2, kill_append=5, workers=0)
+
+        client = recover(durable_dir=state, durable_fog2=True, catalog=BARCELONA_CATALOG)
+        assert client.cloud_digest() == golden["boundary_cloud_sha256"][0]
+        report = client.health()["durable"]
+        assert report["dropped_log_records"] == 0
+        assert report["logs"]["cloud"]["segments"] == 1
+        fog2_logs = [stats for node_id, stats in report["logs"].items() if node_id != "cloud"]
+        assert max(stats["segments"] for stats in fog2_logs) == 2  # sync 2's hop is there
+        client.system.durable.close()
+
+
+# --------------------------------------------------------------------------- #
 # Unclean serve shutdown: the service loop killed mid-run recovers too
 # --------------------------------------------------------------------------- #
 SERVE_CRASH_CHILD = """
@@ -303,13 +425,17 @@ class TestServeCrashRecovery:
 # Tail damage: dropped-and-counted, never a partial ingest
 # --------------------------------------------------------------------------- #
 class TestTornTail:
-    def test_truncated_tail_recovers_the_previous_boundary(self, golden, tmp_path):
+    @pytest.mark.parametrize("torn", [0.0, 0.5, 1.0], ids=["header", "middle", "last-byte"])
+    def test_truncated_tail_recovers_the_previous_boundary(
+        self, golden, rows_at_boundary, tmp_path, torn
+    ):
         state = str(tmp_path / "state")
         workload = stream_workload(golden)
 
         # Capture the cloud log's byte size at each fsync'd boundary while
-        # the run executes, so the tear lands mid-way into the first record
-        # the third sync appended.
+        # the run executes, so the tear lands inside the one record the
+        # third sync point wrote: 5 bytes into it, half way through, or one
+        # byte short of whole.
         sizes = []
         original_sync = DataMovementScheduler.sync_fog2_to_cloud
 
@@ -323,23 +449,22 @@ class TestTornTail:
             original = run_workload(workload, durable_dir=state)
         finally:
             DataMovementScheduler.sync_fog2_to_cloud = original_sync
-        rows_at_boundary_2 = sum(
-            seg.rows
-            for seg in original.system.durable.log_for("cloud").segments
-            if seg.offset < sizes[1]
-        )
+        assert [
+            seg.offset + seg.length for seg in original.system.durable.log_for("cloud").segments
+        ] == sizes  # one record per sync point
         original.system.durable.close()
+        kept = 5 + int(torn * (sizes[2] - sizes[1] - 6))
         path = os.path.join(state, "cloud.seglog")
         with open(path, "r+b") as fh:
-            fh.truncate(sizes[1] + 5)  # 5 bytes of a torn sync-3 record
+            fh.truncate(sizes[1] + kept)
 
         client = recover(durable_dir=state, catalog=BARCELONA_CATALOG)
         report = client.health()["durable"]
         assert report["dropped_log_records"] == 1
-        assert report["dropped_log_bytes"] == 5
+        assert report["dropped_log_bytes"] == kept
         # The torn record is gone whole — the recovered cloud is exactly the
-        # second boundary's golden state, never a partial batch.
-        assert report["replayed_rows"] == rows_at_boundary_2
+        # second boundary's golden state, never a partial sync point.
+        assert report["replayed_rows"] == rows_at_boundary[1]
         assert client.cloud_digest() == golden["boundary_cloud_sha256"][-2]
         client.system.durable.close()
 

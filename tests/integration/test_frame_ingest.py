@@ -236,6 +236,78 @@ class TestFramePathEquivalence:
         assert fog1.has_series("oof-1000") and fog1.has_series("oof-100")
 
 
+class TestFlushIsARound:
+    """``flush_broker`` acquires a clean flush once for all its nodes, and
+    keeps per-node semantics wherever a round-wide pass would differ."""
+
+    @staticmethod
+    def _flush_counting_block_runs(system, now):
+        from unittest import mock
+
+        from repro.dlc.acquisition import AcquisitionBlock
+
+        run = AcquisitionBlock.run
+        block_runs = []
+
+        def counting_run(block, batch, timestamp):
+            block_runs.append(block)
+            return run(block, batch, timestamp)
+
+        with mock.patch.object(AcquisitionBlock, "run", counting_run):
+            counts = system.flush_broker(now=now)
+        return counts, len(block_runs)
+
+    @staticmethod
+    def _attached(small_city, small_catalog):
+        # The default deployment: fog layer 1 deduplicates per batch.
+        system = F2CDataManagement(city=small_city, catalog=small_catalog)
+        broker = Broker()
+        system.attach_broker(broker, city_slug="toyville", batched=True)
+        return system, broker
+
+    def test_a_clean_flush_never_enters_a_node_row_loop(self, small_city, small_catalog):
+        system, broker = self._attached(small_city, small_catalog)
+        for index, section in enumerate(("d-01/s-01", "d-01/s-02", "d-02/s-01")):
+            readings = [
+                make_reading(sensor_id=f"cf-{index}", value=20.0, timestamp=4.0, size_bytes=22),
+                make_reading(sensor_id=f"cf-{index}", value=20.0, timestamp=5.0, size_bytes=22),
+                make_reading(sensor_id=f"cf-{index}b", value=21.0, timestamp=5.0, size_bytes=22),
+            ]
+            broker.publish_columns(
+                f"city/toyville/{section}/frame", ReadingColumns.from_readings(readings), timestamp=5.0
+            )
+        counts, block_runs = self._flush_counting_block_runs(system, now=5.0)
+        assert block_runs == 0
+        # Deployment order, the repeated value deduplicated at each node.
+        assert list(counts.items()) == [
+            ("fog1/d-01/s-01", 2), ("fog1/d-01/s-02", 2), ("fog1/d-02/s-01", 2),
+        ]
+        assert [
+            (record.source, record.size_bytes, record.message_count)
+            for record in system.simulator.accountant.records
+        ] == [(f"broker/{node_id}", 66, 3) for node_id in counts]
+        assert all(system.fog1_node(node_id).rejected_readings == 1 for node_id in counts)
+
+    def test_a_sensor_on_two_sections_topics_is_admitted_at_both_nodes(self, small_city, small_catalog):
+        """Dedup is per node: the same reading in two inboxes is two admissions."""
+        system, broker = self._attached(small_city, small_catalog)
+        twice = make_reading(sensor_id="dup-1", value=20.0, timestamp=5.0, size_bytes=22)
+        alone = make_reading(sensor_id="solo-1", value=21.0, timestamp=5.0, size_bytes=22)
+        broker.publish_columns(
+            "city/toyville/d-01/s-01/frame", ReadingColumns.from_readings([twice, alone]), timestamp=5.0
+        )
+        broker.publish_columns(
+            "city/toyville/d-02/s-01/frame", ReadingColumns.from_readings([twice]), timestamp=5.0
+        )
+        counts, block_runs = self._flush_counting_block_runs(system, now=5.0)
+        assert counts == {"fog1/d-01/s-01": 2, "fog1/d-02/s-01": 1}
+        assert block_runs == 2  # the row loop, node by node
+        for section in ("d-01/s-01", "d-02/s-01"):
+            fog1 = system.fog1_for_section(section)
+            assert fog1.has_series("dup-1")
+            assert fog1.rejected_readings == 0
+
+
 class TestBinaryFrameDecoderFuzz:
     """Corrupted binary frames: always rejected whole, never a crash.
 

@@ -12,12 +12,21 @@ can see must agree: acquired rows in order, tag dicts with their key order
 and sharing, block results, quality reports, counters, the returned counts
 in order, the accountant's records and the fog layer-1 stores.
 
+``Pipeline.flush_broker`` is the same round entry behind the broker: a
+third twin receives each drawn round as column frames (``publish_frames``)
+and flushes, next to a reference that drains, decodes and acquires inbox
+by inbox.  What the wire adds is drawn too — two messages in one inbox, a
+corrupted frame, a CSV line among the frames, ``now=None``, and a sensor
+published on two sections' topics (per-node dedup admits both copies, a
+round-wide pass would not, so such a flush must take the row loop).
+
 States are compared through ``repr``: it keeps dict key order, tells
 ``-0.0`` from ``0.0`` and equates NaNs, none of which ``==`` does.
 """
 
 from __future__ import annotations
 
+import contextlib
 from unittest import mock
 
 import pytest
@@ -31,8 +40,9 @@ from repro.core.architecture import F2CDataManagement
 from repro.dlc.acquisition import AcquisitionBlock
 from repro.network.topology import LayerName
 from repro.runtime.supervisor import cloud_digest
+from repro.messaging.broker import Broker
 from repro.sensors.catalog import SensorCatalog, SensorCategory, SensorTypeSpec
-from repro.sensors.readings import ReadingBatch, ReadingColumns
+from repro.sensors.readings import Reading, ReadingBatch, ReadingColumns
 
 NOW = 100_000.0
 NAN = float("nan")
@@ -153,6 +163,18 @@ def _nine(columns: ReadingColumns) -> str:
     )
 
 
+#: What the broker adds to a round on its way to the flush.
+wires = st.fixed_dictionaries(
+    {
+        "now": st.sampled_from([NOW, NOW, NOW, None]),
+        "split_at": st.one_of(st.none(), st.integers(0, 30)),  # the round as two frames per inbox
+        "corrupted": st.sampled_from([None, None, *SECTIONS]),  # inbox that also gets a torn frame
+        "csv": st.sampled_from([None, None, *SECTIONS]),  # inbox that also gets a CSV line
+        "echoed": st.sampled_from([None, None, *SECTIONS]),  # section the first row is republished on
+    }
+)
+
+
 def _is_clean(rows) -> bool:
     """The documented meaning of a clean round, row by row."""
 
@@ -196,8 +218,58 @@ def _reference_ingest(system: F2CDataManagement, rows, default_section):
     return counts
 
 
+def _deliver(system: F2CDataManagement, rows, default_section, wire) -> Broker:
+    """Attach a broker and publish the drawn round (and the wire's extras) on it."""
+    pipeline = Pipeline.for_system(system)
+    broker = Broker()
+    pipeline.attach_broker(broker, batched=True)
+    columns = _columns(rows)
+    split_at = wire["split_at"]
+    pieces = [columns] if split_at is None else columns.split([min(split_at, len(rows)), len(rows)])
+    for piece in pieces:
+        pipeline.publish_frames(broker, piece, default_section=default_section, timestamp=NOW)
+    if wire["corrupted"] is not None:
+        torn = _columns(CLEAN_ROUND).encode_frame()[:-3]
+        broker.publish(f"city/bcn/{wire['corrupted']}/frame", torn, timestamp=NOW)
+    if wire["csv"] is not None:
+        line = Reading(
+            sensor_id="s-csv", sensor_type="temperature", category="energy", value=21.5,
+            timestamp=NOW - 1.0, size_bytes=64,
+        )
+        broker.publish(f"city/bcn/{wire['csv']}/energy/temperature", line.encode(), timestamp=NOW)
+    if wire["echoed"] is not None:
+        broker.publish_columns(f"city/bcn/{wire['echoed']}/frame", _columns(rows[:1]), timestamp=NOW)
+    return broker
+
+
+def _reference_flush(system: F2CDataManagement, broker: Broker, now):
+    """The row loop alone, inbox by inbox; also returns what each inbox decoded to."""
+    decode = Pipeline.for_system(system)._decode_message_columns
+    counts, inboxes = {}, {}
+    for fog1 in system.fog1_nodes():
+        columns = ReadingColumns()
+        for message in broker.drain_inbox(fog1.node_id):
+            decoded = decode(message)
+            if decoded is not None:
+                columns.extend_columns(decoded)
+        if not len(columns):
+            continue
+        inboxes[fog1.node_id] = columns
+        timestamp = now if now is not None else max(columns.timestamps)
+        system.simulator.accountant.record_transfer(
+            timestamp=timestamp,
+            source=f"broker/{fog1.node_id}",
+            target=fog1.node_id,
+            target_layer=LayerName.FOG_1,
+            size_bytes=columns.total_bytes,
+            message_count=len(columns),
+        )
+        counts[fog1.node_id] = len(fog1.ingest(ReadingBatch.from_columns(columns), timestamp))
+    return counts, inboxes
+
+
 def _observable_state(system: F2CDataManagement) -> str:
-    state = {"records": system.simulator.accountant.records}
+    state = {"records": system.simulator.accountant.records, "dropped": system.dropped_payloads}
     for fog1 in system.fog1_nodes():
         pending = fog1.storage._pending_upward.columns
         dict_ids = {}
@@ -213,12 +285,9 @@ def _observable_state(system: F2CDataManagement) -> str:
     return repr(state)
 
 
-def _check_round(rows, default_section) -> bool:
-    """Ingest *rows* both ways and compare; returns whether the round was clean."""
-    columns = _columns(rows)
-    before = _nine(columns)
-
-    round_level, row_loop = _deployment(), _deployment()
+@contextlib.contextmanager
+def _counting_block_runs():
+    """The blocks whose row loop (``AcquisitionBlock.run``) ran inside the ``with``."""
     block_runs = []
     run = AcquisitionBlock.run
 
@@ -227,6 +296,16 @@ def _check_round(rows, default_section) -> bool:
         return run(block, batch, now)
 
     with mock.patch.object(AcquisitionBlock, "run", counting_run):
+        yield block_runs
+
+
+def _check_round(rows, default_section) -> bool:
+    """Ingest *rows* both ways and compare; returns whether the round was clean."""
+    columns = _columns(rows)
+    before = _nine(columns)
+
+    round_level, row_loop = _deployment(), _deployment()
+    with _counting_block_runs() as block_runs:
         counts = Pipeline.for_system(round_level).ingest_columns(
             columns, now=NOW, default_section=default_section
         )
@@ -251,11 +330,55 @@ def _check_round(rows, default_section) -> bool:
     return clean
 
 
+def _check_flush(rows, default_section, wire) -> bool:
+    """Deliver *rows* over the broker both ways and compare; returns whether one pass acquired the flush."""
+    flushed, row_loop = _deployment(), _deployment()
+    flushed_broker = _deliver(flushed, rows, default_section, wire)
+    row_loop_broker = _deliver(row_loop, rows, default_section, wire)
+    now = wire["now"]
+
+    expected, inboxes = _reference_flush(row_loop, row_loop_broker, now)
+    with _counting_block_runs() as block_runs:
+        counts = Pipeline.for_system(flushed).flush_broker(now=now)
+
+    # One pass for the whole flush exactly when there is one `now`, no sensor
+    # id sits in two inboxes, and every decoded row is clean.
+    decoded_rows = [
+        (sensor_id, sensor_type, category, value, timestamp, fog, size, tags)
+        for columns in inboxes.values()
+        for sensor_id, sensor_type, category, value, timestamp, fog, size, tags in zip(
+            columns.sensor_ids, columns.sensor_types, columns.categories, columns.values,
+            columns.timestamps, columns.fog_node_ids, columns.sizes, columns.tags,
+        )
+    ]
+    inboxes_of = {}
+    for node_id, columns in inboxes.items():
+        for sensor_id in set(columns.sensor_ids):
+            inboxes_of.setdefault(sensor_id, []).append(node_id)
+    shared_sensor = any(len(node_ids) > 1 for node_ids in inboxes_of.values())
+    one_pass = now is not None and not shared_sensor and _is_clean(decoded_rows)
+    assert len(block_runs) == (0 if one_pass else len(counts))
+
+    assert list(counts.items()) == list(expected.items())
+    assert _observable_state(flushed) == _observable_state(row_loop)
+    flushed.synchronise(now=NOW)
+    row_loop.synchronise(now=NOW)
+    assert cloud_digest(flushed) == cloud_digest(row_loop)
+    return one_pass
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rounds())
 def test_round_ingest_is_the_row_loop(drawn):
     rows, default_section = drawn
     event("clean round" if _check_round(rows, default_section) else "row loop")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rounds(), wires)
+def test_broker_flush_is_the_row_loop(drawn, wire):
+    rows, default_section = drawn
+    event("one pass" if _check_flush(rows, default_section, wire) else "row loop")
 
 
 #: A clean round over three nodes with duplicates within and across sensors.
@@ -289,3 +412,32 @@ def test_every_disqualifier_alone_sends_the_round_to_the_row_loop(flaw, position
     rows = list(CLEAN_ROUND)
     rows.insert(position, row[:index] + (value,) + row[index + 1:])
     assert _check_round(rows, None) == (flaw in HARMLESS)
+
+
+PLAIN_WIRE = {"now": NOW, "split_at": None, "corrupted": None, "csv": None, "echoed": None}
+
+
+def test_the_clean_round_is_flushed_in_one_pass():
+    assert _check_flush(CLEAN_ROUND, None, PLAIN_WIRE)
+    assert _check_flush(CLEAN_ROUND, SECTIONS[1], PLAIN_WIRE)
+    # Nothing the wire adds to an inbox disqualifies a flush by itself.
+    assert _check_flush(CLEAN_ROUND, None, {**PLAIN_WIRE, "split_at": 3})
+    assert _check_flush(CLEAN_ROUND, None, {**PLAIN_WIRE, "corrupted": SECTIONS[2], "csv": SECTIONS[3]})
+    # ("s-0" is assigned to SECTIONS[0]: echoed there it is one sensor in one inbox.)
+    assert _check_flush(CLEAN_ROUND, None, {**PLAIN_WIRE, "echoed": SECTIONS[0]})
+
+
+@pytest.mark.parametrize(
+    "wire", [{"now": None}, {"echoed": SECTIONS[3]}], ids=["now-is-none", "sensor-in-two-inboxes"]
+)
+def test_a_flush_without_one_now_or_one_owner_per_sensor_takes_the_row_loop(wire):
+    assert not _check_flush(CLEAN_ROUND, None, {**PLAIN_WIRE, **wire})
+
+
+@pytest.mark.parametrize("flaw", [flaw for flaw in SINGLE_FLAWS if flaw[0] in (0, 1, 2, 3, 4)], ids=repr)
+def test_every_disqualifier_the_wire_carries_sends_the_flush_to_the_row_loop(flaw):
+    """Fog ids and tags do not travel in a broker frame; every other flaw does."""
+    index, value = flaw
+    row = CLEAN_ROUND[2]
+    rows = [*CLEAN_ROUND[:3], row[:index] + (value,) + row[index + 1:], *CLEAN_ROUND[3:]]
+    assert _check_flush(rows, None, PLAIN_WIRE) == (flaw in HARMLESS)
