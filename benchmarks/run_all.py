@@ -5,18 +5,14 @@ Usage::
     python benchmarks/run_all.py            # human-readable report
     python benchmarks/run_all.py --json     # machine-readable JSON to stdout
     python benchmarks/run_all.py --json --output results.json
-    python benchmarks/run_all.py --json --skip-ingest   # omit the (slower)
-                                                        # throughput benchmark
 
 The default mode regenerates Table I, the Fig. 6 topology summary, all five
 Fig. 7 panels, the compression-factor measurement and the headline
 F2C-vs-cloud comparison, printing them to stdout (the same text the pytest
 benchmarks write under ``benchmarks/results/``).
 
-``--json`` emits the same quantities as structured data, plus the
-end-to-end ingest throughput numbers from
-:mod:`benchmarks.bench_ingest_throughput` (see ``benchmarks/README.md`` for
-the schema), so CI jobs and future perf PRs can diff results mechanically.
+``--json`` emits the same quantities as structured data, so they can be
+diffed mechanically.  Speed is measured by ``benchmarks/f2cbench`` alone.
 """
 
 from __future__ import annotations
@@ -62,7 +58,7 @@ def run_text_report() -> None:
     print(analytic_comparison(BARCELONA_CATALOG).format())
 
 
-def collect_json_results(include_ingest: bool = True) -> dict:
+def collect_json_results() -> dict:
     """All benchmark quantities as one machine-readable dict."""
     comparison = analytic_comparison(BARCELONA_CATALOG)
     results: dict = {
@@ -84,30 +80,6 @@ def collect_json_results(include_ingest: bool = True) -> dict:
             "backhaul_reduction": comparison.backhaul_reduction,
         },
     }
-    if include_ingest:
-        bench_dir = str(pathlib.Path(__file__).parent)
-        if bench_dir not in sys.path:
-            sys.path.insert(0, bench_dir)
-        from bench_ingest_throughput import run_benchmark
-        from bench_query_latency import run_benchmark as run_query_benchmark
-        from bench_serve import run_benchmark as run_serve_benchmark
-
-        # Modest workloads: meaningful numbers in a few seconds.
-        results["ingest_throughput"] = run_benchmark(
-            devices_per_type=10, duration_s=3600.0, round_s=900.0, with_micro=False
-        )
-        # gate=False: the acceptance ratios are enforced on the committed
-        # full-size run, not on this quick small-workload pass.
-        results["query_latency"] = run_query_benchmark(
-            devices_per_type=10, repetitions=50, gate=False
-        )
-        results["serve_latency"] = run_serve_benchmark(
-            devices_per_type=5,
-            duration_s=1800.0,
-            round_s=300.0,
-            tick_interval_s=0.05,
-            gate=False,
-        )
     return results
 
 
@@ -117,11 +89,6 @@ def main(argv=None) -> None:
     parser.add_argument(
         "--output", type=pathlib.Path, default=None, help="write JSON here instead of stdout"
     )
-    parser.add_argument(
-        "--skip-ingest",
-        action="store_true",
-        help="omit the end-to-end ingest throughput benchmark (faster)",
-    )
     args = parser.parse_args(argv)
 
     if not args.json:
@@ -129,7 +96,7 @@ def main(argv=None) -> None:
             parser.error("--output requires --json")
         run_text_report()
         return
-    results = collect_json_results(include_ingest=not args.skip_ingest)
+    results = collect_json_results()
     text = json.dumps(results, indent=2, sort_keys=True)
     if args.output is not None:
         args.output.write_text(text + "\n", encoding="utf-8")

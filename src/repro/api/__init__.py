@@ -6,7 +6,7 @@ Write side (one pipeline abstraction, five transports)::
 
     from repro.api import PipelineConfig, connect
 
-    client = connect(transport="frames-binary")
+    client = connect(transport="frames-binary-v2")
     client.ingest(readings, now=0.0)
     client.synchronise(now=900.0)
 

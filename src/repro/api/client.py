@@ -304,7 +304,7 @@ def connect(
     """Build an :class:`F2CClient` for streaming use.
 
     ``connect()`` deploys Barcelona with the direct transport;
-    ``connect(transport="frames-binary")`` (or any
+    ``connect(transport="frames-binary-v2")`` (or any
     :class:`PipelineConfig` field as a keyword) selects another wire.  Pass
     an existing *system* to put the facade over a deployment you already
     drive elsewhere.  The sharded transport has no streaming mode — use

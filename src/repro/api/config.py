@@ -1,6 +1,6 @@
 """The one ingest-pipeline configuration object.
 
-Before the facade existed the repo had five divergent write entry points
+Before the facade existed the repo had divergent write entry points
 (per-message broker delivery, batched broker CSV, JSON column frames,
 binary column frames, direct batch ingest) plus the multi-process sharded
 runtime — each with its own driver code and knobs.  :class:`PipelineConfig`
@@ -16,16 +16,14 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.serialization import FRAME_FORMATS
 
 #: Every supported write-side transport, in historical order of appearance.
 TRANSPORTS: Tuple[str, ...] = (
     "direct",         # ingest whole batches in-process (no wire encoding)
     "broker-csv",     # one CSV payload per reading over the MQTT-style broker
     "frames-json",    # one JSON column frame per (section, round)
-    "frames-binary",  # one packed binary column frame per (section, round)
     "sharded",        # N worker processes over binary-frame IPC + a supervisor
-    "frames-binary-v2",  # binary frames compressed with the deployment dictionary
+    "frames-binary-v2",  # one binary column frame per (section, round)
 )
 
 
@@ -51,11 +49,6 @@ class PipelineConfig:
     city_slug:
         Topic prefix for broker transports
         (``city/<slug>/<section>/...``).
-    frame_format:
-        Wire layout override for frame transports.  Normally derived from
-        the transport (``frames-json`` → ``"json"``, ``frames-binary`` →
-        ``"binary"``); setting it to the conflicting layout is a
-        configuration error.
     fog1_sync_interval_s / fog2_sync_interval_s:
         Upward-movement cadence for deployments the pipeline builds
         itself (maps onto :class:`~repro.core.movement.MovementPolicy`);
@@ -110,7 +103,6 @@ class PipelineConfig:
     workers: int = 1
     batched: bool = True
     city_slug: str = "bcn"
-    frame_format: Optional[str] = None
     fog1_sync_interval_s: Optional[float] = None
     fog2_sync_interval_s: Optional[float] = None
     inline_workers: bool = False
@@ -134,22 +126,6 @@ class PipelineConfig:
                 f"workers={self.workers} requires the 'sharded' transport, "
                 f"got {self.transport!r}"
             )
-        if self.frame_format is not None:
-            if self.frame_format not in FRAME_FORMATS:
-                raise ConfigurationError(
-                    f"frame_format must be one of {FRAME_FORMATS}, got {self.frame_format!r}"
-                )
-            derived = self._derived_frame_format()
-            if derived is not None and derived != self.frame_format:
-                raise ConfigurationError(
-                    f"transport {self.transport!r} implies frame_format={derived!r}, "
-                    f"got {self.frame_format!r}"
-                )
-            if self.transport == "sharded" and self.frame_format == "json":
-                raise ConfigurationError(
-                    "the sharded transport streams binary IPC frames; "
-                    "frame_format must be 'binary' or 'binary-v2'"
-                )
         if self.inline_workers and self.transport != "sharded":
             raise ConfigurationError("inline_workers requires the 'sharded' transport")
         if self.query_cache_bytes < 0:
@@ -169,27 +145,16 @@ class PipelineConfig:
         if self.durable_fog2 and self.durable_dir is None:
             raise ConfigurationError("durable_fog2 requires durable_dir")
 
-    def _derived_frame_format(self) -> Optional[str]:
+    def resolved_frame_format(self) -> Optional[str]:
+        """The wire layout a frame transport publishes in, else ``None``."""
         if self.transport == "frames-json":
             return "json"
-        if self.transport == "frames-binary":
-            return "binary"
         if self.transport == "frames-binary-v2":
             return "binary-v2"
         return None
 
-    def resolved_frame_format(self) -> Optional[str]:
-        """The wire layout frames are published in (``None`` = process default)."""
-        derived = self._derived_frame_format()
-        return derived if derived is not None else self.frame_format
-
     def uses_broker(self) -> bool:
-        return self.transport in (
-            "broker-csv",
-            "frames-json",
-            "frames-binary",
-            "frames-binary-v2",
-        )
+        return self.transport in ("broker-csv", "frames-json", "frames-binary-v2")
 
     def movement_policy(self):
         """A :class:`~repro.core.movement.MovementPolicy` for the sync cadence.

@@ -474,11 +474,11 @@ class Pipeline:
         per-reading Table-I wire sizes — carried inside the frame — keep the
         traffic accounting identical.
 
-        *frame_format* overrides the wire layout for this call; otherwise
-        the system's configured :attr:`~repro.core.architecture.F2CDataManagement.frame_format`
-        applies (and, when that is ``None`` too, the process-wide default).
-        Receivers auto-detect the layout per payload, so format can change
-        mid-stream.
+        *frame_format* (``"binary-v2"`` or ``"json"``) overrides the wire
+        layout for this call; otherwise the system's configured
+        :attr:`~repro.core.architecture.F2CDataManagement.frame_format`
+        applies (and, when that is ``None`` too, binary).  Receivers detect
+        the layout per payload, so format can change mid-stream.
 
         Returns the number of readings framed per section.
         """
@@ -579,7 +579,6 @@ class Pipeline:
                 workload=workload,
                 catalog=catalog,
                 inline=config.inline_workers,
-                frame_format=config.resolved_frame_format(),
                 durable_dir=config.durable_dir,
                 durable_fog2=config.durable_fog2,
             )
@@ -666,7 +665,6 @@ class Pipeline:
                 workload=workload,
                 catalog=catalog,
                 inline=config.inline_workers,
-                frame_format=config.resolved_frame_format(),
                 durable_dir=config.durable_dir,
                 durable_fog2=config.durable_fog2,
                 faults=worker_faults,

@@ -7,7 +7,7 @@ Usage (after installation)::
     python -m repro fig7 [--category energy]
     python -m repro compare [--no-compression]
     python -m repro simulate [--hours 6] [--scale 0.00005]
-    python -m repro ingest [--transport frames-binary] [--workers 4] [--json]
+    python -m repro ingest [--transport frames-binary-v2] [--workers 4] [--json]
     python -m repro serve [--virtual-clock] [--clients 4] [--inbox-limit 64] [--json]
     python -m repro query --since 0 --until 900 [--category energy] [--json]
     python -m repro scenarios [--select corrupt] [--processes] [--json]

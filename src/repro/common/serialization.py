@@ -10,45 +10,37 @@ instead of one CSV payload per reading).  The encoded size is what the
 traffic accounting measures, so encoders are deliberately simple and
 deterministic.
 
-Column frames come in two wire layouts, auto-detected on decode by their
+Column frames come in two wire layouts, told apart on decode by their
 magic prefix:
 
-* **JSON frames** (``RBF1``) — the frame body is canonical JSON.  Simple,
-  debuggable, and the compatibility format: any peer that spoke PR 2's
-  frames keeps working unchanged.
-* **Binary frames** (``RBB`` + version byte) — a packed binary layout:
+* **JSON frames** (``RBF1``) — the frame body is canonical JSON.  Simple
+  and human-readable: the debug codec behind the ``frames-json``
+  transport.
+* **Binary frames** (``RBB`` + version byte 2) — a packed binary layout:
   struct-packed little-endian numeric columns, one length-prefixed interned
   string table shared by the three string columns, adaptive 1/2/4/8-byte
-  widths for the small-integer columns, and a CRC-32 over the body so
-  truncation and bit flips are always detected (a corrupted frame decodes to
-  a ``ValueError``, never to silently wrong data).  Roughly 3x smaller than
-  the JSON layout for city telemetry and much cheaper to encode/decode —
-  the hot columns are ``array``-backed, so packing is a buffer copy.
-* **Binary frames v2** (``RBB`` + version byte 2) — the same packed body,
+  widths for the small-integer columns, and a CRC-32 over header and body
+  so truncation and bit flips are always detected (a corrupted frame
+  decodes to a ``ValueError``, never to silently wrong data).  The body is
   compressed against a *deployment-scoped shared dictionary* built once
   from the city's interned vocabulary (sensor type names, categories,
-  section and fog-node ids, tag-template JSON fragments).  Small
-  per-section frames are dominated by exactly those strings, so priming
-  zlib with them shrinks the wire well past what v1's self-contained
-  compression can reach, and one primed ``compressobj`` is reused (via
-  ``.copy()``) per frame instead of paying zlib setup each time.  The
-  header carries the dictionary's CRC-32 so a decoder with a different
-  dictionary rejects the frame instead of mis-inflating it, and an
-  *extended* flag lets a frame carry the per-row tag/fog-node identity
-  columns in dictionary-coded form (the IPC path uses this to drop its
-  JSON sidecars).  v1 frames stay fully supported and are auto-detected
-  on decode; a v1-only decoder rejects v2 frames by version byte.
+  section and fog-node ids, tag-template JSON fragments): small
+  per-section frames are dominated by exactly those strings, and one
+  primed ``compressobj`` is reused (via ``.copy()``) per frame instead of
+  paying zlib setup each time.  The header carries the dictionary's CRC-32
+  so a decoder with a different dictionary rejects the frame instead of
+  mis-inflating it, and an *extended* flag lets a frame carry the per-row
+  tag/fog-node identity columns in dictionary-coded form (the shard IPC
+  batch and the durable segment log use it).  A binary frame with any
+  other version byte is rejected.
 
 The producing format is chosen per call (``encode_columns(...,
-format=...)``), falling back to :data:`DEFAULT_FRAME_FORMAT`, which the
-``REPRO_FRAME_FORMAT`` environment variable overrides — the negotiation
-knob for fleets that still run JSON-only (or v1-only) decoders.
+format=...)``), falling back to :data:`DEFAULT_FRAME_FORMAT` (binary).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
 import zlib
 from array import array
@@ -68,24 +60,15 @@ COLUMN_FRAME_MAGIC = b"\x00RBF1\n"
 #: after the magic is the layout version.
 BINARY_FRAME_MAGIC = b"\x00RBB"
 
-#: Original binary frame layout version.  Decoders reject other versions, so
-#: the layout can evolve without ever misreading an old frame.
-BINARY_FRAME_VERSION = 1
-
-#: Shared-dictionary binary frame layout version (see the v2 section below).
+#: The binary frame layout version.  Decoders reject every other version,
+#: so the layout can evolve without ever misreading an old frame.
 BINARY_FRAME_VERSION_2 = 2
 
 #: Supported frame format names.
-FRAME_FORMATS = ("json", "binary", "binary-v2")
+FRAME_FORMATS = ("json", "binary-v2")
 
-#: The format used when an encoder is not told one explicitly.  Binary is
-#: the default (it is ~3x smaller and cheaper on both ends); deployments
-#: negotiating with JSON-only peers set ``REPRO_FRAME_FORMAT=json``.
-DEFAULT_FRAME_FORMAT = os.environ.get("REPRO_FRAME_FORMAT", "binary")
-if DEFAULT_FRAME_FORMAT not in FRAME_FORMATS:  # pragma: no cover - env misuse
-    raise ValueError(
-        f"REPRO_FRAME_FORMAT must be one of {FRAME_FORMATS}, got {DEFAULT_FRAME_FORMAT!r}"
-    )
+#: The format used when an encoder is not told one explicitly.
+DEFAULT_FRAME_FORMAT = "binary-v2"
 
 #: The column names a frame must carry, all lists of equal length — also the
 #: exact column order of the binary layout's body.
@@ -102,15 +85,14 @@ COLUMN_FRAME_FIELDS = (
 _STRING_FIELDS = ("sensor_ids", "sensor_types", "categories")
 
 #: Binary header after the magic: version(u8) + flags(u8) + row count(u32)
-#: + stored body length(u32) + raw body length(u32) + CRC-32(u32), all
-#: little-endian.  See the layout comment in the binary-frames section.
-_HEADER = struct.Struct("<BBIIII")
-_HEADER_CRC_PREFIX = struct.Struct("<BBIII")
+#: + stored body length(u32) + raw body length(u32) + dictionary CRC-32(u32)
+#: + CRC-32(u32), all little-endian.  See the layout comment in the
+#: binary-frames section.
+_HEADER_V2 = struct.Struct("<BBIIIII")
+_HEADER_V2_CRC_PREFIX = struct.Struct("<BBIIII")
 
-#: Header flag bits.  v1 frames only ever use bit 0; the dictionary and
-#: extended bits are v2-only (a v2 decoder still accepts plain bit-0
-#: compression, so the two layouts share the fallback path).
-_FLAG_COMPRESSED = 0x01
+#: Header flag bits.  Bit 0 is unassigned: a frame setting it is rejected
+#: as carrying unknown flags.
 _FLAG_DICT_COMPRESSED = 0x02
 _FLAG_EXTENDED = 0x04
 _U32 = struct.Struct("<I")
@@ -186,15 +168,12 @@ def encode_columns(columns: Mapping[str, List[Any]], format: Optional[str] = Non
 
     *columns* maps each :data:`COLUMN_FRAME_FIELDS` name to a sequence; all
     sequences must have the same length.  *format* selects the wire layout
-    (``"json"`` or ``"binary"``); ``None`` uses :data:`DEFAULT_FRAME_FORMAT`.
-    Values must be JSON-representable (numbers, strings, booleans, ``None``)
-    in either layout, mirroring the CSV format's restrictions.
+    (``"json"`` or ``"binary-v2"``); ``None`` uses
+    :data:`DEFAULT_FRAME_FORMAT`.  Values must be JSON-representable
+    (numbers, strings, booleans, ``None``) in either layout, mirroring the
+    CSV format's restrictions.
     """
-    if format is None:
-        format = DEFAULT_FRAME_FORMAT
-    if format == "binary":
-        return encode_columns_binary(columns)
-    if format == "binary-v2":
+    if format is None or format == "binary-v2":
         return encode_columns_binary_v2(columns)
     if format != "json":
         raise ValueError(f"unknown frame format: {format!r} (expected one of {FRAME_FORMATS})")
@@ -204,7 +183,7 @@ def encode_columns(columns: Mapping[str, List[Any]], format: Optional[str] = Non
 
 
 def decode_columns(payload: bytes) -> Dict[str, List[Any]]:
-    """Inverse of :func:`encode_columns`; auto-detects the frame layout.
+    """Inverse of :func:`encode_columns`; detects the layout by its magic.
 
     JSON frames decode to plain lists; binary frames decode the numeric
     columns straight into typed arrays (``array('d')`` timestamps,
@@ -213,12 +192,7 @@ def decode_columns(payload: bytes) -> Dict[str, List[Any]]:
     not at all.
     """
     if payload.startswith(BINARY_FRAME_MAGIC):
-        # Dispatch on the version byte after the magic: v2 first (it is the
-        # newer layout), then the v1 decoder, which owns the "unsupported
-        # version" error for anything else.
-        if len(payload) > len(BINARY_FRAME_MAGIC) and payload[len(BINARY_FRAME_MAGIC)] == BINARY_FRAME_VERSION_2:
-            return decode_columns_binary_v2(payload)
-        return decode_columns_binary(payload)
+        return decode_columns_binary_v2(payload)
     if not payload.startswith(COLUMN_FRAME_MAGIC):
         raise ValueError("payload is not a column frame (missing magic prefix)")
     record = decode_json(payload[len(COLUMN_FRAME_MAGIC):])
@@ -241,50 +215,31 @@ def is_column_frame(payload: bytes) -> bool:
     return payload.startswith(COLUMN_FRAME_MAGIC) or payload.startswith(BINARY_FRAME_MAGIC)
 
 
-def frame_format(payload: bytes) -> Optional[str]:
-    """``"json"`` / ``"binary"`` / ``"binary-v2"`` for a column frame payload, else ``None``."""
-    if payload.startswith(BINARY_FRAME_MAGIC):
-        if len(payload) > len(BINARY_FRAME_MAGIC) and payload[len(BINARY_FRAME_MAGIC)] == BINARY_FRAME_VERSION_2:
-            return "binary-v2"
-        return "binary"
-    if payload.startswith(COLUMN_FRAME_MAGIC):
-        return "json"
-    return None
-
-
-def frame_carries_identity(payload: bytes) -> bool:
-    """Whether *payload* is an extended v2 frame (tags/fog ids travel inside).
-
-    A cheap header peek used by the IPC decoder to decide whether to expect
-    trailing JSON sidecars (v1 batches) or nothing (extended v2 batches).
-    """
-    header = len(BINARY_FRAME_MAGIC)
-    return (
-        payload.startswith(BINARY_FRAME_MAGIC)
-        and len(payload) > header + 1
-        and payload[header] == BINARY_FRAME_VERSION_2
-        and bool(payload[header + 1] & _FLAG_EXTENDED)
-    )
-
-
 # --------------------------------------------------------------------------- #
 # Binary column frames
 #
 # Layout (all integers little-endian):
 #
 #   magic       4 bytes   b"\x00RBB"
-#   version     u8        BINARY_FRAME_VERSION
-#   flags       u8        bit 0: the stored body is zlib-compressed
+#   version     u8        BINARY_FRAME_VERSION_2
+#   flags       u8        bit 1: body zlib-compressed with the deployment
+#                                dictionary
+#                         bit 2: extended body (tag + fog-node columns)
+#                         (every other bit is rejected)
 #   rows        u32       number of rows n
 #   stored_len  u32       length of the stored (possibly compressed) body
 #   raw_len     u32       length of the body after decompression (equal to
-#                         stored_len when flags bit 0 is clear)
-#   crc         u32       CRC-32 (zlib) of the header fields above (from
-#                         version through raw_len) + the stored body
+#                         stored_len when flags bit 1 is clear)
+#   dict_crc    u32       CRC-32 of the deployment dictionary when bit 1 is
+#                         set, 0 otherwise — a decoder holding a different
+#                         dictionary rejects the frame instead of
+#                         mis-inflating it
+#   crc         u32       CRC-32 (zlib) of the header fields above (version
+#                         through dict_crc) + the stored body
 #   body (after optional decompression):
-#     string table      u32 entry count, then per entry a length-prefixed
-#                       UTF-8 string (u8 length, with 0xFF escaping to a
-#                       u32 for longer strings); one table shared by the
+#     string table      u32 entry count, then the entries' UTF-8 byte
+#                       lengths as one small-integer column, then the
+#                       entries back to back; one table shared by the
 #                       three string columns
 #     sensor_ids        n indices into the table (width below)
 #     sensor_types      n indices
@@ -297,6 +252,13 @@ def frame_carries_identity(payload: bytes) -> bool:
 #     timestamps        one f64 column
 #     sizes             one small-integer column
 #     sequences         one small-integer column
+#     then iff flags bit 2:
+#     tags              u32 entry count; per entry a u32-length-prefixed
+#                       canonical JSON document (an object or null); then n
+#                       indices into the table.  Entries are interned by
+#                       *identity*, so rows sharing one tag dict share one
+#                       table entry and decode back to one shared dict object.
+#     fog ids           same shape; entries are JSON strings or null.
 #
 # An **f64 column** is a u8 tag + payload: tag 0 = n packed f64; tag 2 =
 # dictionary-coded — u32 entry count, the distinct 8-byte values, then n
@@ -314,16 +276,27 @@ def frame_carries_identity(payload: bytes) -> bool:
 # Index width is always derived from the table/dictionary entry count
 # (u8 ≤ 256 entries, u16 ≤ 65536, u32 beyond), so it needs no tag.
 #
-# The encoder zlib-compresses the body and keeps the compressed form only
-# when it is smaller (small per-section frames are dominated by the string
-# table, whose entries share long prefixes, so compression routinely wins
-# there; ``raw_len`` bounds the decompression, so a crafted frame cannot
-# balloon memory).  Every decoder-visible inconsistency — bad magic,
-# unknown version/flags, wrong stored/raw length, CRC mismatch,
-# out-of-range table index, trailing bytes — raises ``ValueError``; the
-# CRC covers the header fields and the stored body, so truncation and bit
-# flips are detectable even when they land in packed numeric data that
-# would otherwise "decode".
+# The shared dictionary is deployment-scoped and deterministic: it is built
+# once per process from the city's interned vocabulary (section topics and
+# ids, fog-node ids, sensor type names, categories, tag-template JSON
+# fragments), so every encoder and decoder of one deployment derives the
+# same bytes — there is no dictionary exchange on the wire, only the CRC
+# handshake in the header.  Small per-section frames are dominated by
+# exactly that vocabulary and carry too little internal repetition to
+# compress on their own; the dictionary gives the compressor those strings
+# up front.  One primed ``compressobj``/``decompressobj`` pair is built with
+# the dictionary and ``.copy()``-ed per frame, so the per-frame cost is a
+# cheap state clone instead of a fresh zlib setup + dictionary priming.
+# The encoder keeps the compressed body only when it is smaller
+# (``raw_len`` bounds the decompression, so a crafted frame cannot balloon
+# memory).
+#
+# Every decoder-visible inconsistency — bad magic, unknown version/flags,
+# wrong stored/raw length, CRC mismatch, dictionary mismatch, out-of-range
+# table index, trailing bytes — raises ``ValueError``; the CRC covers the
+# header fields and the stored body, so truncation and bit flips are
+# detectable even when they land in packed numeric data that would
+# otherwise "decode".
 # --------------------------------------------------------------------------- #
 _WIDTH_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _SIGNED_TAG = 9
@@ -337,11 +310,6 @@ _DICT_F64_TAG = 2
 #: pays off on city-scale frames where it also speeds compression up by
 #: shrinking its input.
 _DICT_MIN_ROWS = 256
-
-#: zlib level for frame bodies: level 1 compresses the string table's
-#: shared prefixes nearly as well as the default level at a fraction of the
-#: encode cost (the packed numeric columns are mostly incompressible).
-_ZLIB_LEVEL = 1
 
 _INDEX_DTYPES = {"B": "u1", "H": "<u2", "I": "<u4"}
 
@@ -539,7 +507,7 @@ def _unpack_small_ints(view: memoryview, offset: int, n: int, what: str) -> tupl
 
 
 def _encode_binary_body(columns: Mapping[str, List[Any]], n: int) -> bytearray:
-    """The packed seven-column body shared by the v1 and v2 frame layouts."""
+    """The packed seven-column body of a binary frame (before any extension)."""
     table: Dict[str, int] = {}
     id_ix = _pack_string_column(columns["sensor_ids"], table)
     type_ix = _pack_string_column(columns["sensor_types"], table)
@@ -607,62 +575,6 @@ def _encode_binary_body(columns: Mapping[str, List[Any]], n: int) -> bytearray:
     body += _pack_small_ints(columns["sizes"])
     body += _pack_small_ints(columns["sequences"])
     return body
-
-
-def encode_columns_binary(columns: Mapping[str, List[Any]]) -> bytes:
-    """Encode parallel reading columns as one packed binary frame."""
-    n = _checked_lengths(columns)
-    raw = bytes(_encode_binary_body(columns, n))
-    stored = raw
-    flags = 0
-    compressed = zlib.compress(raw, _ZLIB_LEVEL)
-    if len(compressed) < len(raw):
-        stored = compressed
-        flags = _FLAG_COMPRESSED
-    prefix = _HEADER_CRC_PREFIX.pack(BINARY_FRAME_VERSION, flags, n, len(stored), len(raw))
-    crc = zlib.crc32(stored, zlib.crc32(prefix))
-    return BINARY_FRAME_MAGIC + prefix + _U32.pack(crc) + stored
-
-
-def decode_columns_binary(payload: bytes) -> Dict[str, Any]:
-    """Inverse of :func:`encode_columns_binary`; validates exhaustively.
-
-    Returns the column mapping with typed-array numeric columns.  Raises
-    ``ValueError`` for any structural problem — unknown version, length or
-    CRC mismatch (truncation / bit flips), out-of-range indices, trailing
-    bytes — so a corrupt frame can never partially decode.
-    """
-    if not payload.startswith(BINARY_FRAME_MAGIC):
-        raise ValueError("payload is not a binary column frame (missing magic prefix)")
-    header_end = len(BINARY_FRAME_MAGIC) + _HEADER.size
-    if len(payload) < header_end:
-        raise ValueError("binary column frame truncated in header")
-    version, flags, n, stored_len, raw_len, crc = _HEADER.unpack_from(
-        payload, len(BINARY_FRAME_MAGIC)
-    )
-    if version != BINARY_FRAME_VERSION:
-        raise ValueError(f"unsupported binary column frame version: {version}")
-    if flags & ~_FLAG_COMPRESSED:
-        raise ValueError(f"binary column frame has unknown flags: {flags:#x}")
-    if len(payload) != header_end + stored_len:
-        raise ValueError("binary column frame body length mismatch")
-    stored = memoryview(payload)[header_end:]
-    prefix = payload[len(BINARY_FRAME_MAGIC):header_end - _U32.size]
-    if zlib.crc32(stored, zlib.crc32(prefix)) != crc:
-        raise ValueError("binary column frame checksum mismatch")
-    if flags & _FLAG_COMPRESSED:
-        body = memoryview(_inflate_body(stored, raw_len, zlib.decompressobj()))
-        body_len = raw_len
-    else:
-        if raw_len != stored_len:
-            raise ValueError("binary column frame raw length mismatch")
-        body = stored
-        body_len = stored_len
-
-    record, offset = _decode_binary_body(body, body_len, n)
-    if offset != body_len:
-        raise ValueError("binary column frame has trailing bytes")
-    return record
 
 
 def _inflate_body(stored, raw_len: int, decompressor) -> bytes:
@@ -786,57 +698,13 @@ def _decode_binary_body(body: memoryview, body_len: int, n: int) -> tuple:
     }, offset
 
 
-# --------------------------------------------------------------------------- #
-# Binary column frames v2 — shared-dictionary compression + identity columns
-#
-# Layout (all integers little-endian):
-#
-#   magic       4 bytes   b"\x00RBB"
-#   version     u8        BINARY_FRAME_VERSION_2
-#   flags       u8        bit 0: body zlib-compressed, no dictionary
-#                         bit 1: body zlib-compressed with the deployment
-#                                dictionary (exclusive with bit 0)
-#                         bit 2: extended body (tag + fog-node columns)
-#   rows        u32
-#   stored_len  u32       length of the stored (possibly compressed) body
-#   raw_len     u32       length of the body after decompression
-#   dict_crc    u32       CRC-32 of the deployment dictionary when bit 1 is
-#                         set, 0 otherwise — a decoder holding a different
-#                         dictionary rejects the frame instead of
-#                         mis-inflating it
-#   crc         u32       CRC-32 of the header fields above (version through
-#                         dict_crc) + the stored body
-#   body:       the v1 seven-column body (same byte layout), then iff bit 2:
-#     tags      u32 entry count; per entry a u32-length-prefixed canonical
-#               JSON document (an object or null); then n indices into the
-#               table (width from the entry count).  Entries are interned by
-#               *identity*, so rows sharing one tag dict share one table
-#               entry and decode back to one shared dict object.
-#     fog ids   same shape; entries are JSON strings or null.
-#
-# The shared dictionary is deployment-scoped and deterministic: it is built
-# once per process from the city's interned vocabulary (section topics and
-# ids, fog-node ids, sensor type names, categories, tag-template JSON
-# fragments), so every encoder and decoder of one deployment derives the
-# same bytes — there is no dictionary exchange on the wire, only the CRC
-# handshake in the header.  Small per-section frames are dominated by
-# exactly that vocabulary, which v1's self-contained compression cannot
-# exploit (each small frame carries too little internal repetition); the
-# dictionary gives the compressor those strings up front.  One primed
-# ``compressobj``/``decompressobj`` pair is built with the dictionary and
-# ``.copy()``-ed per frame, so the per-frame cost is a cheap state clone
-# instead of a fresh zlib setup + dictionary priming.
-# --------------------------------------------------------------------------- #
-_HEADER_V2 = struct.Struct("<BBIIIII")
-_HEADER_V2_CRC_PREFIX = struct.Struct("<BBIIII")
-
-#: zlib level for v2 frame bodies.  Unlike v1 (level 1), v2 compresses
-#: against the shared dictionary where higher levels keep finding matches;
-#: the default level buys ~10-15% more shrink on small frames for an
-#: encode cost that the per-stream compressor reuse already paid back.
+#: zlib level for broker-wire frame bodies: compressing against the shared
+#: dictionary, higher levels keep finding matches; the default level buys
+#: ~10-15% more shrink on small frames than level 1, for an encode cost
+#: that the per-stream compressor reuse already paid back.
 _V2_ZLIB_LEVEL = 6
 
-#: zlib level for the *fast* v2 path (local IPC pipes): the dictionary does
+#: zlib level for the *fast* path (local IPC pipes): the dictionary does
 #: nearly all the work there — level 1 gives up ~3% of the shrink for a
 #: ~40% cheaper deflate, the right trade when the bytes never leave the
 #: machine and the encoder shares a core with the decoder.
@@ -850,7 +718,7 @@ _v2_decompressor = None
 
 
 def deployment_dictionary() -> bytes:
-    """The deterministic deployment-scoped zlib dictionary for v2 frames.
+    """The deterministic deployment-scoped zlib dictionary for binary frames.
 
     Built once per process from the city's interned string vocabulary and
     cached; every process of one deployment derives byte-identical
@@ -992,11 +860,11 @@ def encode_columns_binary_v2(
     *,
     fast: bool = False,
 ) -> bytes:
-    """Encode columns as one v2 shared-dictionary binary frame.
+    """Encode columns as one shared-dictionary binary frame.
 
     Passing *tags* and *fog_node_ids* (both or neither) produces an
     *extended* frame carrying the per-row identity columns inside the frame
-    body — the IPC path uses this instead of its v1 JSON sidecars.
+    body — the shard IPC batch and the durable segment log write these.
     *fast* trades ~3% of the shrink for a much cheaper deflate (the IPC
     path sets it: local pipes are CPU-bound, not bandwidth-bound); the
     frame layout and decoder are identical either way.
@@ -1048,10 +916,8 @@ def decode_columns_binary_v2(payload: bytes) -> Dict[str, Any]:
     )
     if version != BINARY_FRAME_VERSION_2:
         raise ValueError(f"unsupported binary column frame version: {version}")
-    if flags & ~(_FLAG_COMPRESSED | _FLAG_DICT_COMPRESSED | _FLAG_EXTENDED):
+    if flags & ~(_FLAG_DICT_COMPRESSED | _FLAG_EXTENDED):
         raise ValueError(f"binary column frame has unknown flags: {flags:#x}")
-    if (flags & _FLAG_COMPRESSED) and (flags & _FLAG_DICT_COMPRESSED):
-        raise ValueError("binary column frame declares two compression modes")
     if len(payload) != header_end + stored_len:
         raise ValueError("binary column frame body length mismatch")
     stored = memoryview(payload)[header_end:]
@@ -1072,14 +938,10 @@ def decode_columns_binary_v2(payload: bytes) -> Dict[str, Any]:
             raise ValueError(
                 "binary column frame declares a dictionary CRC without the dictionary flag"
             )
-        if flags & _FLAG_COMPRESSED:
-            body = memoryview(_inflate_body(stored, raw_len, zlib.decompressobj()))
-            body_len = raw_len
-        else:
-            if raw_len != stored_len:
-                raise ValueError("binary column frame raw length mismatch")
-            body = stored
-            body_len = stored_len
+        if raw_len != stored_len:
+            raise ValueError("binary column frame raw length mismatch")
+        body = stored
+        body_len = stored_len
 
     record, offset = _decode_binary_body(body, body_len, n)
     if flags & _FLAG_EXTENDED:

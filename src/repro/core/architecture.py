@@ -93,10 +93,9 @@ class F2CDataManagement:
             )
         if durable_fog2 and durable_dir is None:
             raise ConfigurationError("durable_fog2 requires durable_dir")
-        #: Wire layout this deployment publishes column frames in ("binary"
-        #: or "json"); ``None`` defers to the process-wide default
-        #: (``REPRO_FRAME_FORMAT`` / serialization.DEFAULT_FRAME_FORMAT).
-        #: Decoding always auto-detects, so mixed fleets interoperate.
+        #: Wire layout this deployment publishes column frames in
+        #: ("binary-v2" or "json"); ``None`` means binary.  Decoding detects
+        #: the layout per payload, so both kinds of publisher interoperate.
         self.frame_format = frame_format
         #: Broker payloads that failed to decode (malformed CSV lines,
         #: corrupt/truncated/unknown-version frames) and were dropped.
@@ -402,7 +401,7 @@ class F2CDataManagement:
 
         Publishes readings as one column frame per section on
         ``city/<slug>/<section>/frame``; returns the readings framed per
-        section.  New code uses a ``frames-json`` / ``frames-binary``
+        section.  New code uses a ``frames-json`` / ``frames-binary-v2``
         transport session from :mod:`repro.api`.
         """
         _warn_legacy_entry_point("publish_frames", "IngestSession.ingest / Pipeline.publish_frames")

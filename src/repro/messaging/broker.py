@@ -341,11 +341,11 @@ class Broker:
         batch as one column-frame payload (the wire fast path: one frame per
         node-round instead of one CSV payload per reading).
 
-        *frame_format* selects the frame layout (``"binary"``, ``"json"``
-        or ``"binary-v2"`` — the dictionary-compressed layout that assumes
-        both ends share the deployment vocabulary); ``None`` uses the
-        process-wide default.  Receivers auto-detect the layout, so
-        publishers can switch formats without coordinating.
+        *frame_format* selects the frame layout (``"binary-v2"`` — the
+        dictionary-compressed layout that assumes both ends share the
+        deployment vocabulary — or ``"json"``); ``None`` means binary.
+        Receivers detect the layout per payload, so publishers can switch
+        formats without coordinating.
         """
         return self.publish(
             topic,

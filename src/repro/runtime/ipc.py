@@ -15,17 +15,12 @@ section.
 Besides the seven wire columns the frame carries the two fields that never
 travel on the broker wire but must survive the process boundary to keep
 cloud contents byte-identical: the per-row tag dicts written by the
-acquisition block, and the fog-node assignment.  With v1 frames
-(``frame_format "binary"``) those ride as trailing JSON sidecars — tables
-interned once over the whole batch (tag dicts are shared per node and
-category by the acquisition loop, so the table is a few JSON entries per
-node) with adaptive-width row indices, mirroring the frame layout's string
-table.  With ``"binary-v2"`` the batch ships one *extended* v2 frame
-instead: the same identity tables travel as dictionary-coded columns inside
-the frame body, compressed under the deployment dictionary in the same pass
-as the wire columns, and the sidecars disappear.  The decoder auto-detects
-which shape arrived from the frame header, so a supervisor absorbs v1 and
-v2 workers interchangeably.
+acquisition block, and the fog-node assignment.  The frame is an
+*extended* binary frame: those identity tables travel as dictionary-coded
+columns inside the frame body (interned by identity, so rows sharing one
+tag dict decode back to one shared dict), compressed under the deployment
+dictionary in the same pass as the wire columns.  A BATCH whose frame does
+not carry them is rejected.
 
 Failure semantics match the broker path's ``dropped_payloads`` accounting:
 a message decodes whole or not at all — a BATCH whose node table does not
@@ -42,15 +37,14 @@ from __future__ import annotations
 
 import json
 import struct
-from array import array
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.serialization import (
+    _FLAG_EXTENDED,
+    BINARY_FRAME_MAGIC,
     FrameStreamReader,
     FrameStreamWriter,
     StreamFrameError,
-    _index_typecode,
-    frame_carries_identity,
 )
 from repro.sensors.readings import ReadingColumns
 
@@ -70,74 +64,9 @@ MSG_ERROR = 5
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 
-_INDEX_WIDTHS = {"B": 1, "H": 2, "I": 4}
-
 
 class IpcProtocolError(ValueError):
     """A structurally invalid IPC message payload."""
-
-
-def _intern(values: Iterable[Any], key: Callable[[Any], Any]) -> Tuple[List[Any], List[int]]:
-    """Intern *values* into (table, per-row indices) under *key* identity."""
-    index_for: Dict[Any, int] = {}
-    table: List[Any] = []
-    indices: List[int] = []
-    for value in values:
-        k = key(value)
-        index = index_for.get(k)
-        if index is None:
-            index = index_for[k] = len(table)
-            table.append(value)
-        indices.append(index)
-    return table, indices
-
-
-def _pack_json_table(out: bytearray, table: List[Any], indices: List[int]) -> None:
-    """Append a JSON-entry interned table + adaptive-width index column."""
-    out += _U32.pack(len(table))
-    for entry in table:
-        raw = json.dumps(entry, separators=(",", ":")).encode("utf-8")
-        out += _U32.pack(len(raw))
-        out += raw
-    code = _index_typecode(len(table) or 1)
-    out += code.encode("ascii")
-    out += array(code, indices).tobytes()
-
-
-def _unpack_json_table(view: memoryview, offset: int, n: int, what: str) -> Tuple[List[Any], int]:
-    """Inverse of :func:`_pack_json_table`: returns per-row values."""
-    if offset + _U32.size > len(view):
-        raise IpcProtocolError(f"IPC batch truncated in {what} table")
-    (count,) = _U32.unpack_from(view, offset)
-    offset += _U32.size
-    table: List[Any] = []
-    for _ in range(count):
-        if offset + _U32.size > len(view):
-            raise IpcProtocolError(f"IPC batch truncated in {what} table")
-        (length,) = _U32.unpack_from(view, offset)
-        offset += _U32.size
-        if offset + length > len(view):
-            raise IpcProtocolError(f"IPC batch truncated in {what} table")
-        try:
-            table.append(json.loads(bytes(view[offset:offset + length]).decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise IpcProtocolError(f"IPC batch {what} table entry is not valid JSON") from exc
-        offset += length
-    if offset >= len(view):
-        raise IpcProtocolError(f"IPC batch truncated in {what} index column")
-    code = chr(view[offset])
-    offset += 1
-    width = _INDEX_WIDTHS.get(code)
-    if width is None or code != _index_typecode(count or 1):
-        raise IpcProtocolError(f"IPC batch has a bad {what} index width")
-    size = width * n
-    if offset + size > len(view):
-        raise IpcProtocolError(f"IPC batch truncated in {what} index column")
-    indices = array(code, bytes(view[offset:offset + size]))
-    offset += size
-    if n and (not count or max(indices) >= count):
-        raise IpcProtocolError(f"IPC batch has an out-of-range {what} index")
-    return [table[i] for i in indices], offset
 
 
 # --------------------------------------------------------------------------- #
@@ -147,24 +76,14 @@ def encode_ready() -> bytes:
     return bytes([MSG_READY])
 
 
-def encode_batch(
-    sync_index: int,
-    node_batches: Sequence[Tuple[str, ReadingColumns]],
-    frame_format: Optional[str] = None,
-) -> bytes:
+def encode_batch(sync_index: int, node_batches: Sequence[Tuple[str, ReadingColumns]]) -> bytes:
     """One worker's drained fog layer-1 batches for one sync point.
 
     *node_batches* is ``[(node id, drained columns), …]`` in the order the
     supervisor should see them (canonical section order).  The message is
     the sync index, the node table — each id with its row count — and one
-    column frame over all the rows, node-major.
-
-    *frame_format* ``None``/``"binary"`` emits the v1 shape (binary column
-    frame + tag/fog JSON sidecars); ``"binary-v2"`` emits one extended v2
-    frame with the identity columns in-body and no sidecars.
+    extended column frame over all the rows, node-major.
     """
-    if frame_format not in (None, "binary", "binary-v2"):
-        raise ValueError(f"IPC batches require a binary frame format, got {frame_format!r}")
     out = bytearray([MSG_BATCH])
     out += _U32.pack(sync_index)
     out += _U16.pack(len(node_batches))
@@ -175,18 +94,9 @@ def encode_batch(
         out += node_raw
         out += _U32.pack(len(node_columns))
         columns.extend_columns(node_columns)
-    extended = frame_format == "binary-v2"
-    frame = columns.encode_frame_extended() if extended else columns.encode_frame(format="binary")
+    frame = columns.encode_frame_extended()
     out += _U32.pack(len(frame))
     out += frame
-    if not extended:
-        # Tag dicts are interned by object identity: the acquisition block
-        # hands rows of one node the *same* dict per (score, category) combo,
-        # so the table stays small and the decoder re-creates the same sharing.
-        tag_table, tag_indices = _intern(columns.tags, key=id)
-        _pack_json_table(out, tag_table, tag_indices)
-        fog_table, fog_indices = _intern(columns.fog_node_ids, key=lambda value: value)
-        _pack_json_table(out, fog_table, fog_indices)
     return bytes(out)
 
 
@@ -314,25 +224,16 @@ def _decode_batch(view: memoryview) -> Dict[str, Any]:
     except ValueError as exc:
         raise IpcProtocolError(f"IPC batch column frame is invalid: {exc}") from exc
     offset += frame_len
+    if not (frame.startswith(BINARY_FRAME_MAGIC) and frame[len(BINARY_FRAME_MAGIC) + 1] & _FLAG_EXTENDED):
+        # Only an extended frame carries the identity columns (validated per
+        # table entry by the frame decoder); any other frame decodes with
+        # every row's tags and fog node unset, and must not be absorbed.
+        raise IpcProtocolError("IPC batch column frame does not carry tags and fog ids")
     n = len(columns)
     if sum(counts) != n:
         raise IpcProtocolError(
             f"IPC batch node table counts {sum(counts)} rows, its frame carries {n}"
         )
-    if not frame_carries_identity(frame):
-        # v1 batch: tags and fog ids follow the frame as JSON sidecars (an
-        # extended v2 frame carries them in-body, validated per table entry
-        # by the frame decoder).
-        tags, offset = _unpack_json_table(view, offset, n, "tags")
-        fogs, offset = _unpack_json_table(view, offset, n, "fog ids")
-        for tag in tags:
-            if tag is not None and not isinstance(tag, dict):
-                raise IpcProtocolError("IPC batch tags table entry is not an object")
-        for fog in fogs:
-            if fog is not None and not isinstance(fog, str):
-                raise IpcProtocolError("IPC batch fog table entry is not a string")
-        columns.tags = tags
-        columns.fog_node_ids = fogs
     if offset != len(view):
         raise IpcProtocolError("IPC batch has trailing bytes")
     return {"sync_index": sync_index, "batches": dict(zip(node_ids, columns.split(counts)))}

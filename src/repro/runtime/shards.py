@@ -9,7 +9,7 @@ workload locally (device RNGs are derived per device at construction, so a
 subset samples bit-identically to the full-population run — no input bytes
 cross the process boundary), runs acquisition + fog layer-1 aggregation on
 its own :class:`~repro.core.architecture.F2CDataManagement`, and ships each
-sync point's drained acquired batches upward as one packed binary column
+sync point's drained acquired batches upward as one extended binary column
 frame over the IPC stream.
 
 The worker body (:func:`run_shard`) is process-agnostic: it writes messages
@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.serialization import DEFAULT_FRAME_FORMAT
 from repro.runtime import ipc
 from repro.sensors.catalog import BARCELONA_CATALOG, SensorCatalog
 from repro.sensors.generator import ReadingGenerator
@@ -65,8 +64,8 @@ class ShardedWorkload:
       (the golden-workload shape);
     * ``"stream"`` — every device samples at its type's own interval over
       ``[0, duration_s)`` and readings are grouped into ``round_s`` buckets
-      ingested at each bucket's end, sorted by timestamp (the
-      ingest-benchmark shape).
+      ingested at each bucket's end, sorted by timestamp (the f2cbench
+      workload shape).
 
     ``sync_plan`` is a tuple of ``(rounds_before, sync_time)`` pairs: after
     ingesting the first *rounds_before* rounds, the hierarchy synchronises
@@ -152,35 +151,17 @@ class ShardedWorkload:
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything one worker needs to run its shard.
-
-    ``frame_format`` selects the BATCH payload shape (``"binary"`` — v1
-    frame + JSON sidecars — or ``"binary-v2"`` — one extended
-    shared-dictionary frame); ``None`` follows the process-wide
-    ``REPRO_FRAME_FORMAT`` knob, falling back to ``"binary"`` for any
-    non-v2 default (IPC batches are always binary).
-    """
+    """Everything one worker needs to run its shard."""
 
     shard_index: int
     workers: int
     workload: ShardedWorkload
     catalog: Optional[SensorCatalog] = None
     fault: Optional[WorkerFault] = None
-    frame_format: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.shard_index < self.workers:
             raise ConfigurationError("shard_index must be in [0, workers)")
-        if self.frame_format not in (None, "binary", "binary-v2"):
-            raise ConfigurationError(
-                f"worker frame_format must be 'binary' or 'binary-v2', got {self.frame_format!r}"
-            )
-
-    def resolved_frame_format(self) -> str:
-        """The concrete BATCH frame format this worker ships."""
-        if self.frame_format is not None:
-            return self.frame_format
-        return "binary-v2" if DEFAULT_FRAME_FORMAT == "binary-v2" else "binary"
 
     def without_fault(self) -> "WorkerSpec":
         return replace(self, fault=None)
@@ -290,7 +271,6 @@ def run_shard(
     own_sections = shard_section_ids(system.city, spec.workers, spec.shard_index)
     own_nodes = [system.fog1_for_section(section_id) for section_id in own_sections]
     fault = spec.fault if spec.fault is not None and spec.fault.shard_index == spec.shard_index else None
-    frame_format = spec.resolved_frame_format()
 
     send(ipc.encode_ready())
     if wait_for_go is not None:
@@ -314,7 +294,7 @@ def run_shard(
             if node.storage.pending_upward_count
         ]
         if drained:
-            send(ipc.encode_batch(sync_index, drained, frame_format))
+            send(ipc.encode_batch(sync_index, drained))
         new_records = accountant.records[records_seen:]
         records_seen += len(new_records)
         send(

@@ -107,7 +107,7 @@ class ShardedRunResult:
     run_s: float
     worker_faults: List[Dict[str, Any]] = field(default_factory=list)
     #: Total bytes the supervisor read off worker IPC streams (stream
-    #: framing included) — what the bench harness records per leg.
+    #: framing included) — f2cbench's ``ipc.bytes``.
     ipc_bytes: int = 0
     #: True when :meth:`ShardSupervisor.request_stop` ended the run after a
     #: completed sync point but before the workload's last one.  The broad
@@ -285,7 +285,14 @@ class _ShardHandle:
 
 
 class ShardSupervisor:
-    """Spawns shard workers and merges their output into one architecture."""
+    """Spawns shard workers and merges their output into one architecture.
+
+    ``frame_format`` selects nothing — every BATCH is one extended binary
+    frame.  It is accepted (``None`` or ``"binary-v2"``, anything else is a
+    :class:`~repro.common.errors.ConfigurationError`) only because existing
+    callers, the f2cbench ``ingest_sharded`` workload among them, still
+    name the format they expect.
+    """
 
     def __init__(
         self,
@@ -302,6 +309,11 @@ class ShardSupervisor:
     ) -> None:
         if workers <= 0:
             raise ConfigurationError("workers must be positive")
+        if frame_format not in (None, "binary-v2"):
+            raise ConfigurationError(
+                f"IPC batches are extended binary frames; frame_format must be "
+                f"None or 'binary-v2', got {frame_format!r}"
+            )
         # Scheduled kills: the scenario engine passes a list of WorkerFaults
         # (at most one per shard); the legacy singular *fault* still targets
         # every shard at once, preserving its original semantics.
@@ -352,7 +364,6 @@ class ShardSupervisor:
                     workload=self.workload,
                     catalog=catalog,
                     fault=scheduled.get(index, fault),
-                    frame_format=frame_format,
                 )
             )
             for index in range(workers)
@@ -707,7 +718,6 @@ def run_sharded(
     fault: Optional[WorkerFault] = None,
     max_restarts: int = DEFAULT_MAX_RESTARTS,
     inline: bool = False,
-    frame_format: Optional[str] = None,
     durable_dir: Optional[str] = None,
     durable_fog2: bool = False,
     faults: Optional[Sequence[WorkerFault]] = None,
@@ -717,9 +727,7 @@ def run_sharded(
     See :class:`ShardSupervisor`; this is the one-call entry point.  With
     ``inline=True`` the workers run in-process over in-memory channels
     (identical protocol bytes, no fork) — the mode tests use for
-    deterministic coverage of the whole pipeline.  ``frame_format`` picks
-    the BATCH frame codec (``"binary"`` sidecar shape or ``"binary-v2"``
-    extended frames); ``None`` follows ``REPRO_FRAME_FORMAT``.
+    deterministic coverage of the whole pipeline.
     ``durable_dir`` / ``durable_fog2`` attach durable segment logs to the
     supervisor's broad tiers (see :mod:`repro.storage.segments`).
     ``faults`` schedules per-shard deterministic kills (at most one per
@@ -732,7 +740,6 @@ def run_sharded(
         fault=fault,
         max_restarts=max_restarts,
         inline=inline,
-        frame_format=frame_format,
         durable_dir=durable_dir,
         durable_fog2=durable_fog2,
         faults=faults,

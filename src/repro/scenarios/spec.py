@@ -41,7 +41,7 @@ EVENT_KINDS = (
 #: wires where a flipped byte is *guaranteed* to be rejected-and-counted
 #: rather than silently decoded, so the only wires ``corrupt_round`` may
 #: target.
-_CRC_FRAME_TRANSPORTS = ("frames-binary", "frames-binary-v2")
+_CRC_FRAME_TRANSPORTS = ("frames-binary-v2",)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,6 @@ class Scenario:
         if self.inbox_limit is not None and self.transport not in (
             "broker-csv",
             "frames-json",
-            "frames-binary",
             "frames-binary-v2",
         ):
             raise ConfigurationError("inbox_limit requires a broker transport")

@@ -630,13 +630,11 @@ class ReadingColumns:
         tags are not part of the wire format (they are assigned by the
         receiving node's acquisition block, exactly as with CSV payloads).
 
-        *format* selects the wire layout (``"binary"`` — packed columns,
-        the compact default — ``"binary-v2"`` — the shared-dictionary
-        layout — or ``"json"`` — the PR 2 compatibility layout); ``None``
-        uses the process-wide default (see
-        :data:`repro.common.serialization.DEFAULT_FRAME_FORMAT`).  All
-        layouts decode to identical columns via :meth:`decode_frame`, which
-        auto-detects the format from the payload's magic prefix.
+        *format* selects the wire layout (``"binary-v2"`` — packed columns
+        compressed against the shared deployment dictionary, the default
+        for ``None`` — or ``"json"`` — the human-readable debug layout).
+        Both decode to identical columns via :meth:`decode_frame`, which
+        detects the layout from the payload's magic prefix.
         """
         return encode_columns(self._wire_columns(), format=format)
 
@@ -671,7 +669,7 @@ class ReadingColumns:
 
     @classmethod
     def decode_frame(cls, payload: bytes) -> "ReadingColumns":
-        """Inverse of :meth:`encode_frame` (either layout, auto-detected).
+        """Inverse of :meth:`encode_frame` (either layout, detected by magic).
 
         Raises ``ValueError`` for any malformed frame — a frame decodes
         whole or not at all, so a corrupt payload can never partially
@@ -712,9 +710,9 @@ class ReadingColumns:
             # append_row both enforce this); a frame must not smuggle one
             # into the byte accounting.
             raise ValueError("column frame carries a negative wire size")
-        # Extended v2 frames carry the identity columns in-body (already
+        # Extended frames carry the identity columns in-body (already
         # validated per table entry by the frame decoder); every other
-        # layout leaves them for the receiving acquisition block to assign.
+        # frame leaves them for the receiving acquisition block to assign.
         tags = record.get("tags")
         out.tags = tags if tags is not None else [None] * n
         fog_node_ids = record.get("fog_node_ids")

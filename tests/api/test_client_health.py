@@ -32,7 +32,7 @@ class TestHealthReport:
 
     def test_dropped_broker_payloads_surface_in_health(self, small_city, small_catalog):
         client = _client(
-            small_city, small_catalog, transport="frames-binary", city_slug="toyville"
+            small_city, small_catalog, transport="frames-binary-v2", city_slug="toyville"
         )
         client.ingest(
             [make_reading(sensor_id="ok-1", value=1.0, timestamp=1.0)],
@@ -90,7 +90,7 @@ class TestConservationLedger:
 
     def test_old_top_level_keys_stay_as_aliases(self, small_city, small_catalog):
         client = _client(
-            small_city, small_catalog, transport="frames-binary", city_slug="toyville"
+            small_city, small_catalog, transport="frames-binary-v2", city_slug="toyville"
         )
         broker = client.session.broker
         broker.publish("city/toyville/d-01/s-01/frame", b"\x00RBB garbage", timestamp=2.0)

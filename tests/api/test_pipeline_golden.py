@@ -24,7 +24,7 @@ GOLDEN_PATH = pathlib.Path(__file__).parent.parent / "integration" / "data" / "i
 #: excluded by design: its per-reading CSV wire truncates payloads to the
 #: Table-I size, dropping readings whose line does not fit (a documented
 #: property of the historical wire, covered by the small-city test below).
-LOSSLESS_TRANSPORTS = ("direct", "frames-json", "frames-binary")
+LOSSLESS_TRANSPORTS = ("direct", "frames-json", "frames-binary-v2")
 
 
 def _golden():
@@ -122,7 +122,7 @@ class TestFrameTransportSessions:
         )
         client = F2CClient(
             system=system,
-            config=PipelineConfig(transport="frames-binary", city_slug="toyville"),
+            config=PipelineConfig(transport="frames-binary-v2", city_slug="toyville"),
         )
         readings = [
             make_reading(sensor_id=f"fr-{i}", value=float(i), timestamp=2.0) for i in range(6)
@@ -151,11 +151,21 @@ class TestPipelineConfigValidation:
         with pytest.raises(ConfigurationError):
             PipelineConfig(workers=0)
 
-    def test_conflicting_frame_format_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PipelineConfig(transport="frames-json", frame_format="binary")
-        assert PipelineConfig(transport="frames-json", frame_format="json").resolved_frame_format() == "json"
-        assert PipelineConfig(transport="frames-binary").resolved_frame_format() == "binary"
+    def test_frame_format_follows_the_transport(self):
+        assert PipelineConfig(transport="frames-json").resolved_frame_format() == "json"
+        assert PipelineConfig(transport="frames-binary-v2").resolved_frame_format() == "binary-v2"
+        assert PipelineConfig(transport="direct").resolved_frame_format() is None
+        assert PipelineConfig(transport="sharded").resolved_frame_format() is None
+
+    def test_frame_format_is_not_a_config_field(self):
+        with pytest.raises(TypeError):
+            PipelineConfig(transport="frames-json", frame_format="json")
+
+    @pytest.mark.parametrize("entry_point", [PipelineConfig, connect, run_workload])
+    def test_retired_binary_transport_rejected(self, entry_point):
+        # The version-1 frame transport is gone; its name is not an alias.
+        with pytest.raises(ConfigurationError, match="'frames-binary'"):
+            entry_point(transport="frames-binary")
 
     def test_inline_workers_require_sharded_transport(self):
         with pytest.raises(ConfigurationError):
@@ -172,9 +182,9 @@ class TestPipelineConfigValidation:
             connect(PipelineConfig(), transport="direct")
 
     def test_connect_kwargs_build_the_config(self, small_city, small_catalog):
-        client = connect(city=small_city, catalog=small_catalog, transport="frames-binary")
-        assert client.config.transport == "frames-binary"
-        assert client.system.frame_format == "binary"
+        client = connect(city=small_city, catalog=small_catalog, transport="frames-binary-v2")
+        assert client.config.transport == "frames-binary-v2"
+        assert client.system.frame_format == "binary-v2"
 
     def test_uses_broker_flag(self):
         assert not PipelineConfig().uses_broker()

@@ -4,7 +4,7 @@ Codec work that claims "fixed cost only, bytes unchanged" is checked here:
 every fog layer-1 node's acquired batch of the committed golden workload
 (``ShardedWorkload.golden()``, the workload behind ``ingest_golden.json``),
 and the whole city's rows as one frame (long enough for the dictionary-coded
-column layouts), are encoded in all four layouts and compared against
+column layouts), are encoded in all three layouts and compared against
 ``data/frame_golden.json``.  What is pinned is the frame *before* deflate —
 header fields and the raw body — so the fixture does not depend on the zlib
 build; the compressed form is checked by decoding it back.  Regenerate
@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import pathlib
-import zlib
 
 import pytest
 
@@ -29,7 +28,7 @@ from repro.sensors.generator import ReadingGenerator
 from repro.sensors.readings import ReadingColumns
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "frame_golden.json"
-LAYOUTS = ("extended", "binary-v2", "binary", "json")
+LAYOUTS = ("extended", "binary-v2", "json")
 
 
 def _acquired_batches():
@@ -58,18 +57,11 @@ def _before_deflate(frame: bytes) -> bytes:
     if frame.startswith(ser.COLUMN_FRAME_MAGIC):
         return frame
     start = len(ser.BINARY_FRAME_MAGIC)
-    if frame[start] == ser.BINARY_FRAME_VERSION_2:
-        version, flags, n, _, raw_len, _, _ = ser._HEADER_V2.unpack_from(frame, start)
-        stored = frame[start + ser._HEADER_V2.size:]
-        if flags & ser._FLAG_DICT_COMPRESSED:
-            stored = ser._inflate_body(stored, raw_len, ser._v2_codec()[2].copy())
-        flags &= ser._FLAG_EXTENDED
-    else:
-        version, flags, n, _, raw_len, _ = ser._HEADER.unpack_from(frame, start)
-        stored = frame[start + ser._HEADER.size:]
-        if flags & ser._FLAG_COMPRESSED:
-            stored = zlib.decompress(stored)
-        flags = 0
+    version, flags, n, _, raw_len, _, _ = ser._HEADER_V2.unpack_from(frame, start)
+    stored = frame[start + ser._HEADER_V2.size:]
+    if flags & ser._FLAG_DICT_COMPRESSED:
+        stored = ser._inflate_body(stored, raw_len, ser._v2_codec()[2].copy())
+    flags &= ser._FLAG_EXTENDED
     assert len(stored) == raw_len
     return bytes([version, flags]) + n.to_bytes(4, "little") + bytes(stored)
 

@@ -1,5 +1,9 @@
 """Tests for repro.common.serialization."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.common.serialization import (
@@ -9,6 +13,8 @@ from repro.common.serialization import (
     encode_json,
     pad_to_size,
 )
+
+SRC_PATH = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 
 class TestJsonCodec:
@@ -87,24 +93,50 @@ class TestColumnFrameCodecs:
 
         record = self._record()
         assert ser.encode_columns(record, format="json").startswith(ser.COLUMN_FRAME_MAGIC)
-        assert ser.encode_columns(record, format="binary").startswith(ser.BINARY_FRAME_MAGIC)
-        default = ser.encode_columns(record)
-        assert ser.frame_format(default) == ser.DEFAULT_FRAME_FORMAT
+        binary = ser.encode_columns(record, format="binary-v2")
+        assert binary.startswith(ser.BINARY_FRAME_MAGIC)
+        assert binary[len(ser.BINARY_FRAME_MAGIC)] == ser.BINARY_FRAME_VERSION_2
+        assert ser.DEFAULT_FRAME_FORMAT == "binary-v2"
+        assert ser.encode_columns(record) == binary
 
-    def test_encode_columns_rejects_unknown_format(self):
+    @pytest.mark.parametrize("value", ["binary", "json", "not-a-format"])
+    def test_the_default_layout_ignores_the_retired_env_switch(self, value):
+        # REPRO_FRAME_FORMAT used to pick the process-wide default at import
+        # (and reject unknown values there); a fresh interpreter with it set
+        # must now import cleanly and still write binary frames by default.
+        snippet = (
+            "import sys\n"
+            f"sys.path.insert(0, {SRC_PATH!r})\n"
+            "from repro.common import serialization as ser\n"
+            "record = {name: ['x'] if name in ('sensor_ids', 'sensor_types', 'categories')"
+            " else [1] for name in ser.COLUMN_FRAME_FIELDS}\n"
+            "payload = ser.encode_columns(record)\n"
+            "print(ser.DEFAULT_FRAME_FORMAT, payload == ser.encode_columns(record, 'binary-v2'))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", snippet],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, REPRO_FRAME_FORMAT=value),
+            check=True,
+            timeout=120,
+        )
+        assert result.stdout.split() == ["binary-v2", "True"]
+
+    @pytest.mark.parametrize("format", ["msgpack", "binary"])
+    def test_encode_columns_rejects_unknown_format(self, format):
         from repro.common import serialization as ser
 
         with pytest.raises(ValueError):
-            ser.encode_columns(self._record(), format="msgpack")
+            ser.encode_columns(self._record(), format=format)
 
-    def test_frame_format_and_is_column_frame(self):
+    def test_is_column_frame(self):
         from repro.common import serialization as ser
 
         record = self._record()
-        assert ser.frame_format(ser.encode_columns(record, format="json")) == "json"
-        assert ser.frame_format(ser.encode_columns(record, format="binary")) == "binary"
-        assert ser.frame_format(b"s-1,temperature,1.0,0.000\n") is None
-        assert ser.is_column_frame(ser.encode_columns(record, format="binary"))
+        assert ser.is_column_frame(ser.encode_columns(record, format="json"))
+        assert ser.is_column_frame(ser.encode_columns(record, format="binary-v2"))
+        assert not ser.is_column_frame(b"s-1,temperature,1.0,0.000\n")
         assert not ser.is_column_frame(b"plain")
 
     def test_binary_round_trip_mixed_value_types(self):
@@ -112,7 +144,7 @@ class TestColumnFrameCodecs:
 
         record = self._record(7)
         record["values"] = [1.5, 7, "text", True, False, None, 2**70]
-        decoded = ser.decode_columns_binary(ser.encode_columns_binary(record))
+        decoded = ser.decode_columns_binary_v2(ser.encode_columns_binary_v2(record))
         assert decoded["values"] == record["values"]
         assert [type(v) for v in decoded["values"]] == [type(v) for v in record["values"]]
 
@@ -122,7 +154,7 @@ class TestColumnFrameCodecs:
         record = self._record()
         record["values"] = [object(), 1.0, 2.0]
         with pytest.raises(ValueError):
-            ser.encode_columns_binary(record)
+            ser.encode_columns_binary_v2(record)
 
     def test_binary_rejects_non_string_identifiers(self):
         from repro.common import serialization as ser
@@ -130,7 +162,7 @@ class TestColumnFrameCodecs:
         record = self._record()
         record["sensor_ids"] = [1, 2, 3]
         with pytest.raises(ValueError):
-            ser.encode_columns_binary(record)
+            ser.encode_columns_binary_v2(record)
 
     def test_binary_rejects_non_integer_sizes(self):
         from repro.common import serialization as ser
@@ -138,7 +170,7 @@ class TestColumnFrameCodecs:
         record = self._record()
         record["sizes"] = ["64", "65", "66"]
         with pytest.raises(ValueError):
-            ser.encode_columns_binary(record)
+            ser.encode_columns_binary_v2(record)
 
     def test_binary_rejects_oversized_integers(self):
         from repro.common import serialization as ser
@@ -146,7 +178,7 @@ class TestColumnFrameCodecs:
         record = self._record()
         record["sequences"] = [2**70, 0, 0]
         with pytest.raises(ValueError):
-            ser.encode_columns_binary(record)
+            ser.encode_columns_binary_v2(record)
 
     def test_binary_rejects_diverging_lengths(self):
         from repro.common import serialization as ser
@@ -154,7 +186,7 @@ class TestColumnFrameCodecs:
         record = self._record()
         record["values"] = record["values"][:-1]
         with pytest.raises(ValueError):
-            ser.encode_columns_binary(record)
+            ser.encode_columns_binary_v2(record)
 
     def test_incompressible_body_is_stored_raw(self):
         import os
@@ -177,14 +209,14 @@ class TestColumnFrameCodecs:
             "sizes": list(range(64)),
             "sequences": list(range(64)),
         }
-        payload = ser.encode_columns_binary(record)
+        payload = ser.encode_columns_binary_v2(record)
         flags = payload[len(ser.BINARY_FRAME_MAGIC) + 1]
-        decoded = ser.decode_columns_binary(payload)
+        decoded = ser.decode_columns_binary_v2(payload)
         assert list(decoded["timestamps"]) == rng_values
         # Either stored raw or compressed — but decode must work either way
         # and the flag must reflect the storage.  (Hex ids still compress a
         # little, so assert consistency rather than a specific flag value.)
-        assert flags in (0, 1)
+        assert flags in (0, ser._FLAG_DICT_COMPRESSED)
 
     def test_dictionary_paths_round_trip_under_both_implementations(self, monkeypatch):
         from repro.common import serialization as ser
@@ -199,11 +231,11 @@ class TestColumnFrameCodecs:
             "sizes": [(i % 2) * 100 + 22 for i in range(n)],
             "sequences": list(range(n)),
         }
-        with_numpy = ser.encode_columns_binary(record)
+        with_numpy = ser.encode_columns_binary_v2(record)
         monkeypatch.setattr(ser, "_np", None)
-        without_numpy = ser.encode_columns_binary(record)
+        without_numpy = ser.encode_columns_binary_v2(record)
         for payload in (with_numpy, without_numpy):
-            decoded = ser.decode_columns_binary(payload)
+            decoded = ser.decode_columns_binary_v2(payload)
             assert list(decoded["timestamps"]) == record["timestamps"]
             assert list(decoded["sizes"]) == record["sizes"]
             assert decoded["sensor_ids"] == record["sensor_ids"]
@@ -217,12 +249,12 @@ class TestColumnFrameCodecs:
         record["timestamps"] = [float(i % 4) for i in range(n)]
         if ser._np is None:
             pytest.skip("numpy not available")
-        encoded_with = ser.encode_columns_binary(record)
+        encoded_with = ser.encode_columns_binary_v2(record)
         monkeypatch.setattr(ser, "_np", None)
-        decoded_without = ser.decode_columns_binary(encoded_with)
-        encoded_without = ser.encode_columns_binary(record)
+        decoded_without = ser.decode_columns_binary_v2(encoded_with)
+        encoded_without = ser.encode_columns_binary_v2(record)
         monkeypatch.undo()
-        decoded_with = ser.decode_columns_binary(encoded_without)
+        decoded_with = ser.decode_columns_binary_v2(encoded_without)
         assert list(decoded_without["timestamps"]) == record["timestamps"]
         assert list(decoded_with["timestamps"]) == record["timestamps"]
 

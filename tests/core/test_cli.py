@@ -74,10 +74,10 @@ class TestIngestCommand:
     def test_ingest_json_carries_summary_health_and_traffic(self, capsys):
         import json
 
-        code, out = run_cli(capsys, "ingest", "--transport", "frames-binary", "--json")
+        code, out = run_cli(capsys, "ingest", "--transport", "frames-binary-v2", "--json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["transport"] == "frames-binary"
+        assert payload["transport"] == "frames-binary-v2"
         assert payload["summary"]["health"]["dropped_payloads"] == 0
         assert payload["traffic"]["cloud"] > 0
 
@@ -96,6 +96,12 @@ class TestIngestCommand:
             main(["ingest", "--rounds", "0"])
         with pytest.raises(SystemExit):
             main(["ingest", "--inline-workers"])
+
+    def test_retired_binary_transport_is_not_a_choice(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ingest", "--transport", "frames-binary"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'frames-binary'" in capsys.readouterr().err
 
 
 class TestQueryCommand:

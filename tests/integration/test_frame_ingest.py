@@ -5,8 +5,17 @@ the hierarchy as per-reading delivery, with identical byte accounting (the
 frame carries each reading's Table-I wire size).
 """
 
+import base64
+import json
+import pathlib
+import struct
+import zlib
+
 import pytest
 
+from repro.api import connect
+from repro.common import serialization as ser
+from repro.common.errors import ConfigurationError
 from repro.core.architecture import F2CDataManagement
 from repro.messaging.broker import Broker
 from repro.sensors.readings import ReadingColumns
@@ -21,6 +30,9 @@ from tests.conftest import make_reading
 pytestmark = pytest.mark.filterwarnings(
     "ignore:.*is a deprecated shim:DeprecationWarning"
 )
+
+
+REJECTED_FRAMES = pathlib.Path(__file__).parent / ".." / "common" / "data" / "rejected_frames.json"
 
 
 def _readings(count=12, timestamp=5.0):
@@ -175,9 +187,7 @@ class TestFramePathEquivalence:
             ReadingColumns.decode_frame(payload)
 
     def test_negative_wire_size_binary_frame_is_rejected(self):
-        from repro.common.serialization import encode_columns_binary
-
-        payload = encode_columns_binary(
+        payload = ser.encode_columns_binary_v2(
             {
                 "sensor_ids": ["s-1"],
                 "sensor_types": ["temperature"],
@@ -329,36 +339,27 @@ class TestBinaryFrameDecoderFuzz:
                 for i in range(rows)
             ]
         )
-        return columns, columns.encode_frame(format="binary")
+        return columns, columns.encode_frame(format="binary-v2")
 
     @staticmethod
     def _rebuild_binary(raw_body, n, version=None, flags=None, raw_len=None):
         """A syntactically valid frame around *raw_body* (CRC recomputed)."""
-        import struct
-        import zlib
-
-        from repro.common import serialization as ser
-
-        version = ser.BINARY_FRAME_VERSION if version is None else version
+        version = ser.BINARY_FRAME_VERSION_2 if version is None else version
         flags = 0 if flags is None else flags
         raw_len = len(raw_body) if raw_len is None else raw_len
-        prefix = struct.pack("<BBIII", version, flags, n, len(raw_body), raw_len)
+        prefix = ser._HEADER_V2_CRC_PREFIX.pack(version, flags, n, len(raw_body), raw_len, 0)
         crc = zlib.crc32(raw_body, zlib.crc32(prefix))
         return ser.BINARY_FRAME_MAGIC + prefix + struct.pack("<I", crc) + raw_body
 
     @classmethod
     def _raw_body(cls, payload):
-        import struct
-        import zlib
-
-        from repro.common import serialization as ser
-
-        header = struct.Struct("<BBIIII")
-        version, flags, n, stored_len, raw_len, crc = header.unpack_from(
+        _, flags, n, _, raw_len, _, _ = ser._HEADER_V2.unpack_from(
             payload, len(ser.BINARY_FRAME_MAGIC)
         )
-        stored = payload[len(ser.BINARY_FRAME_MAGIC) + header.size:]
-        return (zlib.decompress(stored) if flags & 1 else stored), n
+        stored = payload[len(ser.BINARY_FRAME_MAGIC) + ser._HEADER_V2.size:]
+        if flags & ser._FLAG_DICT_COMPRESSED:
+            stored = ser._inflate_body(stored, raw_len, ser._v2_codec()[2].copy())
+        return stored, n
 
     def test_every_truncation_is_rejected_cleanly(self):
         _, payload = self._frame()
@@ -425,26 +426,26 @@ class TestBinaryFrameDecoderFuzz:
         stored = len(fog1.storage.store)
         assert stored == counts["fog1/d-01/s-01"]
 
-    def test_wrong_version_is_rejected_even_with_a_valid_crc(self):
+    def test_rebuilt_frame_decodes(self):
+        # Keeps the helpers honest: an unmodified rebuild is a valid frame.
+        columns, payload = self._frame()
+        raw_body, n = self._raw_body(payload)
+        decoded = ReadingColumns.decode_frame(self._rebuild_binary(raw_body, n))
+        assert decoded.sensor_ids == columns.sensor_ids
+
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_wrong_version_is_rejected_even_with_a_valid_crc(self, version):
         _, payload = self._frame()
         raw_body, n = self._raw_body(payload)
-        bad = self._rebuild_binary(raw_body, n, version=3)
+        bad = self._rebuild_binary(raw_body, n, version=version)
         with pytest.raises(ValueError, match="version"):
             ReadingColumns.decode_frame(bad)
 
-    def test_v1_frame_stamped_as_v2_is_rejected(self):
-        # Version 2 dispatches to the v2 decoder, whose wider header makes a
-        # restamped v1 frame structurally invalid — it must not decode.
+    @pytest.mark.parametrize("flags", [0x08, 0x80])
+    def test_unknown_flags_are_rejected(self, flags):
         _, payload = self._frame()
         raw_body, n = self._raw_body(payload)
-        bad = self._rebuild_binary(raw_body, n, version=2)
-        with pytest.raises(ValueError):
-            ReadingColumns.decode_frame(bad)
-
-    def test_unknown_flags_are_rejected(self):
-        _, payload = self._frame()
-        raw_body, n = self._raw_body(payload)
-        bad = self._rebuild_binary(raw_body, n, flags=0x02)
+        bad = self._rebuild_binary(raw_body, n, flags=flags)
         with pytest.raises(ValueError, match="flags"):
             ReadingColumns.decode_frame(bad)
 
@@ -498,3 +499,78 @@ class TestBinaryFrameDecoderFuzz:
         assert counts == {}
         assert len(system.fog1_for_section("d-01/s-01").storage.store) == 0
         assert system.dropped_payloads == 1
+
+
+#: Every way a caller puts a column frame on the broker wire, with the error
+#: each raises for a layout name it does not speak.
+PUBLISHERS = {
+    "encode_frame": ValueError,
+    "publish_columns": ValueError,
+    "publish_frames": ConfigurationError,
+    "deployment": ConfigurationError,
+}
+
+
+def _published_frame(publisher, small_city, small_catalog, frame_format=None) -> bytes:
+    """The one frame *publisher* emits for three readings of one section.
+
+    ``deployment`` names the layout on the :class:`F2CDataManagement`
+    itself; every other publisher names it on the call.
+    """
+    readings = _readings(3)
+    columns = ReadingColumns.from_readings(readings)
+    if publisher == "encode_frame":
+        return columns.encode_frame(format=frame_format)
+    broker = Broker()
+    seen = []
+    broker.subscribe("tap", "city/#", lambda message: seen.append(message.payload))
+    if publisher == "publish_columns":
+        broker.publish_columns(
+            "city/toyville/d-01/s-01/frame", columns, timestamp=5.0, frame_format=frame_format
+        )
+    else:
+        deployment_format = frame_format if publisher == "deployment" else None
+        call_format = frame_format if publisher == "publish_frames" else None
+        system = F2CDataManagement(
+            city=small_city, catalog=small_catalog, frame_format=deployment_format
+        )
+        system.api_pipeline.publish_frames(
+            broker, readings, city_slug="toyville", default_section="d-01/s-01",
+            timestamp=5.0, frame_format=call_format,
+        )
+    (payload,) = seen
+    return payload
+
+
+class TestRetiredFrameLayout:
+    """One binary layout is written; a version-1 frame is one dropped payload."""
+
+    @pytest.mark.parametrize("publisher", ["encode_frame", "publish_columns", "publish_frames"])
+    def test_publishers_default_to_the_binary_layout(self, publisher, small_city, small_catalog):
+        payload = _published_frame(publisher, small_city, small_catalog)
+        assert payload.startswith(ser.BINARY_FRAME_MAGIC)
+        assert payload[len(ser.BINARY_FRAME_MAGIC)] == ser.BINARY_FRAME_VERSION_2
+        decoded = ReadingColumns.decode_frame(payload)
+        assert decoded.sensor_ids == [reading.sensor_id for reading in _readings(3)]
+
+    @pytest.mark.parametrize("publisher", sorted(PUBLISHERS))
+    def test_publishers_reject_the_retired_layout_name(self, publisher, small_city, small_catalog):
+        with pytest.raises(PUBLISHERS[publisher], match="'binary'"):
+            _published_frame(publisher, small_city, small_catalog, frame_format="binary")
+
+    def test_golden_v1_frame_is_dropped_and_the_flush_continues(self, small_city, small_catalog):
+        fixture = json.loads(REJECTED_FRAMES.read_text(encoding="utf-8"))["v1_section_frame"]
+        v1_frame = base64.b64decode(fixture["base64"])
+        assert v1_frame[len(ser.BINARY_FRAME_MAGIC)] == 1 and fixture["rows"] > 0
+        client = connect(
+            city=small_city, catalog=small_catalog, transport="frames-binary-v2", city_slug="toyville"
+        )
+        client.session.broker.publish("city/toyville/d-01/s-01/frame", v1_frame, timestamp=5.0)
+        # The same flush drains the parked v1 frame and this ingest's frame.
+        readings = _readings()
+        counts = client.ingest(readings, now=5.0, default_section="d-01/s-01")
+        assert counts == {"fog1/d-01/s-01": len(readings)}
+        assert client.health()["dropped_payloads"] == 1
+        fog1 = client.system.fog1_for_section("d-01/s-01")
+        assert len(fog1.storage.store) == len(readings)
+        assert all(fog1.has_series(reading.sensor_id) for reading in readings)

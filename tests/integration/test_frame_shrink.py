@@ -1,12 +1,10 @@
-"""Wire-size acceptance: binary frames must be ≥2.5x smaller than JSON,
-and v2 shared-dictionary frames ≥1.2x smaller again on per-section frames.
+"""Wire-size acceptance: binary frames must be ≥2.5x smaller than JSON.
 
-Measured on the synthetic city-hour workload the ingest benchmark drives
-(Barcelona catalog), at the real publish granularity — one frame per
-(section, round) — and on whole city-round frames.  This pins the ROADMAP
-"binary column frames … would shrink frames ~3x" claim and the v2
-dictionary-codec win as regression tests rather than benchmark-only
-observations.
+Measured on a synthetic city-round workload (Barcelona catalog), at the
+real publish granularity — one frame per (section, round) — and on whole
+city-round frames.  This pins the "binary column frames shrink frames
+~3x" claim as a regression test rather than a benchmark-only observation;
+the binary bytes themselves are pinned by ``tests/common/data/frame_golden.json``.
 """
 
 from collections import defaultdict
@@ -17,10 +15,6 @@ from repro.sensors.generator import ReadingGenerator
 from repro.sensors.readings import ReadingColumns
 
 SHRINK_FLOOR = 2.5
-#: v2 (shared dictionary) vs v1 binary, on per-section small frames — the
-#: frames dominated by deployment vocabulary the dictionary supplies.
-#: Measured 1.35x total / 1.28x worst section when the codec landed.
-V2_SHRINK_FLOOR = 1.2
 
 
 def _city_round_readings(devices_per_type=20, duration_s=900.0):
@@ -43,7 +37,7 @@ class TestBinaryFrameShrink:
         for section_readings in per_section.values():
             columns = ReadingColumns.from_reading_list(section_readings)
             json_total += len(columns.encode_frame(format="json"))
-            binary_total += len(columns.encode_frame(format="binary"))
+            binary_total += len(columns.encode_frame(format="binary-v2"))
         shrink = json_total / binary_total
         assert shrink >= SHRINK_FLOOR, (
             f"per-section binary frames only {shrink:.2f}x smaller than JSON "
@@ -53,48 +47,9 @@ class TestBinaryFrameShrink:
     def test_city_round_frame_shrinks_past_the_floor(self):
         columns = ReadingColumns.from_reading_list(_city_round_readings())
         json_size = len(columns.encode_frame(format="json"))
-        binary_size = len(columns.encode_frame(format="binary"))
+        binary_size = len(columns.encode_frame(format="binary-v2"))
         shrink = json_size / binary_size
         assert shrink >= SHRINK_FLOOR, (
             f"city-round binary frame only {shrink:.2f}x smaller than JSON "
             f"({binary_size} vs {json_size} bytes)"
         )
-
-
-class TestV2DictionaryShrink:
-    def test_per_section_v2_frames_beat_v1_past_the_floor(self):
-        # The dictionary's target case: small per-section frames whose
-        # bytes are mostly deployment vocabulary.  The floor must hold in
-        # aggregate AND no single section may regress below it — a
-        # section-shape-dependent loss would hide inside a city total.
-        readings = _city_round_readings()
-        system = F2CDataManagement(catalog=BARCELONA_CATALOG)
-        sections = [s.section_id for s in system.city.sections]
-        per_section = defaultdict(list)
-        for index, reading in enumerate(readings):
-            per_section[sections[index % len(sections)]].append(reading)
-        v1_total = v2_total = 0
-        worst = float("inf")
-        for section_readings in per_section.values():
-            columns = ReadingColumns.from_reading_list(section_readings)
-            v1 = len(columns.encode_frame(format="binary"))
-            v2 = len(columns.encode_frame(format="binary-v2"))
-            v1_total += v1
-            v2_total += v2
-            worst = min(worst, v1 / v2)
-        shrink = v1_total / v2_total
-        assert shrink >= V2_SHRINK_FLOOR, (
-            f"per-section v2 frames only {shrink:.2f}x smaller than v1 "
-            f"({v2_total} vs {v1_total} bytes)"
-        )
-        assert worst >= V2_SHRINK_FLOOR, (
-            f"worst per-section v2 shrink {worst:.2f}x is below the floor"
-        )
-
-    def test_city_round_v2_frame_does_not_regress(self):
-        # One big frame has enough internal repetition that the dictionary
-        # matters less — v2 must still never be *larger* than v1.
-        columns = ReadingColumns.from_reading_list(_city_round_readings())
-        v1 = len(columns.encode_frame(format="binary"))
-        v2 = len(columns.encode_frame(format="binary-v2"))
-        assert v2 < v1, f"city-round v2 frame grew: {v2} vs {v1} bytes"

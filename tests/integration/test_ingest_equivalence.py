@@ -210,7 +210,7 @@ class TestThreeWayGoldenEquivalence:
     def test_all_three_paths_match_the_golden_fixture(self):
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
         assert run_seeded_workload() == golden  # direct ingest (reference)
-        binary_system, binary_reports = self._run_frames("binary")
+        binary_system, binary_reports = self._run_frames("binary-v2")
         json_system, json_reports = self._run_frames("json")
         assert binary_reports == golden
         assert json_reports == golden
@@ -228,6 +228,6 @@ class TestThreeWayGoldenEquivalence:
             system.ingest_readings(batch, now=round_index * 900.0)
         system.synchronise(now=3600.0)
         direct_contents = self._cloud_contents(system)
-        for frame_format in ("binary", "json"):
+        for frame_format in ("binary-v2", "json"):
             frame_system, _ = self._run_frames(frame_format)
             assert self._cloud_contents(frame_system) == direct_contents

@@ -45,7 +45,7 @@ def golden():
 @pytest.fixture(scope="module")
 def frame_path_digest():
     """Cloud digest of the single-process binary-frame ingest path."""
-    system = F2CDataManagement(catalog=BARCELONA_CATALOG, frame_format="binary")
+    system = F2CDataManagement(catalog=BARCELONA_CATALOG, frame_format="binary-v2")
     generator = ReadingGenerator(BARCELONA_CATALOG, devices_per_type=5, seed=2024)
     sections = [s.section_id for s in system.city.sections]
     for index, device in enumerate(generator.all_devices()):

@@ -1,7 +1,7 @@
 """Property tests for the column-frame wire formats.
 
-The serialization layer now speaks two layouts — PR 2's JSON frames and the
-packed binary frames — and the system's correctness rests on three
+The serialization layer speaks two layouts — JSON frames and the packed
+binary frames — and the system's correctness rests on three
 invariants this module checks with Hypothesis:
 
 1. **Round trip**: for any encodable column set, ``decode_frame`` is the
@@ -130,7 +130,7 @@ class TestFrameRoundTripProperties:
     def test_json_and_binary_decode_identically(self, row_list):
         columns = build_columns(row_list)
         from_json = ReadingColumns.decode_frame(columns.encode_frame(format="json"))
-        from_binary = ReadingColumns.decode_frame(columns.encode_frame(format="binary"))
+        from_binary = ReadingColumns.decode_frame(columns.encode_frame(format="binary-v2"))
         assert_identical(from_json, from_binary)
 
     @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
@@ -172,7 +172,7 @@ class TestAwkwardExamples:
     def test_nan_timestamp_round_trips_bitwise_in_binary(self):
         columns = ReadingColumns()
         columns.append_row("s", "t", "c", 1.0, float("nan"), None, 8, 0, None)
-        decoded = ReadingColumns.decode_frame(columns.encode_frame(format="binary"))
+        decoded = ReadingColumns.decode_frame(columns.encode_frame(format="binary-v2"))
         assert decoded.timestamps.tobytes() == as_float_column(columns.timestamps).tobytes()
         assert math.isnan(decoded.timestamps[0])
 
@@ -200,7 +200,7 @@ class TestAwkwardExamples:
                 float(index % 7), float(index % 3), None, (index % 2) * 100 + 22, index, None,
             )
         json_size = len(columns.encode_frame(format="json"))
-        binary = columns.encode_frame(format="binary")
+        binary = columns.encode_frame(format="binary-v2")
         decoded = ReadingColumns.decode_frame(binary)
         assert_identical(decoded, ReadingColumns.decode_frame(columns.encode_frame(format="json")))
         assert len(binary) * 4 < json_size  # the compact layout must actually be compact

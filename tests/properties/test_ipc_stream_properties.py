@@ -22,14 +22,13 @@ module checks it three ways:
 One level up, the BATCH message cuts one column frame back into per-node
 columns along its node table: a fourth property checks that **any partition
 of a column set into node runs** survives encode → decode as the same
-per-node columns, tag-dict sharing included, in both frame formats.
+per-node columns, tag-dict sharing included.
 """
 
 import io
 import os
 import threading
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -219,13 +218,12 @@ def _row_view(columns: ReadingColumns, dict_ids: dict) -> str:
 
 
 class TestBatchPartitionProperty:
-    @pytest.mark.parametrize("frame_format", ["binary", "binary-v2"])
     @given(drawn=partitioned_columns())
     @settings(max_examples=60, deadline=None)
-    def test_any_partition_into_node_runs_round_trips(self, frame_format, drawn):
+    def test_any_partition_into_node_runs_round_trips(self, drawn):
         columns, counts = drawn
         sent = list(zip((f"fog1/node-{i}" for i in range(len(counts))), columns.split(counts)))
-        msg_type, body = ipc.decode_message(ipc.encode_batch(3, sent, frame_format))
+        msg_type, body = ipc.decode_message(ipc.encode_batch(3, sent))
         assert (msg_type, body["sync_index"]) == (ipc.MSG_BATCH, 3)
         assert list(body["batches"]) == [node_id for node_id, _ in sent]
         sent_ids, received_ids = {}, {}

@@ -2,13 +2,18 @@
 
 Covers the length-prefixed stream framing (clean round trips, EOF
 semantics, resync-able vs fatal corruption), the typed message codecs
-(including the batch message's node table and tag/fog sidecars), and the
+(including the batch message's node table and in-frame tag/fog columns,
+and the BATCH shapes it rejects), and the
 ``dropped_frames`` accounting of :class:`MessageReader` — the
 ``dropped_payloads``-style counter for the process boundary.
 """
 
+import base64
 import io
+import json
 import os
+import pathlib
+import struct
 
 import pytest
 
@@ -20,6 +25,9 @@ from repro.common.serialization import (
 )
 from repro.runtime import ipc
 from repro.sensors.readings import Reading, ReadingColumns
+
+
+REJECTED_FRAMES = pathlib.Path(__file__).parent / ".." / "common" / "data" / "rejected_frames.json"
 
 
 def _reader_over(data: bytes) -> FrameStreamReader:
@@ -57,8 +65,35 @@ def _assert_same_columns(decoded: ReadingColumns, columns: ReadingColumns) -> No
     assert decoded.total_bytes == columns.total_bytes
 
 
-#: Both BATCH frame codecs: v1 frame + JSON sidecars, extended v2 frame.
-FRAME_FORMATS = ["binary", "binary-v2"]
+def _batch_with_frame(sync_index, nodes, frame: bytes) -> bytes:
+    """A BATCH in the wire shape with an arbitrary column frame in it."""
+    out = bytearray([ipc.MSG_BATCH]) + struct.pack("<IH", sync_index, len(nodes))
+    for node_id, rows in nodes:
+        raw = node_id.encode("utf-8")
+        out += struct.pack("<H", len(raw)) + raw + struct.pack("<I", rows)
+    return bytes(out + struct.pack("<I", len(frame)) + frame)
+
+
+def rejected_batches():
+    """BATCH payloads no supervisor may absorb, keyed by a short name.
+
+    The retired shape — a version-1 frame followed by JSON tag and fog-id
+    sidecars, as an old worker wrote it — and the current shape carrying a
+    plain (non-extended) frame, whose rows would arrive without tags or
+    fog nodes.
+    """
+    fixture = json.loads(REJECTED_FRAMES.read_text(encoding="utf-8"))["v1_batch"]
+    columns = ReadingColumns()
+    nodes = [("a", _columns(2)), ("b", _columns(3))]
+    for _, node_columns in nodes:
+        columns.extend_columns(node_columns)
+    plain = _batch_with_frame(
+        0, [(node_id, len(c)) for node_id, c in nodes], columns.encode_frame("binary-v2")
+    )
+    return {
+        "v1-frame-with-sidecars": base64.b64decode(fixture["base64"]),
+        "non-extended-frame": plain,
+    }
 
 
 class TestStreamFraming:
@@ -165,11 +200,10 @@ class TestMessageCodecs:
         with pytest.raises(ipc.IpcProtocolError):
             ipc.decode_message(ipc.encode_ready() + b"x")
 
-    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
-    def test_batch_round_trip_preserves_rows_and_node_boundaries(self, frame_format):
+    def test_batch_round_trip_preserves_rows_and_node_boundaries(self):
         nodes = [("fog1/d-01/s-01", _columns(3)), ("fog1/d-01/s-02", _columns(5)),
                  ("fog1/d-02/s-01", _columns(1))]
-        msg_type, body = ipc.decode_message(ipc.encode_batch(7, nodes, frame_format))
+        msg_type, body = ipc.decode_message(ipc.encode_batch(7, nodes))
         assert msg_type == ipc.MSG_BATCH
         assert body["sync_index"] == 7
         # The node table comes back in the order it was sent.
@@ -177,15 +211,14 @@ class TestMessageCodecs:
         for node_id, columns in nodes:
             _assert_same_columns(body["batches"][node_id], columns)
 
-    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
-    def test_batch_tag_sharing_survives_the_boundary(self, frame_format):
+    def test_batch_tag_sharing_survives_the_boundary(self):
         # Rows that shared one tag dict (the acquisition loop's memo) must
         # come back sharing one dict — same memory shape, not just equality
         # — inside a node and across the nodes of one batch.
         first, second = _columns(n=6), _columns(n=4)
         second.tags[1] = first.tags[0]
         _, body = ipc.decode_message(
-            ipc.encode_batch(0, [("a", first), ("b", second)], frame_format)
+            ipc.encode_batch(0, [("a", first), ("b", second)])
         )
         tags_a, tags_b = body["batches"]["a"].tags, body["batches"]["b"].tags
         assert tags_a[0] is tags_a[2] is tags_a[4]
@@ -194,23 +227,20 @@ class TestMessageCodecs:
         # Equal but separately built dicts are not merged.
         assert tags_b[0] == tags_a[0] and tags_b[0] is not tags_a[0]
 
-    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
-    def test_batch_none_tags_and_fogs(self, frame_format):
+    def test_batch_none_tags_and_fogs(self):
         columns = _columns(tags=False)
-        _, body = ipc.decode_message(ipc.encode_batch(0, [("node", columns)], frame_format))
+        _, body = ipc.decode_message(ipc.encode_batch(0, [("node", columns)]))
         assert body["batches"]["node"].tags == columns.tags
         assert body["batches"]["node"].fog_node_ids == columns.fog_node_ids
 
-    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
-    def test_empty_batches_round_trip(self, frame_format):
-        _, body = ipc.decode_message(ipc.encode_batch(1, [], frame_format))
+    def test_empty_batches_round_trip(self):
+        _, body = ipc.decode_message(ipc.encode_batch(1, []))
         assert body == {"sync_index": 1, "batches": {}}
         nodes = [("a", ReadingColumns()), ("b", _columns(2)), ("c", ReadingColumns())]
-        _, body = ipc.decode_message(ipc.encode_batch(1, nodes, frame_format))
+        _, body = ipc.decode_message(ipc.encode_batch(1, nodes))
         assert [len(columns) for columns in body["batches"].values()] == [0, 2, 0]
 
-    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
-    def test_batch_from_acquired_reading_batches(self, frame_format):
+    def test_batch_from_acquired_reading_batches(self):
         # The real producer: fog L1 nodes' drained acquired batches.
         from repro.core.nodes import FogNodeLevel1
         from repro.sensors.readings import ReadingBatch
@@ -227,46 +257,59 @@ class TestMessageCodecs:
             ]
             node.ingest(ReadingBatch(readings), now=1.0)
             drained.append((node.node_id, node.drain_for_upward().columns))
-        _, body = ipc.decode_message(ipc.encode_batch(0, drained, frame_format))
+        _, body = ipc.decode_message(ipc.encode_batch(0, drained))
         for node_id, columns in drained:
             decoded = body["batches"][node_id]
             assert decoded.tags == columns.tags
             assert decoded.fog_node_ids == [node_id] * len(columns)
 
-    def test_v2_batch_is_the_v1_batch_without_sidecars(self):
-        nodes = [("a", _columns(3)), ("b", _columns(2))]
-        _, v1 = ipc.decode_message(ipc.encode_batch(7, nodes, "binary"))
-        _, v2 = ipc.decode_message(ipc.encode_batch(7, nodes, "binary-v2"))
-        for node_id, _ in nodes:
-            _assert_same_columns(v1["batches"][node_id], v2["batches"][node_id])
+    def test_batch_shape_helper_matches_the_encoder(self):
+        # The BATCH frame is the extended frame, byte for byte.
+        nodes = [("a", _columns(2)), ("b", _columns(3))]
+        columns = ReadingColumns()
+        for _, node_columns in nodes:
+            columns.extend_columns(node_columns)
+        assert _batch_with_frame(
+            4, [(node_id, len(c)) for node_id, c in nodes], columns.encode_frame_extended()
+        ) == ipc.encode_batch(4, nodes)
 
-    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
-    def test_batch_trailing_bytes_rejected(self, frame_format):
-        payload = ipc.encode_batch(0, [("node", _columns())], frame_format)
+    def test_retired_v1_batch_fails_on_its_frame_version(self):
+        with pytest.raises(ipc.IpcProtocolError, match="version: 1"):
+            ipc.decode_message(rejected_batches()["v1-frame-with-sidecars"])
+
+    def test_non_extended_frame_fails_for_its_missing_identity_columns(self):
+        with pytest.raises(ipc.IpcProtocolError, match="does not carry tags and fog ids"):
+            ipc.decode_message(rejected_batches()["non-extended-frame"])
+
+    def test_json_frame_batch_is_rejected(self):
+        columns = _columns(2)
+        payload = _batch_with_frame(0, [("a", 2)], columns.encode_frame("json"))
+        with pytest.raises(ipc.IpcProtocolError, match="does not carry tags and fog ids"):
+            ipc.decode_message(payload)
+
+    def test_batch_trailing_bytes_rejected(self):
+        payload = ipc.encode_batch(0, [("node", _columns())])
         with pytest.raises(ipc.IpcProtocolError, match="trailing bytes"):
             ipc.decode_message(payload + b"\x00")
 
-    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
-    def test_batch_truncations_rejected(self, frame_format):
-        payload = ipc.encode_batch(0, [("a", _columns(2)), ("b", _columns(3))], frame_format)
+    def test_batch_truncations_rejected(self):
+        payload = ipc.encode_batch(0, [("a", _columns(2)), ("b", _columns(3))])
         for cut in range(1, len(payload)):
             with pytest.raises(ipc.IpcProtocolError):
                 ipc.decode_message(payload[:cut])
 
-    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
-    def test_batch_truncated_node_table_rejected(self, frame_format):
+    def test_batch_truncated_node_table_rejected(self):
         # A table that claims more entries than it holds runs into the frame
         # bytes: whatever it reads there, the message is rejected.
-        payload = bytearray(ipc.encode_batch(0, [("a", _columns(2)), ("b", _columns(3))], frame_format))
+        payload = bytearray(ipc.encode_batch(0, [("a", _columns(2)), ("b", _columns(3))]))
         assert payload[5:7] == b"\x02\x00"
         payload[5:7] = b"\x03\x00"
         with pytest.raises(ipc.IpcProtocolError):
             ipc.decode_message(bytes(payload))
 
-    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
     @pytest.mark.parametrize("delta", [-1, 1])
-    def test_batch_counts_must_sum_to_the_frame_rows(self, frame_format, delta):
-        payload = bytearray(ipc.encode_batch(0, [("a", _columns(2)), ("b", _columns(3))], frame_format))
+    def test_batch_counts_must_sum_to_the_frame_rows(self, delta):
+        payload = bytearray(ipc.encode_batch(0, [("a", _columns(2)), ("b", _columns(3))]))
         # header (1 + 4 + 2), then per entry: u16 length, id, u32 count.
         first_count = 7 + 2 + 1
         assert payload[first_count:first_count + 4] == b"\x02\x00\x00\x00"
@@ -274,9 +317,8 @@ class TestMessageCodecs:
         with pytest.raises(ipc.IpcProtocolError, match="node table counts"):
             ipc.decode_message(bytes(payload))
 
-    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
-    def test_batch_duplicate_node_id_rejected(self, frame_format):
-        payload = ipc.encode_batch(0, [("a", _columns(2)), ("a", _columns(3))], frame_format)
+    def test_batch_duplicate_node_id_rejected(self):
+        payload = ipc.encode_batch(0, [("a", _columns(2)), ("a", _columns(3))])
         with pytest.raises(ipc.IpcProtocolError, match="repeats a node id"):
             ipc.decode_message(payload)
 
@@ -286,10 +328,6 @@ class TestMessageCodecs:
         payload[9] = 0xFF
         with pytest.raises(ipc.IpcProtocolError, match="UTF-8"):
             ipc.decode_message(bytes(payload))
-
-    def test_batch_rejects_non_binary_frame_formats(self):
-        with pytest.raises(ValueError, match="binary frame format"):
-            ipc.encode_batch(0, [("node", _columns())], frame_format="json")
 
     def test_sync_done_round_trip(self):
         transfers = [
@@ -406,6 +444,17 @@ class TestMessageReaderAccounting:
             encode_stream_frame(ipc.encode_ready())
             + bytes(corrupted)
             + encode_stream_frame(ipc.encode_sync_done(0, []))
+        )
+        reader = ipc.MessageReader(io.BytesIO(data).read)
+        assert reader.read_message()[0] == ipc.MSG_READY
+        assert reader.read_message()[0] == ipc.MSG_SYNC_DONE
+        assert reader.read_message() is None
+        assert reader.dropped_frames == 1
+
+    @pytest.mark.parametrize("shape", sorted(rejected_batches()))
+    def test_rejected_batch_shape_is_dropped_and_counted(self, shape):
+        data = self._stream(
+            ipc.encode_ready(), rejected_batches()[shape], ipc.encode_sync_done(0, [])
         )
         reader = ipc.MessageReader(io.BytesIO(data).read)
         assert reader.read_message()[0] == ipc.MSG_READY

@@ -16,11 +16,13 @@ import pathlib
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.common.serialization import FrameStreamReader, encode_stream_frame
 from repro.runtime import ipc
 from repro.runtime.shards import ShardedWorkload, WorkerSpec, run_shard
 from repro.runtime.supervisor import ShardSupervisor, WorkerFailure
 from repro.sensors.catalog import BARCELONA_CATALOG
+from tests.runtime.test_ipc import rejected_batches
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / ".." / "integration" / "data" / "ingest_golden.json"
 
@@ -89,6 +91,22 @@ class TestScriptedHappyPath:
         assert result.golden_report() == golden
         assert result.dropped_ipc_frames == 0
         assert result.worker_restarts == 0
+
+
+class TestFrameFormatArgument:
+    """``frame_format`` names the one BATCH layout or is an error."""
+
+    @pytest.mark.parametrize("frame_format", [None, "binary-v2"])
+    def test_the_binary_layout_is_accepted(self, frame_format, healthy_streams, golden):
+        supervisor = ScriptedSupervisor([[s] for s in healthy_streams], frame_format=frame_format)
+        result = supervisor.run()
+        assert result.golden_report() == golden
+        assert result.dropped_ipc_frames == 0
+
+    @pytest.mark.parametrize("frame_format", ["binary", "json", "msgpack"])
+    def test_any_other_layout_is_a_configuration_error(self, frame_format):
+        with pytest.raises(ConfigurationError, match=repr(frame_format)):
+            ShardSupervisor(workers=2, inline=True, frame_format=frame_format)
 
 
 class TestPreReadyFailures:
@@ -287,6 +305,36 @@ class TestDroppedFrameAccounting:
         assert result.golden_report() == golden
         assert result.worker_restarts == 1
         assert result.dropped_ipc_frames >= 1
+        assert any("records lost" in fault["reason"] for fault in result.worker_faults)
+
+    @pytest.mark.parametrize("shape", sorted(rejected_batches()))
+    def test_rejected_batch_shape_forces_shard_rerun(self, shape, healthy_streams, golden):
+        """A well-framed BATCH the decoder refuses is a loss, not a gap.
+
+        The worker's BATCH record is swapped for one the supervisor must
+        not absorb — the retired version-1 frame with JSON sidecars, or a
+        frame without the identity columns.  The record is dropped and
+        counted, the sync point is incomplete, and the shard re-runs from
+        seed to the golden digest.
+        """
+        stream = healthy_streams[0]
+        buffer = io.BytesIO(stream)
+        frames = FrameStreamReader(buffer.read)
+        start = 0
+        while True:
+            payload = frames.read_frame()
+            if ipc.decode_message(payload)[0] == ipc.MSG_BATCH:
+                break
+            start = buffer.tell()
+        swapped = (
+            stream[:start]
+            + encode_stream_frame(rejected_batches()[shape])
+            + stream[buffer.tell():]
+        )
+        result = ScriptedSupervisor([[swapped, stream], [healthy_streams[1]]]).run()
+        assert result.golden_report() == golden
+        assert result.worker_restarts == 1
+        assert result.dropped_ipc_frames == 1
         assert any("records lost" in fault["reason"] for fault in result.worker_faults)
 
     def test_resynced_corruption_is_counted_and_survived(self, healthy_streams, golden):

@@ -91,6 +91,11 @@ class TestScenarioValidation:
             name="ok", transport="frames-binary-v2", events=(FaultEvent(kind="corrupt_round"),)
         )
 
+    def test_retired_binary_transport_rejected(self):
+        # The version-1 frame wire was a corrupt_round target; it is gone.
+        with pytest.raises(ConfigurationError, match="'frames-binary'"):
+            Scenario(name="x", transport="frames-binary", events=(FaultEvent(kind="corrupt_round"),))
+
     def test_crash_recover_requires_durable(self):
         with pytest.raises(ConfigurationError):
             Scenario(name="x", events=(FaultEvent(kind="crash_recover"),))

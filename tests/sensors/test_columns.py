@@ -152,7 +152,7 @@ class TestReadingsViewIsReadOnly:
 
 
 class TestColumnFrames:
-    @pytest.mark.parametrize("frame_format", ["json", "binary"])
+    @pytest.mark.parametrize("frame_format", ["json", "binary-v2"])
     def test_frame_round_trip(self, frame_format):
         items = [
             make_reading(sensor_id=f"s-{i}", value=20.5 + i, timestamp=10.0 * i, size_bytes=30 + i, sequence=i)
@@ -204,7 +204,7 @@ class TestColumnFrames:
         from array import array
 
         columns = ReadingColumns.from_readings([make_reading(size_bytes=30)])
-        decoded = ReadingColumns.decode_frame(columns.encode_frame(format="binary"))
+        decoded = ReadingColumns.decode_frame(columns.encode_frame(format="binary-v2"))
         assert type(decoded.timestamps) is array and decoded.timestamps.typecode == "d"
         assert type(decoded.sizes) is array and decoded.sizes.typecode == "q"
 
