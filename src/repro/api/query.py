@@ -15,11 +15,9 @@ fog layer-2 node, and everything older from the cloud.
   local history; one that has is trusted only back to its oldest retained
   timestamp) and falls through to fog layer 2 and the cloud otherwise;
 * city- and category-wide queries scatter-gather across every section's
-  chain; chains that resolve to the *same* broad node and window are
-  answered together by one partitioned store pass
-  (:meth:`~repro.storage.timeseries.TimeSeriesStore.query_window_partitioned`)
-  instead of one filtered scan per section, and the per-section sub-queries
-  the broad tiers do pay ride the store's fog/category series indexes;
+  chain; at a broad tier a chain's area is one partition of the store
+  (:mod:`repro.storage.timeseries` keeps rows per acquiring fog node), so
+  each per-chain sub-query is two bisects and a slice;
 * results carry per-tier attribution (:class:`TierSlice` sources and a
   rows-by-tier summary) and the service keeps served-from counters;
 * on a durable deployment (:attr:`~repro.api.config.PipelineConfig.durable_dir`)
@@ -95,10 +93,12 @@ class TierSlice:
 class QueryResult:
     """A columnar query answer with per-tier attribution.
 
-    ``columns`` holds the merged rows (section chains in canonical city
-    order, rows in per-store order); ``sources`` records every consulted
-    chain's serving node and tier; ``rows_by_tier`` sums rows per tier
-    (sparse: only tiers that served rows appear).
+    ``columns`` holds the merged rows: section chains in canonical city
+    order, each chain's tier slices oldest first, and within a slice the
+    store's window order (acquiring fog node, then timestamp, then
+    arrival).  ``sources`` records every consulted chain's serving node
+    and tier; ``rows_by_tier`` sums rows per tier (sparse: only tiers that
+    served rows appear).
     ``cache_hit`` is true when the service answered from its memo.
 
     Service-produced results are backed by *frozen* (read-only) columns
@@ -185,10 +185,6 @@ class QuerySummary:
         return tuple(tier for tier in TIERS if tier in used)
 
 
-#: Shared empty columns for zero-row partitioned buckets (never mutated).
-_EMPTY_COLUMNS = ReadingColumns().freeze()
-
-
 class QueryService:
     """Nearest-tier query resolution over one F2C deployment."""
 
@@ -223,17 +219,13 @@ class QueryService:
         self.cache_capacity_bytes = max(0, int(cache_bytes))
         self.cache_evictions = 0
         #: sensor id -> fog layer-1 node id, for sensors with no explicit
-        #: assignment (resolved via the broad tiers' series index or the
+        #: assignment (resolved via the broad tiers' sensor map or the
         #: probe loop); invalidated together with the window memo.
         self._sensor_chain: Dict[str, str] = {}
         #: (node, window, fog1, category) -> exact (category, sensor) counts of
         #: one synced broad-tier segment, reused by :meth:`summarize`.
         self._sketch_cache: "OrderedDict[tuple, Counter]" = OrderedDict()
         self.sketch_cache_hits = 0
-        #: ``False`` answers city-wide scatters with one filtered sub-query
-        #: per section chain (the pre-partitioned behaviour); kept as an
-        #: A/B lever for the benchmark and the equivalence suite.
-        self.partitioned_scatter = True
         #: node_id -> (log state key, hydrated shadow store, accounted
         #: bytes): the cold serving stores, rebuilt only when the backing
         #: segment log's contents change (the state key covers appends and
@@ -340,26 +332,13 @@ class QueryService:
 
         scatter = sensor_id is None and section_id is None
         plans = self._chain_plans(since, until, sensor_id, section_id)
-        parts = (
-            self._partitioned_parts(plans, category)
-            if scatter and self.partitioned_scatter
-            else None
-        )
 
         out = ReadingColumns()
         sources: List[TierSlice] = []
         rows_by_tier: Dict[str, int] = {}
         for fog1, slices in plans:
             for node, tier, sub_since, sub_until in slices:
-                part = (
-                    parts.get((node.node_id, sub_since, sub_until, fog1.node_id))
-                    if parts is not None
-                    else None
-                )
-                if part is None:
-                    part = self._query_at(
-                        node, tier, fog1, sub_since, sub_until, sensor_id, category
-                    )
+                part = self._query_at(node, tier, fog1, sub_since, sub_until, sensor_id, category)
                 rows = len(part)
                 if rows:
                     out.extend_columns(part)
@@ -397,10 +376,10 @@ class QueryService:
         """Approximate (scope, window) as constant-size per-category sketches.
 
         Resolves tiers exactly like :meth:`query` (same chain walk, same
-        partitioned scatter, same attribution) but sums each segment's
-        exact ``(category, sensor)`` counts instead of accumulating columns
-        and builds one count-min sketch + distinct counter per category with
-        a single ``add(sensor, count)`` per distinct key — count-min is
+        attribution) but sums each segment's exact ``(category, sensor)``
+        counts instead of accumulating columns and builds one count-min
+        sketch + distinct counter per category with a single
+        ``add(sensor, count)`` per distinct key — count-min is
         linear and the register max idempotent, so every cell equals a
         per-row fold's.  The answer stays a few KB however wide the window
         is.  *width*/*depth*/*precision* size the sketches (see
@@ -410,11 +389,6 @@ class QueryService:
         """
         scatter = section_id is None
         plans = self._chain_plans(since, until, None, section_id)
-        parts = (
-            self._partitioned_parts(plans, category)
-            if scatter and self.partitioned_scatter
-            else None
-        )
 
         counts: Counter = Counter()
         sources: List[TierSlice] = []
@@ -423,7 +397,7 @@ class QueryService:
         for fog1, slices in plans:
             for node, tier, sub_since, sub_until in slices:
                 segment_counts = self._segment_sketches(
-                    node, tier, fog1, sub_since, sub_until, category, parts
+                    node, tier, fog1, sub_since, sub_until, category
                 )
                 rows = segment_counts.total()
                 if rows:
@@ -464,7 +438,6 @@ class QueryService:
         sub_since: float,
         sub_until: float,
         category: Optional[str],
-        parts: Optional[Dict[tuple, ReadingColumns]],
     ) -> Counter:
         """One chain segment reduced to exact ``(category, sensor)`` counts.
 
@@ -484,13 +457,7 @@ class QueryService:
                 self._sketch_cache.move_to_end(key)
                 self.sketch_cache_hits += 1
                 return cached
-        part = (
-            parts.get((node.node_id, sub_since, sub_until, fog1.node_id))
-            if parts is not None
-            else None
-        )
-        if part is None:
-            part = self._query_at(node, tier, fog1, sub_since, sub_until, None, category)
+        part = self._query_at(node, tier, fog1, sub_since, sub_until, None, category)
         counts = Counter(zip(part.categories, part.sensor_ids))
         if key is not None:
             self._sketch_cache[key] = counts
@@ -527,54 +494,14 @@ class QueryService:
             fog1_nodes = system.fog1_chain()  # canonical city-section order
         return [(fog1, self._chain_slices(fog1, since, until)) for fog1 in fog1_nodes]
 
-    def _partitioned_parts(self, plans: List[tuple], category: Optional[str]) -> Dict[tuple, ReadingColumns]:
-        """One-pass answers for broad-tier slices shared by ≥2 chains.
-
-        Chains whose windows resolve to the *same* broad node and sub-window
-        (the common case for a city-wide scatter: every chain fell through
-        to the cloud for the same range) are answered together: one
-        partitioned store pass bins the window's rows by acquiring fog
-        node, instead of one fog-filtered scan per chain.  Returns
-        ``(node_id, sub_since, sub_until, fog1_id) -> columns`` for every
-        covered slice; slices not covered here fall back to per-chain
-        filtered queries.
-        """
-        groups: Dict[Tuple[str, float, float], Tuple[object, List[str]]] = {}
-        for fog1, slices in plans:
-            for node, tier, sub_since, sub_until in slices:
-                if tier == TIER_FOG_1:
-                    continue  # the fog L1 store *is* the area; nothing to share
-                key = (node.node_id, sub_since, sub_until)
-                entry = groups.get(key)
-                if entry is None:
-                    groups[key] = (node, [fog1.node_id])
-                else:
-                    entry[1].append(fog1.node_id)
-        parts: Dict[tuple, ReadingColumns] = {}
-        for (node_id, sub_since, sub_until), (node, members) in groups.items():
-            if len(members) < 2:
-                continue  # a lone chain gains nothing over one filtered scan
-            # A durable tier whose hot store aged the window out answers
-            # the same one-pass partitioned scan from its hydrated cold
-            # store — the scatter stays one store pass either way.
-            buckets = self._serving_store(node, sub_since).query_window_partitioned(
-                since=sub_since, until=sub_until, category=category
-            )
-            for fog1_id in members:
-                batch = buckets.get(fog1_id)
-                parts[(node_id, sub_since, sub_until, fog1_id)] = (
-                    batch.columns if batch is not None else _EMPTY_COLUMNS
-                )
-        return parts
-
     def _node_for_sensor(self, sensor_id: str):
         """The fog layer-1 chain owning *sensor_id*'s data.
 
-        Explicit assignment wins.  Otherwise the broad tiers' series
-        indexes answer in O(#broad nodes) dict hits: every synced reading
-        carries its acquiring fog node, so the cloud (or a fog layer-2
-        node) can name the chain directly.  Only a sensor whose data never
-        synced upward still needs the fog layer-1 probe loop; last, the
+        Explicit assignment wins.  Otherwise the broad tiers' sensor →
+        partition maps answer in O(#broad nodes) lookups: every synced
+        reading is stored under its acquiring fog node, so the cloud (or a
+        fog layer-2 node) can name the chain directly.  Only a sensor whose
+        data never synced upward still needs the fog layer-1 probe loop; last, the
         stable CRC-32 spreading names the chain — the same order of
         precedence the write path routes with.  Resolved chains are
         memoized until :meth:`invalidate`.
@@ -755,9 +682,8 @@ class QueryService:
 
     def _query_at(self, node, tier, fog1, since, until, sensor_id, category) -> ReadingColumns:
         """One tier's rows for one chain's scope, as columns."""
-        # At the broad tiers the chain's area is selected by the acquiring
-        # fog node's id, which every stored reading carries; at fog layer 1
-        # the store *is* the area.
+        # At the broad tiers the chain's area is the store's partition for
+        # the acquiring fog node's id; at fog layer 1 the store *is* the area.
         fog_filter = None if tier == TIER_FOG_1 else fog1.node_id
         batch = self._serving_store(node, since).query_window(
             since=since,

@@ -44,6 +44,7 @@ import json
 import struct
 import zlib
 from array import array
+from sys import intern
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 # ``_np`` (numpy or None) comes from typedcols so there is exactly one
@@ -605,12 +606,14 @@ def _decode_binary_body(body: memoryview, body_len: int, n: int) -> tuple:
     if table_size and min(lengths) < 0:
         raise ValueError("binary column frame has a negative string length")
     blob, offset = _read_block(body, offset, sum(lengths), "string table")
+    # Interned: ids, types and categories recur in every frame, and the
+    # stores keep them per row, so each distinct string is held once.
     table: List[str] = []
     table_append = table.append
     position = 0
     try:
         for length in lengths:
-            table_append(str(blob[position:position + length], "utf-8"))
+            table_append(intern(str(blob[position:position + length], "utf-8")))
             position += length
     except UnicodeDecodeError as exc:
         raise ValueError("binary column frame string table is not valid UTF-8") from exc
@@ -817,6 +820,15 @@ def _append_json_table(body: bytearray, values, key, what: str, expect: type) ->
     body += column_to_bytes(array(_index_typecode(len(table) or 1), indices))
 
 
+def _interned_object(pairs) -> dict:
+    """A JSON object whose keys and string values are interned.
+
+    Tag dicts decode once per frame and live on in the stores; interning
+    makes every frame's ``"section"`` / ``"barcelona"`` the same object.
+    """
+    return {intern(key): intern(value) if type(value) is str else value for key, value in pairs}
+
+
 def _decode_json_table(
     body: memoryview, body_len: int, offset: int, n: int, what: str, expect: type
 ) -> tuple:
@@ -833,9 +845,11 @@ def _decode_json_table(
         offset += _U32.size
         raw, offset = _read_block(body, offset, length, what)
         try:
-            entry = json.loads(raw.decode("utf-8"))
+            entry = json.loads(raw.decode("utf-8"), object_pairs_hook=_interned_object)
         except (UnicodeDecodeError, ValueError) as exc:
             raise ValueError(f"binary column frame {what} entry is not valid JSON") from exc
+        if type(entry) is str:
+            entry = intern(entry)
         if entry is not None and not isinstance(entry, expect):
             raise ValueError(
                 f"binary column frame {what} entry must be {expect.__name__} or None"

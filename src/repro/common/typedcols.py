@@ -11,21 +11,18 @@ column into a binary frame is ``tobytes()`` (one memcpy) instead of a
 per-element format loop.
 
 The helpers here are the single place the rest of the code goes through to
-create, search and accumulate typed columns.  When numpy is importable the
-search/accumulate helpers hand large columns to its vectorized kernels
-(``searchsorted`` / ``cumsum``) through a zero-copy buffer view; without
-numpy (or below the size threshold, where interpreter/numpy call overhead
-dominates) they fall back to the pure-stdlib ``bisect`` / ``accumulate``
-implementations.  Both paths are behaviour-identical and both are covered by
-the test suite.
+create, gather and reduce typed columns.  When numpy is importable the
+gather/reduce helpers hand large columns to its vectorized kernels through a
+zero-copy buffer view; without numpy (or below the size threshold, where
+interpreter/numpy call overhead dominates) they fall back to pure-stdlib
+loops.  Both paths are behaviour-identical and both are covered by the test
+suite.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left as _py_bisect_left, bisect_right as _py_bisect_right
-from itertools import accumulate, islice
 from typing import Iterable, Optional, Sequence
 
 try:  # pragma: no cover - exercised via the fallback tests either way
@@ -95,46 +92,11 @@ def column_from_bytes(typecode: str, data: bytes) -> array:
 
 
 # --------------------------------------------------------------------------- #
-# Search (numpy-accelerated on large typed columns)
+# Gather and reduce (numpy-accelerated on large inputs)
 # --------------------------------------------------------------------------- #
 def _numpy_view(column: array):
     """Zero-copy numpy view over a typed column (caller checked _np)."""
     return _np.frombuffer(column, dtype=_np.float64 if column.typecode == FLOAT_TYPECODE else _np.int64)
-
-
-def bisect_left(column: Sequence[float], value: float) -> int:
-    """``bisect.bisect_left`` with a vectorized path for large typed columns."""
-    if _np is not None and len(column) >= NUMPY_MIN_ELEMENTS and type(column) is array:
-        return int(_numpy_view(column).searchsorted(value, side="left"))
-    return _py_bisect_left(column, value)
-
-
-def bisect_right(column: Sequence[float], value: float) -> int:
-    """``bisect.bisect_right`` with a vectorized path for large typed columns."""
-    if _np is not None and len(column) >= NUMPY_MIN_ELEMENTS and type(column) is array:
-        return int(_numpy_view(column).searchsorted(value, side="right"))
-    return _py_bisect_right(column, value)
-
-
-# --------------------------------------------------------------------------- #
-# Accumulation (numpy-accelerated on large inputs)
-# --------------------------------------------------------------------------- #
-def prefix_sums(values: Sequence[int], initial: int = 0) -> array:
-    """Cumulative sums of *values* shifted by *initial*, as an ``array('q')``.
-
-    ``prefix_sums([3, 4, 5], initial=10)`` → ``array('q', [13, 17, 22])``.
-    This is the eviction-accounting primitive: byte totals of any prefix of a
-    series come from two lookups into the result instead of a re-sum.
-    """
-    n = len(values)
-    if _np is not None and n >= NUMPY_MIN_ELEMENTS:
-        cum = _np.cumsum(_np.asarray(values, dtype=_np.int64))
-        if initial:
-            cum += initial
-        out = array(INT_TYPECODE)
-        out.frombytes(cum.astype(_np.int64, copy=False).tobytes())
-        return out
-    return array(INT_TYPECODE, islice(accumulate(values, initial=initial), 1, n + 1))
 
 
 def take_floats(column: Sequence[float], indices: Sequence[int]) -> array:

@@ -171,7 +171,7 @@ class ReadingColumns:
     and typed arrays — ``array('d')`` / ``array('q')`` — where density and
     bulk operations win: columns decoded from wire frames arrive as typed
     arrays straight off the packed buffers (zero conversion), the
-    time-series store keeps its per-series columns typed (8 bytes per
+    time-series store keeps its partition columns typed (8 bytes per
     element instead of a boxed object, numpy-ready), and :meth:`compact`
     converts a long-held batch in place.  All mutation/consumption paths
     accept either backing.

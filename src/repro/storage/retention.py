@@ -7,11 +7,12 @@ a fog node may keep before old data must be dropped locally (it has already
 been propagated upwards by the data-movement scheduler, so dropping it loses
 nothing globally).
 
-Enforcement rides on the columnar store's eviction primitives
+Enforcement rides on the store's eviction primitives
 (:meth:`~repro.storage.timeseries.TimeSeriesStore.remove_older_than` /
-``remove_oldest``), whose byte/category accounting runs on per-series prefix
-sums — sustained eviction under load costs O(log n) accounting per series
-per sweep instead of touching every evicted reading.
+``remove_oldest``).  The store keeps one time-ordered partition per
+acquiring fog node, so a sweep costs one bisect and one prefix delete per
+partition — a fog layer-1 store has one — and the byte/category accounting
+sums the evicted prefix's size and category columns in C-level passes.
 """
 
 from __future__ import annotations

@@ -135,12 +135,10 @@ class TieredStore:
         partition_by: str = "fog_node_id",
         category: Optional[str] = None,
     ) -> Dict[Optional[str], ReadingBatch]:
-        """One-pass scatter: the window binned by acquiring fog node.
+        """The window binned by acquiring fog node (or category).
 
         See :meth:`TimeSeriesStore.query_window_partitioned` — each bin is
-        row-identical to the corresponding filtered :meth:`query_window`,
-        but an all-areas consumer pays one store pass instead of one
-        filtered scan per area.
+        row-identical to the corresponding filtered :meth:`query_window`.
         """
         return self.store.query_window_partitioned(
             since=since, until=until, partition_by=partition_by, category=category

@@ -148,6 +148,24 @@ class TestColumnFrameCodecs:
         assert decoded["values"] == record["values"]
         assert [type(v) for v in decoded["values"]] == [type(v) for v in record["values"]]
 
+    def test_binary_decoded_strings_are_shared_across_frames(self):
+        # Stores keep ids, types and categories per row, so every frame's
+        # copy of a string must be the one interned object.
+        from repro.common import serialization as ser
+
+        tags = [{"city": "barcelona", "section": "d-01/s-01", "score": 1.0}] * 3
+        payload = ser.encode_columns_binary_v2(
+            self._record(), tags=tags, fog_node_ids=["fog1/a"] * 3
+        )
+        first = ser.decode_columns_binary_v2(payload)
+        second = ser.decode_columns_binary_v2(payload)
+        for name in ("sensor_ids", "sensor_types", "categories", "fog_node_ids"):
+            assert all(a is b for a, b in zip(first[name], second[name])), name
+        one, other = first["tags"][0], second["tags"][0]
+        assert one == tags[0] and one is not other  # a dict per frame...
+        assert all(a is b for a, b in zip(one, other))  # ...over shared keys
+        assert one["section"] is other["section"]  # ...and shared string values
+
     def test_binary_rejects_unencodable_values(self):
         from repro.common import serialization as ser
 

@@ -6,8 +6,6 @@ vectorized one (threshold forced down) and the pure-stdlib fallback
 """
 
 from array import array
-from bisect import bisect_left as py_bisect_left, bisect_right as py_bisect_right
-from itertools import accumulate
 
 import pytest
 
@@ -73,31 +71,7 @@ class TestWirePacking:
         assert typedcols.column_to_bytes(typedcols.int_column([1])) == b"\x01" + b"\x00" * 7
 
 
-class TestSearch:
-    def test_bisect_matches_stdlib(self, both_paths):
-        column = typedcols.float_column(sorted([0.0, 1.5, 1.5, 2.0, 7.25, 100.0]))
-        for needle in (-1.0, 0.0, 1.5, 1.6, 100.0, 200.0):
-            assert typedcols.bisect_left(column, needle) == py_bisect_left(column, needle)
-            assert typedcols.bisect_right(column, needle) == py_bisect_right(column, needle)
-
-    def test_bisect_on_plain_lists_uses_stdlib(self, both_paths):
-        assert typedcols.bisect_left([1.0, 2.0, 3.0], 2.0) == 1
-        assert typedcols.bisect_right([1.0, 2.0, 3.0], 2.0) == 2
-
-
-class TestAccumulation:
-    def test_prefix_sums_matches_reference(self, both_paths):
-        values = typedcols.int_column([3, 4, 5, 0, 2])
-        expected = list(accumulate(values))
-        assert list(typedcols.prefix_sums(values)) == expected
-        assert typedcols.prefix_sums(values).typecode == "q"
-
-    def test_prefix_sums_initial_offset(self, both_paths):
-        assert list(typedcols.prefix_sums([3, 4], initial=10)) == [13, 17]
-
-    def test_prefix_sums_empty(self, both_paths):
-        assert list(typedcols.prefix_sums([])) == []
-
+class TestReduce:
     def test_column_sum(self, both_paths):
         column = typedcols.int_column([5, 7, -2])
         assert typedcols.column_sum(column) == 10

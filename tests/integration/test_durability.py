@@ -510,7 +510,7 @@ class TestColdSegmentQueries:
         evict_fog_stores(durable)
 
         for kwargs in (
-            {"since": 0.0, "until": 2700.0},  # city-wide, partitioned scatter
+            {"since": 0.0, "until": 2700.0},  # city-wide scatter
             {"since": 0.0, "until": 900.0, "category": "energy"},
             {"since": 900.0, "until": 1800.0, "section_id": "district-01/section-01"},
         ):

@@ -3,20 +3,21 @@
 Four layers of row-identity, checked with Hypothesis across random
 ingest / eviction / sync interleavings:
 
-1. **Store**: ``query_window`` answered through the secondary indexes is
-   row-identical (order included) to the brute-force all-series scan
-   (``use_indexes = False``) for every category / fog-node filter combo —
-   including after partial and total eviction, and with *mixed* series
-   (one sensor reporting through several fog nodes or categories, which
-   pushes the series into the overflow index).
+1. **Store**: a filtered ``query_window`` is row-identical (order
+   included) to a plain-list filter over the store's full contents, for
+   every category / fog-node filter combo — including after partial and
+   total eviction, and with sensors reporting through several fog nodes or
+   categories.  (That the full contents are in the documented order is
+   ``test_store_model.py``'s job.)
 2. **Store**: every bucket of ``query_window_partitioned`` is
    row-identical to the corresponding filtered ``query_window``, and the
    buckets partition the window (no loss, no duplication).
-3. **Service**: ``QueryService.query`` answers the same deployment state
-   identically with the partitioned scatter on or off and with the store
-   indexes on or off — columns, sources, and rows-by-tier all equal —
-   including after tier evictions and under a simulated sharded run where
-   fog layer-1 stores are non-authoritative.
+3. **Service**: ``QueryService.query`` equals a brute-force answer built
+   from the same chain resolution — per chain, per tier slice, a
+   plain-list filter over the serving store's full contents — columns
+   (order included), sources and rows-by-tier, including after tier
+   evictions and under a simulated sharded run where fog layer-1 stores
+   are non-authoritative.
 4. **Service**: ``QueryService.summarize`` — which counts (category,
    sensor) keys per segment and hashes each distinct key once — yields
    sketches cell-identical to a per-row fold over the exact query's
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro.aggregation.sketches import CountMinSketch, DistinctCounter
 from repro.api import F2CClient, PipelineConfig
-from repro.api.query import TIERS
+from repro.api.query import TIER_FOG_1, TIERS
 from repro.core.architecture import F2CDataManagement
 from repro.sensors.readings import Reading
 from repro.storage.timeseries import TimeSeriesStore
@@ -40,7 +41,7 @@ from tests.conftest import make_reading
 
 # --------------------------------------------------------------------- #
 # Store-level strategies: small pools so collisions (same sensor, new
-# fog node / category → mixed series) happen often.
+# fog node / category) happen often.
 # --------------------------------------------------------------------- #
 SENSORS = tuple(f"s-{i}" for i in range(5))
 CATEGORIES = ("energy", "traffic", "waste")
@@ -91,25 +92,29 @@ def _rows(batch):
     )
 
 
-class TestIndexedWindowMatchesScan:
+class TestFilteredWindowMatchesBruteForce:
     @given(program=st.lists(ops, max_size=60))
     @settings(max_examples=60, deadline=None)
     def test_every_filter_combo_is_row_identical(self, program):
         store = TimeSeriesStore()
         _apply(store, program)
+        everything = _rows(store.query_window())
+        assert len(everything) == len(store)
         windows = [(float("-inf"), float("inf")), (10.0, 30.0), (0.0, 0.0)]
         for category in (None, *CATEGORIES):
             for fog in (None, *FOGS[:2]):
                 for since, until in windows:
-                    store.use_indexes = True
-                    indexed = store.query_window(
+                    expected = [
+                        row
+                        for row in everything
+                        if since <= row[1] < until
+                        and (category is None or row[2] == category)
+                        and (fog is None or row[3] == fog)
+                    ]
+                    filtered = store.query_window(
                         since=since, until=until, category=category, fog_node_id=fog
                     )
-                    store.use_indexes = False
-                    scanned = store.query_window(
-                        since=since, until=until, category=category, fog_node_id=fog
-                    )
-                    assert _rows(indexed) == _rows(scanned)
+                    assert _rows(filtered) == expected
 
 
 class TestPartitionedMatchesFiltered:
@@ -152,7 +157,7 @@ class TestPartitionedMatchesFiltered:
 
 # --------------------------------------------------------------------- #
 # Service level: random ingest / sync / evict rounds over the small city,
-# then answer identity across the four engine configurations.
+# then every answer against a brute-force one.
 # --------------------------------------------------------------------- #
 SECTIONS = ("d-01/s-01", "d-01/s-02", "d-02/s-01", "d-02/s-02")
 
@@ -174,35 +179,57 @@ rounds = st.lists(
 )
 
 
-def _canonical(result):
-    cols = result.columns
+def _brute_force(client, since, until, sensor_id=None, section_id=None, category=None):
+    """The query answered by hand: same chain resolution, plain-list filters."""
+    service, system = client.queries, client.system
+    if section_id is not None:
+        chains = [system.fog1_for_section(section_id)]
+    elif sensor_id is not None:
+        chains = [service._node_for_sensor(sensor_id)]
+    else:
+        chains = system.fog1_chain()
+    scatter = sensor_id is None and section_id is None
+    rows, sources, rows_by_tier = [], [], {}
+    for fog1 in chains:
+        for node, tier, low, high in service._chain_slices(fog1, since, until):
+            cols = node.storage.store.query_window().columns
+            part = [
+                row
+                for row in zip(
+                    cols.sensor_ids, cols.timestamps, cols.values, cols.categories,
+                    cols.fog_node_ids, cols.sequences,
+                )
+                if low <= row[1] < high
+                and (tier == TIER_FOG_1 or row[4] == fog1.node_id)
+                and (sensor_id is None or row[0] == sensor_id)
+                and (category is None or row[3] == category)
+            ]
+            rows += part
+            if part:
+                rows_by_tier[tier] = rows_by_tier.get(tier, 0) + len(part)
+            if part or not scatter:
+                sources.append((node.node_id, tier, fog1.section_id, len(part)))
     return (
-        list(cols.sensor_ids),
-        list(cols.timestamps),
-        list(cols.values),
-        list(cols.categories),
-        list(cols.fog_node_ids),
-        list(cols.sequences),
-        [(s.node_id, s.tier, s.section_id, s.rows) for s in result.sources],
-        dict(result.rows_by_tier),
+        [list(column) for column in zip(*rows)] if rows else [[] for _ in range(6)],
+        sources,
+        rows_by_tier,
     )
 
 
-def _answers(client, since, until, **scope):
-    """The same question through all four engine configurations."""
-    service = client.queries
-    stores = [node.storage.store for node in client.system.fog1_nodes()]
-    stores += [node.storage.store for node in client.system.fog2_nodes()]
-    stores.append(client.system.cloud.storage.store)
-    out = []
-    for partitioned in (True, False):
-        for indexed in (True, False):
-            service.partitioned_scatter = partitioned
-            for store in stores:
-                store.use_indexes = indexed
-            service.invalidate()
-            out.append(_canonical(service.query(since=since, until=until, **scope)))
-    return out
+def _answer(result):
+    cols = result.columns
+    return (
+        [
+            list(cols.sensor_ids),
+            list(cols.timestamps),
+            list(cols.values),
+            list(cols.categories),
+            list(cols.fog_node_ids),
+            list(cols.sequences),
+        ],
+        [(s.node_id, s.tier, s.section_id, s.rows) for s in result.sources],
+        dict(result.rows_by_tier),
+    )
 
 
 def _run_rounds(client, program, sharded: bool):
@@ -242,7 +269,7 @@ def _run_rounds(client, program, sharded: bool):
         client.queries.invalidate()
 
 
-class TestServiceAnswersAreEngineInvariant:
+class TestServiceAnswersMatchBruteForce:
     @pytest.mark.parametrize("sharded", [False, True])
     @given(program=rounds)
     # The fixtures are read-only descriptors (City / SensorCatalog); every
@@ -253,14 +280,8 @@ class TestServiceAnswersAreEngineInvariant:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_partitioned_and_indexed_paths_agree(
-        self, small_city, small_catalog, program, sharded
-    ):
-        system = F2CDataManagement(
-            city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
-        )
-        client = F2CClient(system=system, config=PipelineConfig())
-        _run_rounds(client, program, sharded)
+    def test_query_is_the_brute_force_answer(self, small_city, small_catalog, program, sharded):
+        client = _deployed(small_city, small_catalog, program, sharded)
         scopes = [
             {},  # city-wide scatter
             {"category": "energy"},
@@ -269,8 +290,9 @@ class TestServiceAnswersAreEngineInvariant:
         ]
         for scope in scopes:
             for since, until in [(float("-inf"), float("inf")), (500.0, 2500.0)]:
-                answers = _answers(client, since, until, **scope)
-                assert all(a == answers[0] for a in answers[1:]), scope
+                client.queries.invalidate()
+                answer = _answer(client.queries.query(since=since, until=until, **scope))
+                assert answer == _brute_force(client, since, until, **scope), scope
 
 
 # --------------------------------------------------------------------- #

@@ -1,11 +1,13 @@
-"""Eviction-accounting tests for the columnar store's prefix sums.
+"""Eviction accounting and append behaviour of the partitioned store.
 
-``remove_older_than`` / ``remove_oldest`` account evicted bytes per category
-through per-series prefix sums (O(log n) per series) instead of touching
-each evicted reading.  These tests pin the accounting against a brute-force
-recount across the tricky inputs: out-of-order arrivals (which dirty the
-prefixes), mixed-category series, diverging wire sizes, sustained TTL-style
-eviction, and interleavings of all of the above.
+``remove_older_than`` / ``remove_oldest`` drop a prefix of each fog node's
+time-ordered partition and account its bytes per category from the evicted
+prefix's columns.  These tests pin the accounting against a brute-force
+recount across the tricky inputs: out-of-order arrivals (merged into the
+partition), sensors switching category, varying wire sizes, sustained
+TTL-style eviction, and interleavings of all of the above — plus the append
+paths (in-order runs, runs straddling a partition's tail, batches spanning
+several fog nodes).
 """
 
 import random
@@ -31,8 +33,8 @@ def assert_accounting_consistent(store: TimeSeriesStore) -> None:
     assert sum(recorded.values()) == sum(expected.values())
 
 
-class TestPrefixSumEviction:
-    def test_uniform_series_ttl_eviction(self):
+class TestEvictionAccounting:
+    def test_single_sensor_ttl_eviction(self):
         store = TimeSeriesStore()
         for t in range(100):
             store.append(make_reading(sensor_id="s", timestamp=float(t), size_bytes=10))
@@ -41,9 +43,9 @@ class TestPrefixSumEviction:
         assert store.total_bytes == 600
         assert_accounting_consistent(store)
 
-    def test_mixed_category_series_accounting(self):
+    def test_sensor_switching_category_accounting(self):
         store = TimeSeriesStore()
-        # One sensor alternating categories (forces the per-category prefixes).
+        # One sensor alternating categories inside one partition.
         for t in range(20):
             store.append(
                 make_reading(
@@ -68,7 +70,7 @@ class TestPrefixSumEviction:
         assert removed == 5
         assert_accounting_consistent(store)
 
-    def test_diverging_sizes_within_series(self):
+    def test_varying_sizes_within_one_sensor(self):
         store = TimeSeriesStore()
         sizes = [10, 10, 10, 44, 44, 7, 100]
         for t, size in enumerate(sizes):
@@ -97,7 +99,7 @@ class TestPrefixSumEviction:
             store.remove_older_than(cutoff)
             assert_accounting_consistent(store)
 
-    def test_remove_oldest_uses_prefix_accounting(self):
+    def test_remove_oldest_accounting_and_victim_order(self):
         store = TimeSeriesStore()
         for t in range(12):
             store.append(
@@ -112,7 +114,18 @@ class TestPrefixSumEviction:
         assert [v.timestamp for v in victims] == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert_accounting_consistent(store)
 
-    def test_eviction_after_mixed_divergence_and_out_of_order(self):
+    def test_remove_oldest_ties_go_to_partition_order_then_arrival(self):
+        store = TimeSeriesStore()
+        for fog, sensor in (("fog1/b", "b1"), ("fog1/a", "a1"), ("fog1/b", "b2"), ("fog1/a", "a2")):
+            store.append(make_reading(sensor_id=sensor, timestamp=5.0, fog_node_id=fog))
+        store.append(make_reading(sensor_id="early", timestamp=1.0, fog_node_id="fog1/a"))
+        victims = store.remove_oldest(4)
+        # fog1/b was seen first, so its rows win the tie at t=5.
+        assert [v.sensor_id for v in victims] == ["early", "b1", "b2", "a1"]
+        assert [r.sensor_id for r in store.all_readings()] == ["a2"]
+        assert_accounting_consistent(store)
+
+    def test_eviction_after_category_switch_and_out_of_order(self):
         store = TimeSeriesStore()
         # In-order uniform start…
         for t in range(5):
@@ -176,8 +189,7 @@ class TestColumnarStoreIngest:
             (r.sensor_id, r.timestamp, r.value) for r in by_columns.all_readings()
         ) == sorted((r.sensor_id, r.timestamp, r.value) for r in per_reading.all_readings())
 
-    def test_bulk_run_path_matches_flat_path(self):
-        # Long per-sensor runs trigger the bucketed bulk-append path.
+    def test_long_single_sensor_runs_stay_time_ordered(self):
         items = [
             make_reading(sensor_id=f"s{s}", timestamp=float(t), size_bytes=22)
             for s in range(2)
@@ -188,6 +200,43 @@ class TestColumnarStoreIngest:
         assert inserted == 80
         assert len(store) == 80
         assert [r.timestamp for r in store.query("s0")] == [float(t) for t in range(40)]
+        # One partition (no fog id): the window is time-ordered, ties by arrival.
+        assert [(r.timestamp, r.sensor_id) for r in store.query_window().readings][:4] == [
+            (0.0, "s0"), (0.0, "s1"), (1.0, "s0"), (1.0, "s1"),
+        ]
+        assert_accounting_consistent(store)
+
+    def test_run_straddling_the_tail_merges_stably(self):
+        store = TimeSeriesStore()
+        store.extend_columns(ReadingColumns.from_readings(
+            [make_reading(sensor_id="old", timestamp=t, value=t) for t in (1.0, 3.0, 5.0)]
+        ))
+        store.extend_columns(ReadingColumns.from_readings(
+            [make_reading(sensor_id="new", timestamp=t, value=10 + t) for t in (6.0, 3.0, 0.5)]
+        ))
+        window = store.query_window().readings
+        assert [(r.timestamp, r.sensor_id) for r in window] == [
+            (0.5, "new"), (1.0, "old"), (3.0, "old"), (3.0, "new"), (5.0, "old"), (6.0, "new"),
+        ]
+        assert [r.value for r in window] == [10.5, 1.0, 3.0, 13.0, 5.0, 16.0]
+        assert_accounting_consistent(store)
+
+    def test_batch_spanning_fog_nodes_lands_in_one_partition_each(self):
+        store = TimeSeriesStore()
+        rows = [
+            make_reading(sensor_id=f"{fog[-1]}{t}", timestamp=float(t), fog_node_id=fog)
+            for fog in ("fog1/b", "fog1/a")
+            for t in range(3)
+        ] + [make_reading(sensor_id="b9", timestamp=0.5, fog_node_id="fog1/b")]
+        assert store.extend_columns(ReadingColumns.from_readings(rows)) == 7
+        buckets = store.query_window_partitioned()
+        assert list(buckets) == ["fog1/b", "fog1/a"]  # first-seen order
+        assert [r.sensor_id for r in buckets["fog1/b"].readings] == ["b0", "b9", "b1", "b2"]
+        # The unfiltered window walks partitions in that order.
+        assert [r.sensor_id for r in store.query_window().readings] == [
+            "b0", "b9", "b1", "b2", "a0", "a1", "a2",
+        ]
+        assert store.fog_of_series("a1") == "fog1/a"
         assert_accounting_consistent(store)
 
     def test_query_window_is_columnar_and_correct(self):
@@ -214,8 +263,7 @@ _rows = st.tuples(st.sampled_from(("a", "b", "c", "d")), _timestamps)
 
 _mutations = st.one_of(
     st.tuples(st.just("append"), _rows),  # drawn timestamps arrive in any order
-    # Short batches take the flat per-row path, long single-sensor runs the
-    # bucketed bulk path (>= _BULK_RUN_THRESHOLD rows per sensor).
+    # Short mixed batches and long single-sensor runs, in any order.
     st.tuples(st.just("extend_columns"), st.lists(_rows, max_size=6)),
     st.tuples(
         st.just("extend_columns"),

@@ -133,7 +133,7 @@ class TestWindowFilters:
         assert len(window) == 2
         assert set(window.columns.sensor_ids) == {"s-a"}
 
-    def test_fog_node_filter_on_uniform_series(self):
+    def test_fog_node_filter_selects_one_partition(self):
         store = self._mixed_store()
         window = store.query_window(fog_node_id="fog1/b")
         assert len(window) == 1
@@ -145,7 +145,7 @@ class TestWindowFilters:
         assert len(window) == 1
         assert window.columns.timestamps[0] == 1.0
 
-    def test_fog_filter_on_per_row_diverged_series(self):
+    def test_fog_filter_on_sensor_moving_between_fogs(self):
         store = _store_with(
             [
                 make_reading(sensor_id="mv", timestamp=1.0, fog_node_id="fog1/a"),
@@ -207,13 +207,13 @@ class TestPartitionedWindow:
 
 
 class TestFogOfSeries:
-    def test_uniform_series_reports_its_fog(self):
+    def test_sensor_in_one_partition_reports_its_fog(self):
         store = self._seed()
         assert store.fog_of_series("s-a") == "fog1/a"
         assert store.fog_of_series("free") is None  # no fog recorded
         assert store.fog_of_series("nobody") is None  # unknown sensor
 
-    def test_diverged_series_reports_none(self):
+    def test_sensor_in_two_partitions_reports_none(self):
         store = self._seed()
         assert store.fog_of_series("mv") is None
 

@@ -104,7 +104,7 @@ class TestRemoval:
 
 
 class TestBatchNativeFastPaths:
-    """Coverage for the O(1) append fast path and the batch-native removals."""
+    """Coverage for the in-order append path, merges and the removals."""
 
     def test_out_of_order_append_falls_back_to_sorted_insert(self, store):
         for t in (1.0, 5.0, 3.0, 2.0, 4.0, 0.0):
@@ -144,9 +144,8 @@ class TestBatchNativeFastPaths:
         remaining = sorted(r.timestamp for r in store.all_readings())
         assert remaining == [3.0, 4.0, 5.0]
 
-    def test_remove_oldest_tie_break_matches_series_order(self, store):
-        # Equal timestamps: victims come in series-insertion order, exactly
-        # like the stable global sort the store used historically.
+    def test_remove_oldest_tie_break_keeps_arrival_order(self, store):
+        # Equal timestamps in one partition: victims come in arrival order.
         store.append(make_reading(sensor_id="a", timestamp=1.0, value=10.0))
         store.append(make_reading(sensor_id="b", timestamp=1.0, value=20.0))
         victims = store.remove_oldest(1)
@@ -176,3 +175,92 @@ class TestBatchNativeFastPaths:
         )
         assert inserted == 5
         assert len(store) == 5
+
+
+class TestPartitionContract:
+    """One time-ordered partition per acquiring fog node (module docstring)."""
+
+    def test_window_orders_by_partition_then_time_then_arrival(self, store):
+        for sensor, fog, t in [("b1", "fog1/b", 2.0), ("a1", "fog1/a", 1.0),
+                               ("b2", "fog1/b", 1.0), ("a2", "fog1/a", 1.0)]:
+            store.append(make_reading(sensor_id=sensor, timestamp=t, fog_node_id=fog))
+        assert store.query_window().columns.sensor_ids == ["b2", "b1", "a1", "a2"]
+
+    def test_query_across_partitions_is_time_ordered(self, store):
+        for fog, t in [("fog1/a", 1.0), ("fog1/b", 0.5), ("fog1/a", 3.0), ("fog1/b", 2.0)]:
+            store.append(make_reading(sensor_id="mover", timestamp=t, fog_node_id=fog))
+        readings = store.query("mover")
+        assert [(r.timestamp, r.fog_node_id) for r in readings] == [
+            (0.5, "fog1/b"), (1.0, "fog1/a"), (2.0, "fog1/b"), (3.0, "fog1/a"),
+        ]
+        assert [r.timestamp for r in store.query("mover", since=1.0, until=3.0)] == [1.0, 2.0]
+
+    def test_latest_across_partitions_takes_the_newest(self, store):
+        store.append(make_reading(sensor_id="mover", timestamp=5.0, fog_node_id="fog1/a"))
+        store.append(make_reading(sensor_id="mover", timestamp=2.0, fog_node_id="fog1/b"))
+        latest = store.latest("mover")
+        assert (latest.timestamp, latest.fog_node_id) == (5.0, "fog1/a")
+
+    def test_sensor_lookups_track_live_rows_after_eviction(self, store):
+        store.append(make_reading(sensor_id="mover", timestamp=1.0, fog_node_id="fog1/a"))
+        store.append(make_reading(sensor_id="mover", timestamp=4.0, fog_node_id="fog1/b"))
+        store.append(make_reading(sensor_id="gone", timestamp=2.0, fog_node_id="fog1/a"))
+        assert store.fog_of_series("mover") is None  # two partitions: ambiguous
+        store.remove_older_than(3.0)
+        assert store.fog_of_series("mover") == "fog1/b"
+        assert not store.has_series("gone")
+        assert store.sensor_ids() == ["mover"]
+        with pytest.raises(StorageError):
+            store.latest("gone")
+
+    def test_sensor_and_fog_filters_compose_to_one_partition(self, store):
+        for fog in ("fog1/a", "fog1/b"):
+            for t in range(3):
+                store.append(make_reading(sensor_id="mover", timestamp=float(t), fog_node_id=fog))
+        window = store.query_window(sensor_id="mover", fog_node_id="fog1/b", since=1.0)
+        assert list(zip(window.columns.timestamps, window.columns.fog_node_ids)) == [
+            (1.0, "fog1/b"), (2.0, "fog1/b"),
+        ]
+        assert len(store.query_window(sensor_id="mover", fog_node_id="fog1/c")) == 0
+
+    def test_clear_restarts_partition_order(self, store):
+        store.append(make_reading(sensor_id="a", timestamp=1.0, fog_node_id="fog1/a"))
+        store.clear()
+        store.append(make_reading(sensor_id="b", timestamp=1.0, fog_node_id="fog1/b"))
+        store.append(make_reading(sensor_id="a", timestamp=1.0, fog_node_id="fog1/a"))
+        assert store.query_window().columns.sensor_ids == ["b", "a"]
+        assert store.sensor_ids() == ["a", "b"]
+
+    def test_none_fog_is_a_partition_of_its_own(self, store):
+        store.append(make_reading(sensor_id="free", timestamp=2.0))
+        store.append(make_reading(sensor_id="owned", timestamp=1.0, fog_node_id="fog1/a"))
+        buckets = store.query_window_partitioned()
+        assert list(buckets) == [None, "fog1/a"]
+        assert store.query_window().columns.sensor_ids == ["free", "owned"]
+
+
+def test_deployed_tiers_keep_one_partition_per_area(small_city, small_catalog):
+    """Fog L2 holds one partition per child, the cloud one per fog L1 node."""
+    from repro.api import F2CClient, PipelineConfig
+    from repro.core.architecture import F2CDataManagement
+    from repro.sensors.readings import Reading
+
+    system = F2CDataManagement(city=small_city, catalog=small_catalog, fog1_aggregator_factory=None)
+    client = F2CClient(system=system, config=PipelineConfig())
+    sections = [section.section_id for section in small_city.sections]
+    for index, section in enumerate(sections):
+        system.assign_sensor(f"t-{index}", section)
+    for round_index in range(2):
+        batch = [
+            Reading(f"t-{i}", "temperature", "energy", float(i), 100.0 * round_index + i)
+            for i in range(len(sections))
+        ]
+        client.ingest(batch, now=100.0 * round_index + 50.0)
+    client.synchronise(now=300.0)
+    fog1_ids = [node.node_id for node in system.fog1_chain()]
+    for fog2 in system.fog2_nodes():
+        children = {fog1 for fog1 in fog1_ids if system.parent_of(fog1) == fog2.node_id}
+        assert set(fog2.storage.query_window_partitioned()) == children
+    assert set(system.cloud.storage.query_window_partitioned()) == set(fog1_ids)
+    for fog1 in system.fog1_chain():
+        assert list(fog1.storage.query_window_partitioned()) == [fog1.node_id]
