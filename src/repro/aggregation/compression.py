@@ -24,10 +24,8 @@ import zlib
 
 from repro.common.errors import ConfigurationError
 from repro.aggregation.base import AggregationResult, AggregationTechnique
+from repro.sensors.catalog import PAPER_COMPRESSION_RATIO
 from repro.sensors.readings import ReadingBatch
-
-#: The compression factor the paper measured with Zip at fog layer 1.
-PAPER_COMPRESSION_RATIO = 295_428_463 / 1_360_043_206
 
 
 class DeflateCompression(AggregationTechnique):

@@ -46,11 +46,9 @@ Service mode (long-running: paced ingest + concurrent queries)::
         handle.drain()                                    # workload finishes
         handle.health()["serve"]                          # loop counters
 
-The pre-facade entry points on
-:class:`~repro.core.architecture.F2CDataManagement` (``ingest_readings``,
-``ingest_columns``, ``attach_broker``, ``flush_broker``,
-``publish_frames``) still work — they delegate to this layer — but are
-deprecated and warn.  The exported surface below is contract-tested
+:class:`~repro.core.architecture.F2CDataManagement` is the deployment, not
+a write surface; code holding one writes through its ``api_pipeline``.
+The exported surface below is contract-tested
 (``tests/api/test_api_contract.py``): changing it requires updating the
 snapshot deliberately.
 """

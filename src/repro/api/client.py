@@ -155,11 +155,6 @@ class F2CClient:
     def health(self) -> Dict[str, Any]:
         """One report for every drop/fault counter in the deployment.
 
-        * ``dropped_payloads`` — malformed broker payloads (bad CSV lines,
-          corrupt/truncated/unknown-version frames) dropped at fog layer 1;
-          in a sharded run the supervisor folds the workers' counts in.
-        * ``dropped_ipc_frames`` — records lost (and resynced past) on the
-          worker → supervisor streams, including rejected corrupt frames.
         * ``worker_restarts`` / ``worker_faults`` — shards re-run from seed
           after a worker death or protocol damage.
         * ``queries`` — served-from counters and cache behaviour of the
@@ -171,12 +166,15 @@ class F2CClient:
         * ``durable`` — the segment-log report (``{"enabled": False}`` on a
           memory-only deployment): per-log segment/byte counts and how many
           damaged tail records were dropped-and-counted.
-        * ``conservation`` — the unified loss ledger: every counted loss
-          (broker payload drops, IPC frame drops, shed messages, torn
-          durable-log records) plus per-tier ingest/store/evict/pending
+        * ``conservation`` — the unified loss ledger and the one place loss
+          counters live: ``dropped_payloads`` (malformed broker payloads —
+          bad CSV lines, corrupt/truncated/unknown-version frames — dropped
+          at fog layer 1; a sharded run folds the workers' counts in),
+          ``dropped_ipc_frames`` (records lost and resynced past on the
+          worker → supervisor streams), shed broker messages and torn
+          durable-log records, plus per-tier ingest/store/evict/pending
           aggregates, so auditors check ``offered == ingested + losses``
-          against one surface.  The scattered top-level keys remain as
-          aliases.
+          against one surface.
         * ``availability`` — the failure injector's
           :class:`~repro.core.faults.AvailabilityReport` (all-healthy
           numbers when no failure was ever injected).
@@ -189,8 +187,6 @@ class F2CClient:
         durable = self.system.durable_report()
         dropped_ipc = sharded.dropped_ipc_frames if sharded is not None else 0
         return {
-            "dropped_payloads": self.system.dropped_payloads,
-            "dropped_ipc_frames": dropped_ipc,
             "worker_restarts": sharded.worker_restarts if sharded is not None else 0,
             "worker_faults": list(sharded.worker_faults) if sharded is not None else [],
             "queries": self.queries.stats(),
@@ -413,7 +409,6 @@ def recover(
         city=city,
         catalog=catalog,
         movement_policy=config.movement_policy(),
-        frame_format=config.resolved_frame_format(),
         durable_dir=config.durable_dir,
         durable_fog2=config.durable_fog2,
     )

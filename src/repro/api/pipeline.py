@@ -15,11 +15,11 @@ flushing — plus the config-driven porcelain on top:
   multi-process runtime — and returns an
   :class:`~repro.api.client.F2CClient` over the finished deployment.
 
-The deprecated ``F2CDataManagement.ingest_readings`` /
-``ingest_columns`` / ``attach_broker`` / ``flush_broker`` /
-``publish_frames`` shims delegate here, so every legacy entry point and the
-new facade run the identical code path — that is what keeps the golden
-byte-accounting fixtures reproducible from either surface.
+This is the only write surface of the system:
+:class:`~repro.core.architecture.F2CDataManagement` holds the deployment
+(nodes, routing tables, broker subscription state) and exposes its default
+engine as ``system.api_pipeline``.  The configured transport alone decides
+the wire layout a pipeline publishes column frames in.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.city.barcelona import fog1_node_id
 from repro.common.errors import ConfigurationError
-from repro.common.serialization import FRAME_FORMATS, decode_csv_line
+from repro.common.serialization import decode_csv_line
 from repro.messaging.broker import Broker, Message
 from repro.network.topology import LayerName
 from repro.sensors.readings import Reading, ReadingBatch, ReadingColumns
@@ -120,13 +120,12 @@ class Pipeline:
             city=self._city,
             catalog=catalog,
             movement_policy=self.config.movement_policy(),
-            frame_format=self.config.resolved_frame_format(),
             durable_dir=self.config.durable_dir,
             durable_fog2=self.config.durable_fog2,
         )
 
     # ------------------------------------------------------------------ #
-    # Direct ingestion (moved from F2CDataManagement.ingest_readings)
+    # Direct ingestion
     # ------------------------------------------------------------------ #
     def ingest_rows(
         self,
@@ -285,7 +284,7 @@ class Pipeline:
         return node_ids, list(map(rank_of.__getitem__, row_nodes))
 
     # ------------------------------------------------------------------ #
-    # Broker integration (moved from F2CDataManagement)
+    # Broker integration
     # ------------------------------------------------------------------ #
     def attach_broker(self, broker: Broker, city_slug: str = "bcn", batched: bool = False) -> None:
         """Subscribe every fog layer-1 node to its section's topic subtree.
@@ -303,7 +302,7 @@ class Pipeline:
         once per batch instead of once per reading.
 
         The subscription state lives on the deployment (not this engine), so
-        any pipeline or shim bound to the same system shares it.
+        every pipeline bound to the same system shares it.
         """
         system = self.system
         system._broker = broker
@@ -461,7 +460,6 @@ class Pipeline:
         city_slug: str = "bcn",
         default_section: Optional[str] = None,
         timestamp: float = 0.0,
-        frame_format: Optional[str] = None,
     ) -> Dict[str, int]:
         """Publish readings as one column frame per section (wire fast path).
 
@@ -474,11 +472,10 @@ class Pipeline:
         per-reading Table-I wire sizes — carried inside the frame — keep the
         traffic accounting identical.
 
-        *frame_format* (``"binary-v2"`` or ``"json"``) overrides the wire
-        layout for this call; otherwise the system's configured
-        :attr:`~repro.core.architecture.F2CDataManagement.frame_format`
-        applies (and, when that is ``None`` too, binary).  Receivers detect
-        the layout per payload, so format can change mid-stream.
+        The wire layout is the transport's
+        (:meth:`PipelineConfig.resolved_frame_format`): JSON on
+        ``frames-json``, binary version 2 on every other transport.
+        Receivers detect the layout per payload.
 
         Returns the number of readings framed per section.
         """
@@ -487,12 +484,7 @@ class Pipeline:
             broker = system._broker
         if broker is None:
             raise ConfigurationError("no broker attached and none supplied")
-        if frame_format is None:
-            frame_format = system.frame_format
-        elif frame_format not in FRAME_FORMATS:
-            raise ConfigurationError(
-                f"frame_format must be one of {FRAME_FORMATS}, got {frame_format!r}"
-            )
+        frame_format = self.config.resolved_frame_format()
         published: Dict[str, int] = {}
         topic_cache = system._frame_topic_cache
         for section_id, columns in self._columns_per_section(readings, default_section):
@@ -785,7 +777,6 @@ class IngestSession:
                 city_slug=self.config.city_slug,
                 default_section=default_section,
                 timestamp=timestamp,
-                frame_format=self.config.resolved_frame_format(),
             )
             counts = pipeline.flush_broker(now=now)
         if self.on_ingest is not None:

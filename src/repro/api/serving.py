@@ -287,7 +287,6 @@ class ServeHandle:
         with self._lock:
             report = self._client.health()
             if self.result is not None:
-                report["dropped_ipc_frames"] = self.result.dropped_ipc_frames
                 report["worker_restarts"] = self.result.worker_restarts
                 report["worker_faults"] = list(self.result.worker_faults)
                 ledger = report.get("conservation")

@@ -407,7 +407,7 @@ def _cmd_serve(args) -> str:
                 "serve": stats,
                 "client_queries": queries_per_client,
                 "broker": health["broker"],
-                "dropped_payloads": health["dropped_payloads"],
+                "dropped_payloads": health["conservation"]["dropped_payloads"],
             },
             indent=2,
             sort_keys=True,
@@ -428,7 +428,7 @@ def _cmd_serve(args) -> str:
             f"  broker: published={broker['published']} delivered={broker['delivered']} "
             f"shed={broker['shed_messages']} inbox_limit={broker['inbox_limit']}"
         )
-    lines.append(f"  dropped payloads: {health['dropped_payloads']}")
+    lines.append(f"  dropped payloads: {health['conservation']['dropped_payloads']}")
     return "\n".join(lines)
 
 

@@ -15,7 +15,6 @@ from repro.common.errors import (
     StorageError,
     ValidationError,
 )
-from repro.common.events import Event, EventBus
 from repro.common.ids import IdGenerator
 from repro.common.units import (
     BYTES_PER_GB,
@@ -34,8 +33,6 @@ __all__ = [
     "BYTES_PER_MB",
     "ConfigurationError",
     "DataSize",
-    "Event",
-    "EventBus",
     "IdGenerator",
     "ReproError",
     "RoutingError",

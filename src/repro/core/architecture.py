@@ -13,19 +13,17 @@
   :class:`~repro.core.movement.DataMovementScheduler` that moves data
   upwards periodically.
 
-Readings enter through the write-side pipeline of :mod:`repro.api` — one
-:class:`~repro.api.pipeline.Pipeline` abstraction covering direct batch
-ingest, the MQTT-style broker (per-message CSV, batched CSV, JSON/binary
-column frames) and the multi-process sharded runtime.  The historical entry
-points on this class (:meth:`ingest_readings`, :meth:`ingest_columns`,
-:meth:`attach_broker`, :meth:`flush_broker`, :meth:`publish_frames`) remain
-as thin delegating shims: they run the identical pipeline code and still
-reproduce the golden byte-accounting fixtures, but are deprecated and warn.
+This class is the deployment, not a write surface: readings enter through
+:mod:`repro.api` — an :class:`~repro.api.F2CClient` /
+:class:`~repro.api.pipeline.IngestSession`, or the
+:class:`~repro.api.pipeline.Pipeline` bound to a deployment as
+:attr:`F2CDataManagement.api_pipeline` — which covers direct batch ingest,
+the MQTT-style broker (per-message CSV, batched CSV, JSON/binary column
+frames) and the multi-process sharded runtime.
 """
 
 from __future__ import annotations
 
-import warnings
 import zlib
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -41,7 +39,6 @@ from repro.city.barcelona import (
     fog2_node_id,
 )
 from repro.common.errors import ConfigurationError, RoutingError
-from repro.common.serialization import FRAME_FORMATS
 from repro.core.movement import DataMovementScheduler, MovementPolicy
 from repro.core.nodes import CloudNode, FogNodeLevel1, FogNodeLevel2
 from repro.messaging.broker import Broker
@@ -49,20 +46,6 @@ from repro.network.simulator import NetworkSimulator
 from repro.network.topology import LayerName, NetworkTopology
 from repro.network.traffic import TrafficAccountant
 from repro.sensors.catalog import SensorCatalog
-from repro.sensors.readings import Reading, ReadingColumns
-
-
-def _warn_legacy_entry_point(old: str, new: str) -> None:
-    """One deprecation warning per shimmed write entry point.
-
-    ``stacklevel=3`` points at the shim's caller (helper → shim → caller).
-    """
-    warnings.warn(
-        f"F2CDataManagement.{old}() is a deprecated shim; use {new} from repro.api "
-        "(the shim delegates to the same pipeline and keeps working for now)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 #: Builds the default fog layer-1 aggregator the paper evaluates: redundant
@@ -83,20 +66,11 @@ class F2CDataManagement:
         fog1_aggregator_factory: Optional[Callable[[], AggregationTechnique]] = default_fog1_aggregator,
         fog2_aggregator_factory: Optional[Callable[[], AggregationTechnique]] = None,
         movement_policy: Optional[MovementPolicy] = None,
-        frame_format: Optional[str] = None,
         durable_dir: Optional[str] = None,
         durable_fog2: bool = False,
     ) -> None:
-        if frame_format is not None and frame_format not in FRAME_FORMATS:
-            raise ConfigurationError(
-                f"frame_format must be one of {FRAME_FORMATS}, got {frame_format!r}"
-            )
         if durable_fog2 and durable_dir is None:
             raise ConfigurationError("durable_fog2 requires durable_dir")
-        #: Wire layout this deployment publishes column frames in
-        #: ("binary-v2" or "json"); ``None`` means binary.  Decoding detects
-        #: the layout per payload, so both kinds of publisher interoperate.
-        self.frame_format = frame_format
         #: Broker payloads that failed to decode (malformed CSV lines,
         #: corrupt/truncated/unknown-version frames) and were dropped.
         #: Malformed payloads are never ingested — not even partially — and
@@ -157,8 +131,8 @@ class F2CDataManagement:
         # sharded runtime): every local fog L1 store is then empty and
         # non-authoritative, even before the workers' FINAL stats merge.
         self._fog1_remote = False
-        # The repro.api Pipeline engine every write entry point (new facade
-        # and deprecated shims alike) runs through; built on first use.
+        # The default repro.api Pipeline engine bound to this deployment;
+        # built on first use of api_pipeline.
         self._api_pipeline = None
 
     # ------------------------------------------------------------------ #
@@ -292,21 +266,20 @@ class F2CDataManagement:
         digest = zlib.crc32(sensor_id.encode("utf-8"))
         return self._section_ids[digest % len(self._section_ids)]
 
-    # Internal callers predate the public promotion.
-    _spread_section = spread_section
-
     # ------------------------------------------------------------------ #
-    # Ingestion (deprecated shims over the repro.api pipeline)
+    # Ingestion routing (the write verbs live on repro.api.Pipeline)
     # ------------------------------------------------------------------ #
     @property
     def api_pipeline(self):
         """The :class:`repro.api.pipeline.Pipeline` engine bound to this system.
 
-        Every write entry point — the :mod:`repro.api` facade and the
-        deprecated shims below alike — runs through this one engine, so the
-        behaviour (routing, accounting, golden byte fidelity) cannot drift
-        between the surfaces.  Internal callers use this property directly;
-        external code should hold a :class:`repro.api.F2CClient` instead.
+        A default (``direct``) pipeline over this deployment, built on first
+        use: ``system.api_pipeline.ingest_rows(...)``,
+        ``.attach_broker(...)``, ``.flush_broker(...)`` and
+        ``.publish_frames(...)`` are the write verbs for code that holds a
+        deployment rather than a :class:`repro.api.F2CClient`.  Broker state
+        lives on the deployment, so every pipeline bound to it shares one
+        subscription.
         """
         pipeline = self._api_pipeline
         if pipeline is None:
@@ -314,36 +287,6 @@ class F2CDataManagement:
 
             pipeline = self._api_pipeline = Pipeline.for_system(self)
         return pipeline
-
-    def ingest_readings(
-        self,
-        readings: Iterable[Reading],
-        now: Optional[float] = None,
-        default_section: Optional[str] = None,
-    ) -> Dict[str, int]:
-        """Deprecated shim for :meth:`repro.api.pipeline.Pipeline.ingest_rows`.
-
-        Routes readings to their section's fog layer-1 node and acquires
-        them; returns the readings acquired per node.  Use
-        ``repro.api.connect().ingest(...)`` (or ``Pipeline.ingest_rows``)
-        in new code.
-        """
-        _warn_legacy_entry_point("ingest_readings", "F2CClient.ingest / Pipeline.ingest_rows")
-        return self.api_pipeline.ingest_rows(readings, now=now, default_section=default_section)
-
-    def ingest_columns(
-        self,
-        columns: ReadingColumns,
-        now: Optional[float] = None,
-        default_section: Optional[str] = None,
-    ) -> Dict[str, int]:
-        """Deprecated shim for :meth:`repro.api.pipeline.Pipeline.ingest_columns`.
-
-        Columnar-native ingest: routes and acquires a whole column batch.
-        Use ``Pipeline.ingest_columns`` from :mod:`repro.api` in new code.
-        """
-        _warn_legacy_entry_point("ingest_columns", "Pipeline.ingest_columns")
-        return self.api_pipeline.ingest_columns(columns, now=now, default_section=default_section)
 
     def _resolve_node_cached(self, sensor_id: str, default_section: Optional[str]) -> str:
         """Resolve a sensor's fog L1 node, caching stable routes.
@@ -361,58 +304,9 @@ class F2CDataManagement:
             # Default-section routing depends on the call, never cached.
             return self._fog1_id_by_section.get(default_section) or fog1_node_id(default_section)
         else:
-            node_id = self._fog1_id_by_section[self._spread_section(sensor_id)]
+            node_id = self._fog1_id_by_section[self.spread_section(sensor_id)]
         self._sensor_node_cache[sensor_id] = node_id
         return node_id
-
-    # ------------------------------------------------------------------ #
-    # Broker integration (deprecated shims over the repro.api pipeline)
-    # ------------------------------------------------------------------ #
-    def attach_broker(self, broker: Broker, city_slug: str = "bcn", batched: bool = False) -> None:
-        """Deprecated shim for :meth:`repro.api.pipeline.Pipeline.attach_broker`.
-
-        Subscribes every fog layer-1 node to its section's topic subtree;
-        with ``batched=True`` messages park in per-node inboxes drained by
-        :meth:`flush_broker`.  New code selects a broker transport in a
-        :class:`repro.api.PipelineConfig` instead.
-        """
-        _warn_legacy_entry_point("attach_broker", "PipelineConfig(transport='broker-csv'|'frames-*')")
-        self.api_pipeline.attach_broker(broker, city_slug=city_slug, batched=batched)
-
-    def flush_broker(self, now: Optional[float] = None) -> Dict[str, int]:
-        """Deprecated shim for :meth:`repro.api.pipeline.Pipeline.flush_broker`.
-
-        Drains every fog node's broker inbox and acquires it as one batch;
-        returns the readings acquired per fog layer-1 node.
-        """
-        _warn_legacy_entry_point("flush_broker", "IngestSession.ingest / Pipeline.flush_broker")
-        return self.api_pipeline.flush_broker(now=now)
-
-    def publish_frames(
-        self,
-        broker: Optional[Broker] = None,
-        readings: Iterable[Reading] = (),
-        city_slug: str = "bcn",
-        default_section: Optional[str] = None,
-        timestamp: float = 0.0,
-        frame_format: Optional[str] = None,
-    ) -> Dict[str, int]:
-        """Deprecated shim for :meth:`repro.api.pipeline.Pipeline.publish_frames`.
-
-        Publishes readings as one column frame per section on
-        ``city/<slug>/<section>/frame``; returns the readings framed per
-        section.  New code uses a ``frames-json`` / ``frames-binary-v2``
-        transport session from :mod:`repro.api`.
-        """
-        _warn_legacy_entry_point("publish_frames", "IngestSession.ingest / Pipeline.publish_frames")
-        return self.api_pipeline.publish_frames(
-            broker,
-            readings,
-            city_slug=city_slug,
-            default_section=default_section,
-            timestamp=timestamp,
-            frame_format=frame_format,
-        )
 
     # ------------------------------------------------------------------ #
     # Sharded-runtime integration (supervisor side)
@@ -549,24 +443,3 @@ class F2CDataManagement:
             "districts": self.city.district_count,
             "sections": self.city.section_count,
         }
-
-
-def run_sharded(workers: int, workload=None, catalog: Optional[SensorCatalog] = None, **kwargs):
-    """Deprecated shim for the sharded transport of :mod:`repro.api`.
-
-    Runs a seeded city workload sharded over *workers* ingest processes.
-    New code uses ``repro.api.run_workload(transport="sharded",
-    workers=N)`` (a queryable client) or calls
-    :func:`repro.runtime.supervisor.run_sharded` directly for the raw
-    :class:`~repro.runtime.supervisor.ShardedRunResult`.
-    """
-    warnings.warn(
-        "repro.core.architecture.run_sharded() is a deprecated shim; use "
-        "repro.api.run_workload(transport='sharded', workers=N) or "
-        "repro.runtime.run_sharded()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.runtime.supervisor import run_sharded as _run_sharded
-
-    return _run_sharded(workers=workers, workload=workload, catalog=catalog, **kwargs)

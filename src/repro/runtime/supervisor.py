@@ -299,7 +299,6 @@ class ShardSupervisor:
         workers: int,
         workload: Optional[ShardedWorkload] = None,
         catalog: Optional[SensorCatalog] = None,
-        fault: Optional[WorkerFault] = None,
         max_restarts: int = DEFAULT_MAX_RESTARTS,
         inline: bool = False,
         frame_format: Optional[str] = None,
@@ -314,9 +313,7 @@ class ShardSupervisor:
                 f"IPC batches are extended binary frames; frame_format must be "
                 f"None or 'binary-v2', got {frame_format!r}"
             )
-        # Scheduled kills: the scenario engine passes a list of WorkerFaults
-        # (at most one per shard); the legacy singular *fault* still targets
-        # every shard at once, preserving its original semantics.
+        # Scheduled kills: at most one WorkerFault per shard.
         scheduled: Dict[int, WorkerFault] = {}
         for entry in faults or ():
             if not 0 <= entry.shard_index < workers:
@@ -363,7 +360,7 @@ class ShardSupervisor:
                     workers=workers,
                     workload=self.workload,
                     catalog=catalog,
-                    fault=scheduled.get(index, fault),
+                    fault=scheduled.get(index),
                 )
             )
             for index in range(workers)
@@ -715,7 +712,6 @@ def run_sharded(
     workers: int,
     workload: Optional[ShardedWorkload] = None,
     catalog: Optional[SensorCatalog] = None,
-    fault: Optional[WorkerFault] = None,
     max_restarts: int = DEFAULT_MAX_RESTARTS,
     inline: bool = False,
     durable_dir: Optional[str] = None,
@@ -731,13 +727,12 @@ def run_sharded(
     ``durable_dir`` / ``durable_fog2`` attach durable segment logs to the
     supervisor's broad tiers (see :mod:`repro.storage.segments`).
     ``faults`` schedules per-shard deterministic kills (at most one per
-    shard); the legacy singular ``fault`` still targets every shard.
+    shard).
     """
     supervisor = ShardSupervisor(
         workers=workers,
         workload=workload,
         catalog=catalog,
-        fault=fault,
         max_restarts=max_restarts,
         inline=inline,
         durable_dir=durable_dir,

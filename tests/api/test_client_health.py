@@ -1,16 +1,29 @@
 """One ``client.health()`` report unifies every drop/fault counter.
 
-Broker payload drops (``dropped_payloads``), sharded-runtime IPC record
-drops and worker restarts, and the query service's served-from counters all
-surface through the same report — and through ``client.summary()``.
+Broker payload drops and sharded-runtime IPC record drops (both in the
+``conservation`` ledger), worker restarts, and the query service's
+served-from counters all surface through the same report — and through
+``client.summary()``.
 """
 
 import pytest
 
-from repro.api import F2CClient, PipelineConfig
+from repro.api import F2CClient, PipelineConfig, serve
+from repro.common.clock import VirtualClock
 from repro.core.architecture import F2CDataManagement
 from repro.runtime import ShardedWorkload, WorkerFault, run_sharded
 from tests.conftest import make_reading
+
+#: The keys ``F2CClient.health()`` documents, and nothing else.
+HEALTH_KEYS = {
+    "worker_restarts",
+    "worker_faults",
+    "queries",
+    "broker",
+    "durable",
+    "conservation",
+    "availability",
+}
 
 
 def _client(small_city, small_catalog, **config_kwargs):
@@ -21,11 +34,27 @@ def _client(small_city, small_catalog, **config_kwargs):
 
 
 class TestHealthReport:
+    @pytest.mark.parametrize("deployment", ["client", "sharded", "serve"])
+    def test_health_has_exactly_its_documented_keys(self, deployment, small_city, small_catalog):
+        expected = HEALTH_KEYS
+        if deployment == "client":
+            health = _client(small_city, small_catalog).health()
+        elif deployment == "sharded":
+            result = run_sharded(workers=2, workload=ShardedWorkload.golden(), inline=True)
+            health = result.client().health()
+        else:
+            handle = serve(ShardedWorkload.golden(), transport="direct", clock=VirtualClock())
+            assert handle.drain(timeout=120)
+            handle.shutdown()
+            health = handle.health()
+            expected = HEALTH_KEYS | {"serve"}
+        assert set(health) == expected
+
     def test_clean_deployment_reports_zero_everything(self, small_city, small_catalog):
         client = _client(small_city, small_catalog)
         health = client.health()
-        assert health["dropped_payloads"] == 0
-        assert health["dropped_ipc_frames"] == 0
+        assert health["conservation"]["dropped_payloads"] == 0
+        assert health["conservation"]["dropped_ipc_frames"] == 0
         assert health["worker_restarts"] == 0
         assert health["worker_faults"] == []
         assert health["queries"]["served"] == 0
@@ -45,8 +74,8 @@ class TestHealthReport:
         broker.publish("city/toyville/d-01/s-01/energy/temperature", b"\xff\xfe", timestamp=2.0)
         client.ingest([], now=2.0)  # drains the inboxes via the session flush
         health = client.health()
-        assert health["dropped_payloads"] == 2
-        assert client.system.dropped_payloads == 2  # the legacy counter agrees
+        assert health["conservation"]["dropped_payloads"] == 2
+        assert client.system.dropped_payloads == 2  # the deployment's counter agrees
 
     def test_query_counters_flow_into_health(self, small_city, small_catalog):
         client = _client(small_city, small_catalog)
@@ -66,7 +95,7 @@ class TestHealthReport:
         client = _client(small_city, small_catalog)
         summary = client.summary()
         assert summary["city"] == "Toyville"
-        assert summary["health"]["dropped_payloads"] == 0
+        assert summary["health"]["conservation"]["dropped_payloads"] == 0
         # The architecture's own summary stays health-free (Fig. 6 shape).
         assert "health" not in client.system.summary()
 
@@ -88,7 +117,7 @@ class TestConservationLedger:
             assert key in ledger
         assert ledger["total_counted_losses"] == 0
 
-    def test_old_top_level_keys_stay_as_aliases(self, small_city, small_catalog):
+    def test_no_loss_counter_sits_outside_the_ledger(self, small_city, small_catalog):
         client = _client(
             small_city, small_catalog, transport="frames-binary-v2", city_slug="toyville"
         )
@@ -96,10 +125,11 @@ class TestConservationLedger:
         broker.publish("city/toyville/d-01/s-01/frame", b"\x00RBB garbage", timestamp=2.0)
         client.ingest([], now=2.0)
         health = client.health()
-        # The pre-ledger keys still exist and agree with the ledger.
-        assert health["dropped_payloads"] == health["conservation"]["dropped_payloads"] == 1
-        assert health["dropped_ipc_frames"] == health["conservation"]["dropped_ipc_frames"]
-        assert health["conservation"]["total_counted_losses"] == 1
+        ledger = health["conservation"]
+        loss_keys = {key for key in ledger if key != "tiers"}
+        assert not loss_keys & set(health)
+        assert ledger["dropped_payloads"] == 1
+        assert ledger["total_counted_losses"] == 1
 
     def test_tier_aggregates_track_ingest(self, small_city, small_catalog):
         client = _client(small_city, small_catalog)
@@ -181,7 +211,7 @@ class TestShardedHealth:
         result = run_sharded(
             workers=2,
             workload=ShardedWorkload.golden(),
-            fault=WorkerFault(shard_index=0, die_after_round=1),
+            faults=[WorkerFault(shard_index=0, die_after_round=1)],
             inline=True,
         )
         health = result.client().health()

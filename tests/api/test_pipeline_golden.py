@@ -184,7 +184,7 @@ class TestPipelineConfigValidation:
     def test_connect_kwargs_build_the_config(self, small_city, small_catalog):
         client = connect(city=small_city, catalog=small_catalog, transport="frames-binary-v2")
         assert client.config.transport == "frames-binary-v2"
-        assert client.system.frame_format == "binary-v2"
+        assert client.pipeline.config.resolved_frame_format() == "binary-v2"
 
     def test_uses_broker_flag(self):
         assert not PipelineConfig().uses_broker()

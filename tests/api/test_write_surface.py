@@ -1,0 +1,51 @@
+"""One way in: :class:`repro.api.Pipeline` is the only write surface.
+
+The deployment class holds nodes and routing state and has no write verbs
+or frame layout of its own; the transport alone names the layout a
+pipeline publishes in; the sharded runtime takes worker faults as one
+``faults`` list.
+"""
+
+import pytest
+
+from repro.core import architecture
+from repro.core.architecture import F2CDataManagement
+from repro.messaging.broker import Broker
+from repro.runtime import ShardSupervisor, WorkerFault, run_sharded
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "ingest_readings",
+        "ingest_columns",
+        "attach_broker",
+        "flush_broker",
+        "publish_frames",
+        "frame_format",
+        "_spread_section",
+    ],
+)
+def test_the_deployment_has_no_write_verbs_or_frame_layout(name, small_city, small_catalog):
+    assert not hasattr(F2CDataManagement(city=small_city, catalog=small_catalog), name)
+
+
+def test_the_architecture_module_has_no_run_sharded():
+    assert not hasattr(architecture, "run_sharded")
+
+
+@pytest.mark.parametrize("entry_point", [ShardSupervisor, run_sharded])
+def test_worker_faults_take_no_singular_fault(entry_point):
+    with pytest.raises(TypeError, match="'fault'"):
+        entry_point(workers=1, inline=True, fault=WorkerFault(shard_index=0))
+
+
+def test_the_deployment_takes_no_frame_layout(small_city, small_catalog):
+    with pytest.raises(TypeError, match="'frame_format'"):
+        F2CDataManagement(city=small_city, catalog=small_catalog, frame_format="json")
+
+
+def test_publish_frames_takes_no_frame_layout(small_city, small_catalog):
+    pipeline = F2CDataManagement(city=small_city, catalog=small_catalog).api_pipeline
+    with pytest.raises(TypeError, match="'frame_format'"):
+        pipeline.publish_frames(Broker(), [], frame_format="json")

@@ -1,9 +1,8 @@
-"""Tests for the clock, id generation and event bus utilities."""
+"""Tests for the clock and id generation utilities."""
 
 import pytest
 
 from repro.common.clock import SimulatedClock, VirtualClock, WallClock
-from repro.common.events import Event, EventBus
 from repro.common.ids import IdGenerator
 
 
@@ -129,63 +128,3 @@ class TestIdGenerator:
             IdGenerator(width=0)
         with pytest.raises(ValueError):
             IdGenerator().next("")
-
-
-class TestEventBus:
-    def test_publish_to_exact_subscriber(self):
-        bus = EventBus()
-        received = []
-        bus.subscribe("batch_ready", received.append)
-        delivered = bus.emit("batch_ready", payload={"n": 3})
-        assert delivered == 1
-        assert received[0].payload == {"n": 3}
-
-    def test_wildcard_subscriber_receives_everything(self):
-        bus = EventBus()
-        received = []
-        bus.subscribe("*", received.append)
-        bus.emit("a")
-        bus.emit("b")
-        assert [event.name for event in received] == ["a", "b"]
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        handler = lambda event: None  # noqa: E731 - terse test handler
-        bus.subscribe("x", handler)
-        assert bus.unsubscribe("x", handler) is True
-        assert bus.unsubscribe("x", handler) is False
-        assert bus.handler_count("x") == 0
-
-    def test_published_count(self):
-        bus = EventBus()
-        bus.emit("a")
-        bus.emit("b")
-        assert bus.published_count == 2
-
-    def test_no_subscribers_delivers_zero(self):
-        bus = EventBus()
-        assert bus.emit("nobody-listens") == 0
-
-    def test_metadata_passed_through(self):
-        bus = EventBus()
-        received = []
-        bus.subscribe("tagged", received.append)
-        bus.emit("tagged", payload=1, timestamp=5.0, source="unit-test")
-        event = received[0]
-        assert isinstance(event, Event)
-        assert event.timestamp == 5.0
-        assert event.metadata["source"] == "unit-test"
-
-    def test_empty_event_name_rejected(self):
-        with pytest.raises(ValueError):
-            EventBus().subscribe("", lambda event: None)
-
-    def test_handler_exception_propagates(self):
-        bus = EventBus()
-
-        def boom(event):
-            raise RuntimeError("handler failure")
-
-        bus.subscribe("x", boom)
-        with pytest.raises(RuntimeError):
-            bus.emit("x")

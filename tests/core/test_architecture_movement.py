@@ -11,16 +11,6 @@ from repro.network.topology import LayerName
 from repro.sensors.readings import ReadingBatch
 from tests.conftest import make_reading
 
-# This module is a *legacy-surface* regression suite: it deliberately drives
-# the deprecated F2CDataManagement write shims to prove they keep working
-# (and keep reproducing the golden fixtures) through the repro.api pipeline.
-# The shim DeprecationWarnings are therefore expected here — and only here;
-# the CI deprecation gate (-W error::DeprecationWarning) errors on them
-# everywhere else.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*is a deprecated shim:DeprecationWarning"
-)
-
 
 class TestDeployment:
     def test_one_fog1_node_per_section(self, f2c_system, small_city):
@@ -53,7 +43,7 @@ class TestDeployment:
 class TestIngestionRouting:
     def test_assigned_sensors_route_to_their_section(self, f2c_system):
         f2c_system.assign_sensor("s-1", "d-01/s-01")
-        counts = f2c_system.ingest_readings([make_reading(sensor_id="s-1", value=1.0)], now=0.0)
+        counts = f2c_system.api_pipeline.ingest_rows([make_reading(sensor_id="s-1", value=1.0)], now=0.0)
         assert counts == {"fog1/d-01/s-01": 1}
         assert f2c_system.fog1_for_section("d-01/s-01").latest("s-1").value == 1.0
 
@@ -63,17 +53,17 @@ class TestIngestionRouting:
 
     def test_unassigned_sensors_spread_deterministically(self, f2c_system):
         readings = [make_reading(sensor_id=f"s-{i}", value=1.0) for i in range(40)]
-        first = f2c_system.ingest_readings(readings, now=0.0)
+        first = f2c_system.api_pipeline.ingest_rows(readings, now=0.0)
         assert sum(first.values()) == 40
 
     def test_default_section_override(self, f2c_system):
-        counts = f2c_system.ingest_readings(
+        counts = f2c_system.api_pipeline.ingest_rows(
             [make_reading(sensor_id="x", value=1.0)], now=0.0, default_section="d-02/s-02"
         )
         assert counts == {"fog1/d-02/s-02": 1}
 
     def test_fog1_traffic_recorded_on_ingest(self, f2c_system):
-        f2c_system.ingest_readings([make_reading(value=1.0, size_bytes=22)], now=0.0)
+        f2c_system.api_pipeline.ingest_rows([make_reading(value=1.0, size_bytes=22)], now=0.0)
         assert f2c_system.simulator.accountant.bytes_into_layer(LayerName.FOG_1) == 22
 
 
@@ -83,7 +73,7 @@ class TestSynchronisation:
             make_reading(sensor_id="a", value=1.0, size_bytes=22),
             make_reading(sensor_id="b", value=2.0, size_bytes=22),
         ]
-        f2c_system.ingest_readings(batch, now=0.0, default_section="d-01/s-01")
+        f2c_system.api_pipeline.ingest_rows(batch, now=0.0, default_section="d-01/s-01")
         moved = f2c_system.synchronise()
         assert moved["fog1_to_fog2"] == {"fog1/d-01/s-01": 44}
         assert moved["fog2_to_cloud"] == {"fog2/d-01": 44}
@@ -95,7 +85,7 @@ class TestSynchronisation:
             make_reading(sensor_id="s1", value=20.0, timestamp=float(t), size_bytes=22)
             for t in range(10)
         ]
-        f2c_system.ingest_readings(duplicates, now=0.0, default_section="d-01/s-01")
+        f2c_system.api_pipeline.ingest_rows(duplicates, now=0.0, default_section="d-01/s-01")
         f2c_system.synchronise()
         report = f2c_system.traffic_report()
         assert report["fog_layer_1"] == 220  # raw volume reaches fog L1
@@ -103,7 +93,7 @@ class TestSynchronisation:
         assert report["cloud"] == 22
 
     def test_second_sync_moves_nothing_new(self, f2c_system):
-        f2c_system.ingest_readings([make_reading(value=1.0)], now=0.0, default_section="d-01/s-01")
+        f2c_system.api_pipeline.ingest_rows([make_reading(value=1.0)], now=0.0, default_section="d-01/s-01")
         f2c_system.synchronise()
         second = f2c_system.synchronise()
         assert second["fog1_to_fog2"] == {}
@@ -155,7 +145,7 @@ class TestMovementPolicy:
         f2c_system.scheduler.policy = MovementPolicy(
             fog1_to_fog2_interval_s=600.0, fog2_to_cloud_interval_s=1_200.0
         )
-        f2c_system.ingest_readings(
+        f2c_system.api_pipeline.ingest_rows(
             [make_reading(sensor_id="s1", value=1.0, size_bytes=22)],
             now=0.0,
             default_section="d-01/s-01",
@@ -169,7 +159,7 @@ class TestMovementPolicy:
 class TestBrokerIntegration:
     def test_readings_published_on_broker_reach_fog1(self, f2c_system):
         broker = Broker()
-        f2c_system.attach_broker(broker, city_slug="toyville")
+        f2c_system.api_pipeline.attach_broker(broker, city_slug="toyville")
         reading = make_reading(sensor_id="s-9", sensor_type="temperature", value=21.0, size_bytes=40)
         topic = "city/toyville/d-01/s-01/energy/temperature"
         broker.publish(topic, reading.encode(), timestamp=0.0)
@@ -179,7 +169,7 @@ class TestBrokerIntegration:
 
     def test_wrong_section_topic_not_delivered_to_other_nodes(self, f2c_system):
         broker = Broker()
-        f2c_system.attach_broker(broker, city_slug="toyville")
+        f2c_system.api_pipeline.attach_broker(broker, city_slug="toyville")
         reading = make_reading(sensor_id="s-9", value=21.0, size_bytes=40)
         broker.publish("city/toyville/d-02/s-01/energy/temperature", reading.encode())
         assert not f2c_system.fog1_for_section("d-01/s-01").has_series("s-9")

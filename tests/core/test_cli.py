@@ -69,7 +69,7 @@ class TestIngestCommand:
         assert code == 0
         assert "transport 'direct'" in out
         assert "fog_layer_1_nodes: 73" in out
-        assert "dropped_payloads: 0" in out
+        assert "'dropped_payloads': 0" in out
 
     def test_ingest_json_carries_summary_health_and_traffic(self, capsys):
         import json
@@ -78,7 +78,7 @@ class TestIngestCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["transport"] == "frames-binary-v2"
-        assert payload["summary"]["health"]["dropped_payloads"] == 0
+        assert payload["summary"]["health"]["conservation"]["dropped_payloads"] == 0
         assert payload["traffic"]["cloud"] > 0
 
     def test_ingest_sharded_inline(self, capsys):

@@ -249,7 +249,7 @@ class TestCrashReplayBattery:
             workload=workload,
             inline=True,
             durable_dir=state,
-            fault=WorkerFault(shard_index=0, die_after_round=1),
+            faults=[WorkerFault(shard_index=0, die_after_round=1)],
         )
         assert result.worker_restarts == 1
         assert result.cloud_digest() == golden["boundary_cloud_sha256"][-1]

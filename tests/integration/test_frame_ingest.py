@@ -13,23 +13,12 @@ import zlib
 
 import pytest
 
-from repro.api import connect
+from repro.api import Pipeline, PipelineConfig, connect
 from repro.common import serialization as ser
-from repro.common.errors import ConfigurationError
 from repro.core.architecture import F2CDataManagement
 from repro.messaging.broker import Broker
 from repro.sensors.readings import ReadingColumns
 from tests.conftest import make_reading
-
-# This module is a *legacy-surface* regression suite: it deliberately drives
-# the deprecated F2CDataManagement write shims to prove they keep working
-# (and keep reproducing the golden fixtures) through the repro.api pipeline.
-# The shim DeprecationWarnings are therefore expected here — and only here;
-# the CI deprecation gate (-W error::DeprecationWarning) errors on them
-# everywhere else.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*is a deprecated shim:DeprecationWarning"
-)
 
 
 REJECTED_FRAMES = pathlib.Path(__file__).parent / ".." / "common" / "data" / "rejected_frames.json"
@@ -65,10 +54,10 @@ class TestFramePathEquivalence:
         readings = _readings()
         self._assign(system, readings)
         broker = Broker()
-        system.attach_broker(broker, city_slug="toyville", batched=batched)
-        system.publish_frames(broker, readings, city_slug="toyville", timestamp=5.0)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=batched)
+        system.api_pipeline.publish_frames(broker, readings, city_slug="toyville", timestamp=5.0)
         if batched:
-            system.flush_broker(now=5.0)
+            system.api_pipeline.flush_broker(now=5.0)
         system.synchronise(now=10.0)
         return system
 
@@ -78,7 +67,7 @@ class TestFramePathEquivalence:
         )
         readings = _readings()
         self._assign(system, readings)
-        system.ingest_readings(readings, now=5.0)
+        system.api_pipeline.ingest_rows(readings, now=5.0)
         system.synchronise(now=10.0)
         return system
 
@@ -110,7 +99,7 @@ class TestFramePathEquivalence:
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
         # One frame with two readings…
         frame_readings = [
             make_reading(sensor_id="mx-1", value=20.0, timestamp=5.0, size_bytes=64),
@@ -123,7 +112,7 @@ class TestFramePathEquivalence:
         broker.publish(
             "city/toyville/d-01/s-01/energy/temperature", csv_reading.encode(), timestamp=5.0
         )
-        counts = system.flush_broker(now=5.0)
+        counts = system.api_pipeline.flush_broker(now=5.0)
         assert counts == {"fog1/d-01/s-01": 3}
         fog1 = system.fog1_for_section("d-01/s-01")
         for sensor_id in ("mx-1", "mx-2", "mx-3"):
@@ -134,10 +123,10 @@ class TestFramePathEquivalence:
     def test_publish_frames_routes_by_assignment(self, small_city, small_catalog):
         system = F2CDataManagement(city=small_city, catalog=small_catalog)
         broker = Broker()
-        system.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
         system.assign_sensor("pf-a", "d-01/s-01")
         system.assign_sensor("pf-b", "d-02/s-02")
-        published = system.publish_frames(
+        published = system.api_pipeline.publish_frames(
             broker,
             [
                 make_reading(sensor_id="pf-a", value=1.0, timestamp=1.0, size_bytes=64),
@@ -149,7 +138,7 @@ class TestFramePathEquivalence:
         )
         assert published == {"d-01/s-01": 1, "d-02/s-02": 2}
         assert broker.published_count == 2  # one frame per section
-        counts = system.flush_broker(now=2.0)
+        counts = system.api_pipeline.flush_broker(now=2.0)
         assert counts == {"fog1/d-01/s-01": 1, "fog1/d-02/s-02": 2}
 
     def test_publish_frames_requires_a_broker(self, small_city, small_catalog):
@@ -157,7 +146,7 @@ class TestFramePathEquivalence:
 
         system = F2CDataManagement(city=small_city, catalog=small_catalog)
         with pytest.raises(ConfigurationError):
-            system.publish_frames(None, [make_reading()])
+            system.api_pipeline.publish_frames(None, [make_reading()])
 
     def test_malformed_frame_is_dropped_without_losing_the_flush(self, small_city, small_catalog):
         from repro.common.serialization import COLUMN_FRAME_MAGIC
@@ -166,7 +155,7 @@ class TestFramePathEquivalence:
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
         good = make_reading(sensor_id="ok-1", value=20.0, timestamp=5.0, size_bytes=64)
         broker.publish(
             "city/toyville/d-01/s-01/energy/temperature", good.encode(), timestamp=5.0
@@ -176,7 +165,7 @@ class TestFramePathEquivalence:
         broker.publish(
             "city/toyville/d-01/s-01/frame", COLUMN_FRAME_MAGIC + b"{not json", timestamp=5.0
         )
-        counts = system.flush_broker(now=5.0)
+        counts = system.api_pipeline.flush_broker(now=5.0)
         assert counts == {"fog1/d-01/s-01": 1}
         assert system.fog1_for_section("d-01/s-01").has_series("ok-1")
 
@@ -208,14 +197,14 @@ class TestFramePathEquivalence:
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
         topic = "city/toyville/d-01/s-01/energy/temperature"
         broker.publish(topic, make_reading(sensor_id="ok", size_bytes=64).encode())
         broker.publish(topic, b"too,few,fields\n")                     # short CSV
         broker.publish(topic, b"\xfe\xfd\xfc not utf-8 \xff")          # undecodable bytes
         broker.publish(topic, COLUMN_FRAME_MAGIC + b"{broken json")    # corrupt JSON frame
         broker.publish(topic, b"a,b,c,not-a-timestamp\n")              # bad timestamp field
-        counts = system.flush_broker(now=0.0)
+        counts = system.api_pipeline.flush_broker(now=0.0)
         assert counts == {"fog1/d-01/s-01": 1}
         assert system.dropped_payloads == 4
 
@@ -233,14 +222,14 @@ class TestFramePathEquivalence:
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
         readings = [
             make_reading(sensor_id="oof-1000", value=20.0, timestamp=1000.0, size_bytes=64),
             make_reading(sensor_id="oof-100", value=20.0, timestamp=100.0, size_bytes=64),
         ]
         columns = ReadingColumns.from_readings(readings)
         broker.publish_columns("city/toyville/d-01/s-01/frame", columns, timestamp=1000.0)
-        counts = system.flush_broker()  # no explicit now: batch max wins
+        counts = system.api_pipeline.flush_broker()  # no explicit now: batch max wins
         assert counts == {"fog1/d-01/s-01": 2}
         fog1 = system.fog1_for_section("d-01/s-01")
         assert fog1.has_series("oof-1000") and fog1.has_series("oof-100")
@@ -264,7 +253,7 @@ class TestFlushIsARound:
             return run(block, batch, timestamp)
 
         with mock.patch.object(AcquisitionBlock, "run", counting_run):
-            counts = system.flush_broker(now=now)
+            counts = system.api_pipeline.flush_broker(now=now)
         return counts, len(block_runs)
 
     @staticmethod
@@ -272,7 +261,7 @@ class TestFlushIsARound:
         # The default deployment: fog layer 1 deduplicates per batch.
         system = F2CDataManagement(city=small_city, catalog=small_catalog)
         broker = Broker()
-        system.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
         return system, broker
 
     def test_a_clean_flush_never_enters_a_node_row_loop(self, small_city, small_catalog):
@@ -397,7 +386,7 @@ class TestBinaryFrameDecoderFuzz:
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
         _, payload = self._frame()
         rng = random.Random(20260729)
         corrupt = []
@@ -415,7 +404,7 @@ class TestBinaryFrameDecoderFuzz:
         broker.publish(
             "city/toyville/d-01/s-01/energy/temperature", good.encode(), timestamp=5.0
         )
-        counts = system.flush_broker(now=5.0)
+        counts = system.api_pipeline.flush_broker(now=5.0)
         fog1 = system.fog1_for_section("d-01/s-01")
         # Either a corrupt frame was dropped (counted) or — if a mutation
         # left the frame intact semantically — it ingested *whole*; what can
@@ -472,12 +461,12 @@ class TestBinaryFrameDecoderFuzz:
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
         _, payload = self._frame()
         impostor = b"\x01" + payload[1:]  # no NUL prefix: not a frame at all
         assert not ReadingColumns.is_frame(impostor)
         broker.publish("city/toyville/d-01/s-01/frame", impostor, timestamp=5.0)
-        counts = system.flush_broker(now=5.0)
+        counts = system.api_pipeline.flush_broker(now=5.0)
         assert counts == {}
         assert system.dropped_payloads == 1
 
@@ -487,7 +476,7 @@ class TestBinaryFrameDecoderFuzz:
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
         _, payload = self._frame(rows=8)
         raw_body, n = self._raw_body(payload)
         # Claim more rows than the body carries: column parsing dies after
@@ -495,27 +484,20 @@ class TestBinaryFrameDecoderFuzz:
         broker.publish(
             "city/toyville/d-01/s-01/frame", self._rebuild_binary(raw_body, n + 4), timestamp=5.0
         )
-        counts = system.flush_broker(now=5.0)
+        counts = system.api_pipeline.flush_broker(now=5.0)
         assert counts == {}
         assert len(system.fog1_for_section("d-01/s-01").storage.store) == 0
         assert system.dropped_payloads == 1
 
 
-#: Every way a caller puts a column frame on the broker wire, with the error
-#: each raises for a layout name it does not speak.
-PUBLISHERS = {
-    "encode_frame": ValueError,
-    "publish_columns": ValueError,
-    "publish_frames": ConfigurationError,
-    "deployment": ConfigurationError,
-}
-
-
-def _published_frame(publisher, small_city, small_catalog, frame_format=None) -> bytes:
+def _published_frame(
+    publisher, small_city, small_catalog, frame_format=None, transport="direct"
+) -> bytes:
     """The one frame *publisher* emits for three readings of one section.
 
-    ``deployment`` names the layout on the :class:`F2CDataManagement`
-    itself; every other publisher names it on the call.
+    ``encode_frame`` and ``publish_columns`` name the layout on the call;
+    ``publish_frames`` publishes in the layout of its pipeline's
+    *transport*, on a deployment built apart from that pipeline.
     """
     readings = _readings(3)
     columns = ReadingColumns.from_readings(readings)
@@ -529,14 +511,10 @@ def _published_frame(publisher, small_city, small_catalog, frame_format=None) ->
             "city/toyville/d-01/s-01/frame", columns, timestamp=5.0, frame_format=frame_format
         )
     else:
-        deployment_format = frame_format if publisher == "deployment" else None
-        call_format = frame_format if publisher == "publish_frames" else None
-        system = F2CDataManagement(
-            city=small_city, catalog=small_catalog, frame_format=deployment_format
-        )
-        system.api_pipeline.publish_frames(
-            broker, readings, city_slug="toyville", default_section="d-01/s-01",
-            timestamp=5.0, frame_format=call_format,
+        system = F2CDataManagement(city=small_city, catalog=small_catalog)
+        pipeline = Pipeline(PipelineConfig(transport=transport), system=system)
+        pipeline.publish_frames(
+            broker, readings, city_slug="toyville", default_section="d-01/s-01", timestamp=5.0
         )
     (payload,) = seen
     return payload
@@ -553,10 +531,33 @@ class TestRetiredFrameLayout:
         decoded = ReadingColumns.decode_frame(payload)
         assert decoded.sensor_ids == [reading.sensor_id for reading in _readings(3)]
 
-    @pytest.mark.parametrize("publisher", sorted(PUBLISHERS))
+    # Only these two callers name a layout; publish_frames takes its transport's.
+    @pytest.mark.parametrize("publisher", ["encode_frame", "publish_columns"])
     def test_publishers_reject_the_retired_layout_name(self, publisher, small_city, small_catalog):
-        with pytest.raises(PUBLISHERS[publisher], match="'binary'"):
+        with pytest.raises(ValueError, match="'binary'"):
             _published_frame(publisher, small_city, small_catalog, frame_format="binary")
+
+    @pytest.mark.parametrize(
+        "transport, magic",
+        [
+            ("frames-json", ser.COLUMN_FRAME_MAGIC),
+            ("frames-binary-v2", ser.BINARY_FRAME_MAGIC),
+            ("direct", ser.BINARY_FRAME_MAGIC),
+            ("broker-csv", ser.BINARY_FRAME_MAGIC),
+        ],
+        ids=["frames-json", "frames-binary-v2", "direct", "broker-csv"],
+    )
+    def test_publish_frames_writes_its_transports_layout(
+        self, transport, magic, small_city, small_catalog
+    ):
+        payload = _published_frame(
+            "publish_frames", small_city, small_catalog, transport=transport
+        )
+        assert payload.startswith(magic)
+        if magic == ser.BINARY_FRAME_MAGIC:
+            assert payload[len(magic)] == ser.BINARY_FRAME_VERSION_2
+        decoded = ReadingColumns.decode_frame(payload)
+        assert decoded.sensor_ids == [reading.sensor_id for reading in _readings(3)]
 
     def test_golden_v1_frame_is_dropped_and_the_flush_continues(self, small_city, small_catalog):
         fixture = json.loads(REJECTED_FRAMES.read_text(encoding="utf-8"))["v1_section_frame"]
@@ -570,7 +571,7 @@ class TestRetiredFrameLayout:
         readings = _readings()
         counts = client.ingest(readings, now=5.0, default_section="d-01/s-01")
         assert counts == {"fog1/d-01/s-01": len(readings)}
-        assert client.health()["dropped_payloads"] == 1
+        assert client.health()["conservation"]["dropped_payloads"] == 1
         fog1 = client.system.fog1_for_section("d-01/s-01")
         assert len(fog1.storage.store) == len(readings)
         assert all(fog1.has_series(reading.sensor_id) for reading in readings)

@@ -12,21 +12,12 @@ import pathlib
 
 import pytest
 
+from repro.api import Pipeline, PipelineConfig
 from repro.core.architecture import F2CDataManagement
 from repro.messaging.broker import Broker
 from repro.sensors.catalog import BARCELONA_CATALOG
 from repro.sensors.generator import ReadingGenerator
 from tests.conftest import make_reading
-
-# This module is a *legacy-surface* regression suite: it deliberately drives
-# the deprecated F2CDataManagement write shims to prove they keep working
-# (and keep reproducing the golden fixtures) through the repro.api pipeline.
-# The shim DeprecationWarnings are therefore expected here — and only here;
-# the CI deprecation gate (-W error::DeprecationWarning) errors on them
-# everywhere else.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:.*is a deprecated shim:DeprecationWarning"
-)
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "ingest_golden.json"
 
@@ -38,7 +29,7 @@ def run_seeded_workload():
     for index, device in enumerate(generator.all_devices()):
         system.assign_sensor(device.sensor_id, sections[index % len(sections)])
     for round_index, batch in enumerate(generator.transactions(count=4, start=0.0, interval=900.0)):
-        system.ingest_readings(batch, now=round_index * 900.0)
+        system.api_pipeline.ingest_rows(batch, now=round_index * 900.0)
     system.synchronise(now=3600.0)
     storage = {
         node_id: {
@@ -77,7 +68,7 @@ class TestBatchedBrokerEquivalence:
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.attach_broker(broker, city_slug="toyville", batched=batched)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=batched)
         for i in range(12):
             # size_bytes must exceed the CSV line length or the wire format
             # truncates the payload and the reading is dropped on re-parse.
@@ -92,7 +83,7 @@ class TestBatchedBrokerEquivalence:
                 timestamp=5.0,
             )
         if batched:
-            system.flush_broker(now=5.0)
+            system.api_pipeline.flush_broker(now=5.0)
         system.synchronise(now=10.0)
         return system
 
@@ -117,17 +108,17 @@ class TestBatchedBrokerEquivalence:
 
         system = F2CDataManagement(city=small_city, catalog=small_catalog)
         with pytest.raises(ConfigurationError):
-            system.flush_broker()
-        system.attach_broker(Broker(), city_slug="toyville", batched=False)
+            system.api_pipeline.flush_broker()
+        system.api_pipeline.attach_broker(Broker(), city_slug="toyville", batched=False)
         with pytest.raises(ConfigurationError):
-            system.flush_broker()
+            system.api_pipeline.flush_broker()
 
 
 class TestFlushDoesNotTouchForeignInboxes:
     def test_foreign_batched_subscriber_keeps_its_inbox(self, small_city, small_catalog):
         system = F2CDataManagement(city=small_city, catalog=small_catalog)
         broker = Broker()
-        system.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
         dashboard = []
         broker.subscribe("dashboard", "city/#", dashboard.append, batched=True)
         reading = make_reading(
@@ -135,7 +126,7 @@ class TestFlushDoesNotTouchForeignInboxes:
         )
         broker.publish("city/toyville/d-01/s-01/energy/temperature", reading.encode())
         assert broker.inbox_size("dashboard") == 1
-        counts = system.flush_broker(now=0.0)  # must not raise or drain "dashboard"
+        counts = system.api_pipeline.flush_broker(now=0.0)  # must not raise or drain "dashboard"
         assert counts == {"fog1/d-01/s-01": 1}
         assert broker.inbox_size("dashboard") == 1
         assert broker.flush_inboxes("dashboard") == 1
@@ -148,7 +139,7 @@ class TestFlushTimestampDefault:
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
         # Newest message arrives first; the default flush timestamp must be
         # the batch maximum or this reading fails the future-skew check.
         for t in (1000.0, 100.0):
@@ -159,7 +150,7 @@ class TestFlushTimestampDefault:
             broker.publish(
                 "city/toyville/d-01/s-01/energy/temperature", reading.encode(), timestamp=t
             )
-        counts = system.flush_broker()  # no explicit now
+        counts = system.api_pipeline.flush_broker()  # no explicit now
         assert counts == {"fog1/d-01/s-01": 2}
         fog1 = system.fog1_for_section("d-01/s-01")
         assert fog1.has_series("ooo-1000") and fog1.has_series("ooo-100")
@@ -174,19 +165,21 @@ class TestThreeWayGoldenEquivalence:
     """
 
     @staticmethod
-    def _run_frames(frame_format):
-        system = F2CDataManagement(catalog=BARCELONA_CATALOG, frame_format=frame_format)
+    def _run_frames(transport):
+        system = F2CDataManagement(catalog=BARCELONA_CATALOG)
         generator = ReadingGenerator(BARCELONA_CATALOG, devices_per_type=5, seed=2024)
         sections = [s.section_id for s in system.city.sections]
         for index, device in enumerate(generator.all_devices()):
             system.assign_sensor(device.sensor_id, sections[index % len(sections)])
         broker = Broker()
-        system.attach_broker(broker, batched=True)
+        # The transport names the frame layout the pipeline publishes.
+        pipeline = Pipeline(PipelineConfig(transport=transport), system=system)
+        pipeline.attach_broker(broker, batched=True)
         for round_index, batch in enumerate(
             generator.transactions(count=4, start=0.0, interval=900.0)
         ):
-            system.publish_frames(broker, batch, timestamp=round_index * 900.0)
-            system.flush_broker(now=round_index * 900.0)
+            pipeline.publish_frames(broker, batch, timestamp=round_index * 900.0)
+            pipeline.flush_broker(now=round_index * 900.0)
         system.synchronise(now=3600.0)
         storage = {
             node_id: {
@@ -210,8 +203,8 @@ class TestThreeWayGoldenEquivalence:
     def test_all_three_paths_match_the_golden_fixture(self):
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
         assert run_seeded_workload() == golden  # direct ingest (reference)
-        binary_system, binary_reports = self._run_frames("binary-v2")
-        json_system, json_reports = self._run_frames("json")
+        binary_system, binary_reports = self._run_frames("frames-binary-v2")
+        json_system, json_reports = self._run_frames("frames-json")
         assert binary_reports == golden
         assert json_reports == golden
         assert self._cloud_contents(binary_system) == self._cloud_contents(json_system)
@@ -225,9 +218,9 @@ class TestThreeWayGoldenEquivalence:
         for round_index, batch in enumerate(
             generator.transactions(count=4, start=0.0, interval=900.0)
         ):
-            system.ingest_readings(batch, now=round_index * 900.0)
+            system.api_pipeline.ingest_rows(batch, now=round_index * 900.0)
         system.synchronise(now=3600.0)
         direct_contents = self._cloud_contents(system)
-        for frame_format in ("binary-v2", "json"):
-            frame_system, _ = self._run_frames(frame_format)
+        for transport in ("frames-binary-v2", "frames-json"):
+            frame_system, _ = self._run_frames(transport)
             assert self._cloud_contents(frame_system) == direct_contents

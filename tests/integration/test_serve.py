@@ -239,7 +239,7 @@ class TestConservation:
         assert stats["readings_offered"] == (
             stats["readings_ingested"]
             + broker["shed_messages"]
-            + health["dropped_payloads"]
+            + health["conservation"]["dropped_payloads"]
         )
         assert health["serve"]["completed"] is True
 
@@ -250,7 +250,10 @@ class TestConservation:
         assert handle.drain(timeout=120)
         health = handle.health()
         assert health["broker"]["shed_messages"] == 0
-        assert health["dropped_payloads"] == reference.health()["dropped_payloads"]
+        assert (
+            health["conservation"]["dropped_payloads"]
+            == reference.health()["conservation"]["dropped_payloads"]
+        )
         assert handle.cloud_digest() == reference.cloud_digest()
         handle.shutdown()
 

@@ -45,7 +45,7 @@ def golden():
 @pytest.fixture(scope="module")
 def frame_path_digest():
     """Cloud digest of the single-process binary-frame ingest path."""
-    system = F2CDataManagement(catalog=BARCELONA_CATALOG, frame_format="binary-v2")
+    system = F2CDataManagement(catalog=BARCELONA_CATALOG)
     generator = ReadingGenerator(BARCELONA_CATALOG, devices_per_type=5, seed=2024)
     sections = [s.section_id for s in system.city.sections]
     for index, device in enumerate(generator.all_devices()):
@@ -168,7 +168,7 @@ class TestWorkerFaults:
         result = run_sharded(
             workers=2,
             workload=ShardedWorkload.golden(),
-            fault=WorkerFault(shard_index=1, die_after_round=die_after_round),
+            faults=[WorkerFault(shard_index=1, die_after_round=die_after_round)],
         )
         assert result.golden_report() == golden
         assert result.worker_restarts == 1
@@ -180,7 +180,7 @@ class TestWorkerFaults:
         result = run_sharded(
             workers=3,
             workload=ShardedWorkload.golden(),
-            fault=WorkerFault(shard_index=0, die_after_round=1),
+            faults=[WorkerFault(shard_index=0, die_after_round=1)],
             inline=True,
         )
         assert result.golden_report() == golden
@@ -194,7 +194,7 @@ class TestWorkerFaults:
         faulted = run_sharded(
             workers=2,
             workload=workload,
-            fault=WorkerFault(shard_index=0, die_after_round=2),
+            faults=[WorkerFault(shard_index=0, die_after_round=2)],
             inline=True,
         )
         assert faulted.worker_restarts == 1
@@ -247,7 +247,7 @@ class TestWorkerFaults:
         supervisor = ShardSupervisor(
             workers=2,
             workload=ShardedWorkload(rounds=24, sync_plan=((24, 21600.0),)),
-            fault=WorkerFault(shard_index=0, die_after_round=0),
+            faults=[WorkerFault(shard_index=0, die_after_round=0)],
             max_restarts=0,
         )
         open_fds = len(os.listdir("/proc/self/fd"))
@@ -281,7 +281,7 @@ class TestWorkerFaults:
         supervisor = _AlwaysDying(
             workers=2,
             workload=ShardedWorkload.golden(),
-            fault=WorkerFault(shard_index=0, die_after_round=0),
+            faults=[WorkerFault(shard_index=0, die_after_round=0)],
             max_restarts=1,
             inline=True,
         )
