@@ -277,13 +277,17 @@ class F2CClient:
 
     def cloud_contents(self) -> List[tuple]:
         """Canonical (sorted) cloud store contents for equivalence checks."""
-        from repro.runtime.supervisor import cloud_contents
+        from repro.core.architecture import cloud_contents
 
         return cloud_contents(self.system)
 
     def cloud_digest(self) -> str:
-        """SHA-256 over the canonical cloud contents (cheap equality token)."""
-        from repro.runtime.supervisor import cloud_digest
+        """SHA-256 over the canonical cloud contents.
+
+        One sort plus one string format per cloud row; see
+        :func:`repro.core.architecture.cloud_digest`.
+        """
+        from repro.core.architecture import cloud_digest
 
         return cloud_digest(self.system)
 

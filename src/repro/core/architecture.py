@@ -24,6 +24,7 @@ frames) and the multi-process sharded runtime.
 
 from __future__ import annotations
 
+import hashlib
 import zlib
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -46,6 +47,10 @@ from repro.network.simulator import NetworkSimulator
 from repro.network.topology import LayerName, NetworkTopology
 from repro.network.traffic import TrafficAccountant
 from repro.sensors.catalog import SensorCatalog
+
+
+#: Canonical rows hashed per SHA-256 update in :func:`cloud_digest`.
+_DIGEST_CHUNK_ROWS = 4096
 
 
 #: Builds the default fog layer-1 aggregator the paper evaluates: redundant
@@ -443,3 +448,37 @@ class F2CDataManagement:
             "districts": self.city.district_count,
             "sections": self.city.section_count,
         }
+
+
+def cloud_contents(architecture: F2CDataManagement) -> List[tuple]:
+    """Canonical (sorted) cloud store contents of a deployment.
+
+    The one canonical row shape every equivalence check uses — sharded vs
+    direct, live vs recovered, the scenarios and the benchmark's digest
+    gates all compare through here, so the definition cannot drift apart.
+    Rows come straight from the store's columns
+    (:meth:`~repro.storage.timeseries.TimeSeriesStore.canonical_rows`).
+    """
+    return architecture.cloud.storage.store.canonical_rows()
+
+
+def cloud_digest(architecture: F2CDataManagement) -> str:
+    """SHA-256 over ``repr(row)`` of every :func:`cloud_contents` row, in order.
+
+    Not free: it builds and sorts the canonical rows, then formats each one
+    — about 6–7 µs per cloud row (~1 s for a 150 k-row city-day; python
+    3.11 on 2 vCPUs).  Each distinct tag tuple is rendered once; the bytes
+    hashed are exactly ``repr(row)``.
+    """
+    rows = cloud_contents(architecture)
+    digest = hashlib.sha256()
+    tag_reprs: Dict[int, str] = {}  # id(tag tuple) -> repr; the rows keep the tuples alive
+    for start in range(0, len(rows), _DIGEST_CHUNK_ROWS):
+        chunk = []
+        for *fields, tags in rows[start : start + _DIGEST_CHUNK_ROWS]:
+            rendered = tag_reprs.get(id(tags))
+            if rendered is None:
+                rendered = tag_reprs[id(tags)] = repr(tags)
+            chunk.append("(%r, %r, %r, %r, %r, %r, %r, %s)" % (*fields, rendered))
+        digest.update("".join(chunk).encode("utf-8"))
+    return digest.hexdigest()

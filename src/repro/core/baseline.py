@@ -11,14 +11,14 @@ highlights ("two times data transfer through the same path").
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.city.model import City
 from repro.city.barcelona import BARCELONA
 from repro.common.errors import ConfigurationError
 from repro.dlc.preservation import PreservationBlock
 from repro.network.link import Link
-from repro.network.simulator import NetworkSimulator, Transfer
+from repro.network.simulator import NetworkSimulator
 from repro.network.topology import LayerName, NetworkTopology
 from repro.network.traffic import TrafficAccountant
 from repro.sensors.catalog import SensorCatalog
@@ -69,7 +69,6 @@ class CentralizedCloudDataManagement:
         self.platform = SentiloPlatform(catalog=catalog)
         self.archive = CloudArchive(name="centralized-archive")
         self.preservation = PreservationBlock(archive=self.archive)
-        self.transfers: List[Transfer] = []
 
     # ------------------------------------------------------------------ #
     # Ingestion: every reading crosses the WAN to the cloud immediately
@@ -87,7 +86,6 @@ class CentralizedCloudDataManagement:
             message_count=len(batch),
             departure_time=timestamp,
         )
-        self.transfers.append(transfer)
         self.platform.publish_batch(batch)
         self.preservation.run(batch, transfer.arrival_time)
         return len(batch)

@@ -16,7 +16,7 @@ it to the parent node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.common.errors import ConfigurationError
 from repro.network.link import LinkProfile
@@ -98,7 +98,6 @@ class DataMovementScheduler:
         self.architecture = architecture
         self.simulator = simulator
         self.policy = policy or MovementPolicy()
-        self.transfers: List[Transfer] = []
 
     # ------------------------------------------------------------------ #
     # One-shot synchronisations
@@ -238,7 +237,7 @@ class DataMovementScheduler:
         departure: float,
     ) -> Transfer:
         dominant_category = max(category_counts, key=category_counts.get) if category_counts else None
-        transfer = self.simulator.send(
+        return self.simulator.send(
             source=source,
             target=target,
             size_bytes=size_bytes,
@@ -246,8 +245,6 @@ class DataMovementScheduler:
             category=dominant_category,
             departure_time=departure,
         )
-        self.transfers.append(transfer)
-        return transfer
 
     def _backhaul_profile(self, fog2_node_id: str) -> Optional[LinkProfile]:
         try:

@@ -19,14 +19,9 @@ path does.
   faults and re-runs their sections.
 """
 
+from repro.core.architecture import cloud_contents, cloud_digest
 from repro.runtime.shards import ShardedWorkload, WorkerFault, WorkerSpec, shard_of_section
-from repro.runtime.supervisor import (
-    ShardedRunResult,
-    ShardSupervisor,
-    cloud_contents,
-    cloud_digest,
-    run_sharded,
-)
+from repro.runtime.supervisor import ShardedRunResult, ShardSupervisor, run_sharded
 
 __all__ = [
     "ShardedWorkload",

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, RoutingError
-from repro.core.architecture import F2CDataManagement
+from repro.core.architecture import F2CDataManagement, cloud_contents, cloud_digest
 from repro.core.faults import FailureState
 from repro.runtime import ipc
 from repro.runtime.shards import ShardedWorkload, WorkerFault, WorkerSpec, worker_main
@@ -48,38 +48,6 @@ from repro.sensors.catalog import SensorCatalog
 
 #: Restarts allowed per shard before the run is abandoned.
 DEFAULT_MAX_RESTARTS = 2
-
-
-def cloud_contents(architecture: F2CDataManagement) -> List[tuple]:
-    """Canonical (sorted) cloud store contents of a deployment.
-
-    The one canonical row shape every equivalence check uses — the sharded
-    result, the benchmark's same-run digest gate and the integration tests
-    all compare through here, so the definition cannot drift apart.
-    """
-    return sorted(
-        (
-            r.sensor_id,
-            r.sensor_type,
-            r.category,
-            r.value,
-            r.timestamp,
-            r.size_bytes,
-            r.sequence,
-            tuple(sorted(r.tags.items())),
-        )
-        for r in architecture.cloud.storage.store.all_readings()
-    )
-
-
-def cloud_digest(architecture: F2CDataManagement) -> str:
-    """SHA-256 over :func:`cloud_contents` (cheap equality token)."""
-    import hashlib
-
-    digest = hashlib.sha256()
-    for row in cloud_contents(architecture):
-        digest.update(repr(row).encode("utf-8"))
-    return digest.hexdigest()
 
 
 class WorkerFailure(RuntimeError):
@@ -134,7 +102,10 @@ class ShardedRunResult:
         return cloud_contents(self.architecture)
 
     def cloud_digest(self) -> str:
-        """SHA-256 over the canonical cloud contents (cheap equality token)."""
+        """SHA-256 over the canonical cloud contents.
+
+        See :func:`repro.core.architecture.cloud_digest` for what it costs.
+        """
         return cloud_digest(self.architecture)
 
     def client(self):

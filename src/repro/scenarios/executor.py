@@ -200,7 +200,7 @@ def _run(scenario: Scenario, *, processes: bool, durable_dir: Optional[str]) -> 
         run.digest = handle.cloud_digest()
         run.final_query = _snapshot_query(handle.submit_query())
     client = handle.client
-    run.cloud_rows = len(client.cloud_contents())
+    run.cloud_rows = len(client.system.cloud.storage.store)
     if scenario.wants_recovery():
         _crash_and_recover(scenario, run, client, config)
     return run

@@ -383,6 +383,34 @@ class TimeSeriesStore:
         for part in self._parts.values():
             yield from part.readings(0, len(part.timestamps))
 
+    def canonical_rows(self) -> List[tuple]:
+        """Every row as ``(sensor_id, sensor_type, category, value, timestamp,
+        size_bytes, sequence, tag_items)``, sorted — the canonical contents
+        equivalence checks compare.
+
+        ``tag_items`` is ``tuple(sorted(tags.items()))`` (``()`` for ``None``
+        or empty tags), built once per distinct tag dict and shared by its
+        rows; an item tuple is shared by every dict holding the same key and
+        value objects.  Rows enter the sort in :meth:`all_readings` order, so
+        even values that do not order (NaN) land where sorting those
+        readings puts them.
+        """
+        tag_items: Dict[int, tuple] = {}  # id(tag dict) -> its sorted items
+        shared: Dict[tuple, tuple] = {}  # (id(name), id(value)) -> one item tuple
+        rows: List[tuple] = []
+        for part in self._parts.values():
+            *fields, tags = part.columns()
+            keys = list(map(id, tags))
+            for key, tag_dict in dict(zip(keys, tags)).items():
+                if key not in tag_items:
+                    tag_items[key] = tuple(sorted([
+                        shared.setdefault((id(name), id(value)), (name, value))
+                        for name, value in (tag_dict or {}).items()
+                    ]))
+            rows.extend(zip(*fields, map(tag_items.__getitem__, keys)))
+        rows.sort()
+        return rows
+
     def sensor_ids(self) -> List[str]:
         return sorted(set().union(*(part.sensor_ids for part in self._parts.values())))
 

@@ -15,6 +15,7 @@ import pytest
 from repro.api import Pipeline, PipelineConfig
 from repro.core.architecture import F2CDataManagement
 from repro.messaging.broker import Broker
+from repro.runtime import cloud_contents
 from repro.sensors.catalog import BARCELONA_CATALOG
 from repro.sensors.generator import ReadingGenerator
 from tests.conftest import make_reading
@@ -192,14 +193,6 @@ class TestThreeWayGoldenEquivalence:
         }
         return system, {"traffic": system.traffic_report(), "storage": storage}
 
-    @staticmethod
-    def _cloud_contents(system):
-        return sorted(
-            (r.sensor_id, r.sensor_type, r.category, r.value, r.timestamp,
-             r.size_bytes, r.sequence, tuple(sorted(r.tags.items())))
-            for r in system.cloud.storage.store.all_readings()
-        )
-
     def test_all_three_paths_match_the_golden_fixture(self):
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
         assert run_seeded_workload() == golden  # direct ingest (reference)
@@ -207,7 +200,7 @@ class TestThreeWayGoldenEquivalence:
         json_system, json_reports = self._run_frames("frames-json")
         assert binary_reports == golden
         assert json_reports == golden
-        assert self._cloud_contents(binary_system) == self._cloud_contents(json_system)
+        assert cloud_contents(binary_system) == cloud_contents(json_system)
 
     def test_frame_paths_store_identical_contents_to_direct_ingest(self):
         system = F2CDataManagement(catalog=BARCELONA_CATALOG)
@@ -220,7 +213,7 @@ class TestThreeWayGoldenEquivalence:
         ):
             system.api_pipeline.ingest_rows(batch, now=round_index * 900.0)
         system.synchronise(now=3600.0)
-        direct_contents = self._cloud_contents(system)
+        direct_contents = cloud_contents(system)
         for transport in ("frames-binary-v2", "frames-json"):
             frame_system, _ = self._run_frames(transport)
-            assert self._cloud_contents(frame_system) == direct_contents
+            assert cloud_contents(frame_system) == direct_contents

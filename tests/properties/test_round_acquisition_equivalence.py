@@ -36,10 +36,9 @@ from hypothesis import strategies as st
 from repro.api.pipeline import Pipeline
 from repro.city.barcelona import fog1_node_id
 from repro.city.model import City, District, Section
-from repro.core.architecture import F2CDataManagement
+from repro.core.architecture import F2CDataManagement, cloud_digest
 from repro.dlc.acquisition import AcquisitionBlock
 from repro.network.topology import LayerName
-from repro.runtime.supervisor import cloud_digest
 from repro.messaging.broker import Broker
 from repro.sensors.catalog import SensorCatalog, SensorCategory, SensorTypeSpec
 from repro.sensors.readings import Reading, ReadingBatch, ReadingColumns
