@@ -6,7 +6,8 @@ redundant-data elimination, and after compression — and checks the reduction
 shape against the figures the paper reports (2.5 → 1.2 → 0.27 GB for energy,
 and so on).  The paper's own compressed values mix "compression applied to
 the aggregated volume" and "compression applied to the raw volume" between
-panels; both are reported here (see EXPERIMENTS.md).
+panels (the garbage and parking panels' ~0.07 GB is the raw volume
+compressed); both are reported here.
 """
 
 from __future__ import annotations

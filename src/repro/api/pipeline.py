@@ -25,6 +25,7 @@ the wire layout a pipeline publishes column frames in.
 from __future__ import annotations
 
 from collections import Counter
+from math import isfinite
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.city.barcelona import fog1_node_id
@@ -163,21 +164,19 @@ class Pipeline:
         The round is routed at C speed (:meth:`_route_columns`: the sensor id
         column mapped through the node cache, nodes kept in first-appearance
         order — the order of the accountant's records and of the returned
-        dict) and acquired by :meth:`_acquire_routed`, the post-routing code
-        this entry shares with :meth:`flush_broker`: once for the whole
-        round when it is clean, node by node through the general row loop
-        otherwise.
+        dict) and acquired at one ``now`` for all its nodes by
+        :meth:`_acquire_routed`, the post-routing code this entry shares
+        with :meth:`flush_broker`.
 
         *columns* is never mutated (rounds are replayed across benchmark
-        reps and serve runs); a single-node round that is not clean is
-        acquired from the caller's instance without a copy.
+        reps and serve runs).
         """
         system = self.system
         timestamp = now if now is not None else system.simulator.clock.now()
         node_ids, ranks = self._route_columns(columns, default_section)
         nodes = [system.fog1_node(node_id) for node_id in node_ids]
         sources = [f"sensors/{fog1.section_id}" for fog1 in nodes]
-        return self._acquire_routed(nodes, sources, columns, ranks, timestamp)
+        return self._acquire_routed(nodes, sources, columns, ranks, [timestamp] * len(nodes))
 
     def _acquire_routed(
         self,
@@ -185,53 +184,55 @@ class Pipeline:
         sources: List[str],
         columns: ReadingColumns,
         ranks: List[int],
-        now: Optional[float],
-        per_node: bool = False,
+        nows: List[float],
     ) -> Dict[str, int]:
         """Acquire one routed round: row *i* of *columns* is ``nodes[ranks[i]]``'s.
 
-        The round is offered whole to
-        :func:`~repro.dlc.acquisition.acquire_round`.  A *clean* round —
-        every node's block the default fused configuration and every row
-        provably scoring 1.0 (see that function) — is deduplicated, gathered
-        node-major and tagged once for the whole round, and only the
-        accounting (one record per node, from ``sources[rank]``) and the
-        store append run per node.  Any other round is grouped per node by
-        one stable sort and each node's slice takes
-        :meth:`FogNodeLevel1.ingest` — the general row loop, unchanged.
-        Both give the same rows, tags, results, counters and records, and
-        the returned acquired-rows-per-node dict is in *nodes* order.
-
-        *per_node* sends the round straight to the row loop (a caller that
-        knows the round-wide pass would not be the per-node one); so does
-        ``now=None``, which acquires each node's rows at their own largest
-        timestamp.
+        Node ``nodes[r]`` acquires its rows at ``nows[r]``.  When every
+        node's block is in the default configuration the round is acquired
+        once for all of them by :func:`~repro.dlc.acquisition.acquire_round`
+        (a flawed row is scored alone, the rest of the round stays
+        columnar), and only the accounting (one record per node, from
+        ``sources[rank]``) and the store append run per node.  Otherwise the
+        round is grouped per node by one stable sort and each node's slice
+        takes :meth:`FogNodeLevel1.ingest` and its block's own phases.  The
+        deployment's configuration picks the path, never the round's
+        content.  Returns the acquired rows per node, in *nodes* order.
         """
         acquired_counts: Dict[str, int] = {}
-        outcomes = None
-        if now is not None and not per_node:
-            outcomes = acquire_round([fog1.acquisition for fog1 in nodes], columns, ranks, now)
-        if outcomes is not None:
-            for fog1, source, (acquired, result) in zip(nodes, sources, outcomes):
-                offered = result.phase_results[0]
+        blocks = [fog1.acquisition for fog1 in nodes]
+        if not all(block._acquires_by_round() for block in blocks):
+            for fog1, source, node_columns, now in zip(
+                nodes, sources, _group_by_rank(columns, ranks, len(nodes)), nows
+            ):
                 self._record_edge_transfer(
-                    fog1, source, now, offered.input_bytes, offered.input_readings
+                    fog1, source, now, node_columns.total_bytes, len(node_columns)
                 )
-                fog1.accept_acquired(offered.input_readings, acquired, result)
+                acquired = fog1.ingest(ReadingBatch.from_columns(node_columns), now)
                 acquired_counts[fog1.node_id] = len(acquired)
             return acquired_counts
-        grouped = _group_by_rank(columns, ranks, len(nodes))
-        for fog1, source, node_columns in zip(nodes, sources, grouped):
-            # Batch maximum, not the last arrival: with out-of-order arrivals
-            # an older last row would make newer readings look like they are
-            # from the future and fail the quality phase's skew check.
-            timestamp = now if now is not None else max(node_columns.timestamps)
+        outcomes = acquire_round(blocks, columns, ranks, nows)
+        for fog1, source, now, (acquired, result) in zip(nodes, sources, nows, outcomes):
+            offered = result.phase_results[0]
             self._record_edge_transfer(
-                fog1, source, timestamp, node_columns.total_bytes, len(node_columns)
+                fog1, source, now, offered.input_bytes, offered.input_readings
             )
-            acquired = fog1.ingest(ReadingBatch.from_columns(node_columns), timestamp)
+            fog1.accept_acquired(offered.input_readings, acquired, result)
             acquired_counts[fog1.node_id] = len(acquired)
         return acquired_counts
+
+    def _acquisition_time(self, timestamps: Iterable[float]) -> float:
+        """When a batch given no explicit ``now`` is acquired: its latest finite timestamp.
+
+        The batch maximum, not the last arrival: with out-of-order arrivals
+        an older last row would make newer readings look like they are from
+        the future and fail the quality phase's skew check.  Non-finite
+        timestamps are skipped — the quality phase rejects them, and
+        ``max`` around a NaN depends on row order — and a batch without a
+        finite one is acquired at the simulator clock.
+        """
+        latest = max(filter(isfinite, timestamps), default=None)
+        return latest if latest is not None else self.system.simulator.clock.now()
 
     def _record_edge_transfer(
         self, fog1, source: str, timestamp: float, size_bytes: int, readings: int
@@ -385,7 +386,7 @@ class Pipeline:
             columns = self._decode_message_columns(message)
             if columns is None or not len(columns):
                 return
-            timestamp = max(columns.timestamps)
+            timestamp = self._acquisition_time(columns.timestamps)
             fog1 = self.system.fog1_node(node_id)
             self._record_edge_transfer(
                 fog1, f"broker/{node_id}", timestamp, columns.total_bytes, len(columns)
@@ -404,18 +405,14 @@ class Pipeline:
         are concatenated node-major into one column set with a rank column —
         a row belongs to the node whose inbox it arrived in — and handed to
         :meth:`_acquire_routed`, the post-routing code of
-        :meth:`ingest_columns`: a clean flush is acquired once for all its
-        nodes, any other one node by node through the row loop.  Returns the
-        number of readings acquired per fog layer-1 node; the traffic
-        accountant records one ``broker/<node>`` transfer per (node, flush)
-        with the summed byte volume, mirroring what :meth:`ingest_rows` does
-        for direct batch ingestion.
-
-        Two flushes always take the row loop: one with ``now=None`` (each
-        node's batch is acquired at its own largest timestamp), and one in
-        which a sensor id shows up in two nodes' inboxes — the fused dedup
-        is per node, so both nodes admit their copy, where a round-wide pass
-        would keep only the first.
+        :meth:`ingest_columns`.  Each node acquires its rows at *now*, or,
+        when *now* is ``None``, at its own batch's latest finite timestamp
+        (:meth:`_acquisition_time`).  Dedup is per node, so a sensor id in
+        two nodes' inboxes is admitted at both.  Returns the number of
+        readings acquired per fog layer-1 node; the traffic accountant
+        records one ``broker/<node>`` transfer per (node, flush) with the
+        summed byte volume, mirroring what :meth:`ingest_rows` does for
+        direct batch ingestion.
         """
         system = self.system
         if system._broker is None:
@@ -427,6 +424,7 @@ class Pipeline:
         drain = system._broker.drain_inbox
         decode = self._decode_message_columns
         nodes: list = []
+        nows: List[float] = []
         ranks: List[int] = []
         columns = ReadingColumns()
         for node_id, fog1 in system._fog1.items():
@@ -439,10 +437,12 @@ class Pipeline:
             if rows:
                 ranks += [len(nodes)] * rows
                 nodes.append(fog1)
+                if now is None:
+                    nows.append(self._acquisition_time(columns.timestamps[rows_before:]))
+                else:
+                    nows.append(now)
         sources = [f"broker/{fog1.node_id}" for fog1 in nodes]
-        last_rank_of = dict(zip(columns.sensor_ids, ranks))
-        shared_sensor = list(map(last_rank_of.__getitem__, columns.sensor_ids)) != ranks
-        return self._acquire_routed(nodes, sources, columns, ranks, now, per_node=shared_sensor)
+        return self._acquire_routed(nodes, sources, columns, ranks, nows)
 
     def _columns_per_section(
         self, readings: Iterable[Reading], default_section: Optional[str]

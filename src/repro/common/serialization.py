@@ -47,10 +47,9 @@ from array import array
 from sys import intern
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-# ``_np`` (numpy or None) comes from typedcols so there is exactly one
-# numpy import/fallback site in the package; tests monkeypatch this
-# module's binding to force the pure-stdlib codec paths.
-from repro.common.typedcols import _np, as_float_column, column_from_bytes, column_to_bytes
+import numpy as np
+
+from repro.common.typedcols import as_float_column, column_from_bytes, column_to_bytes
 
 #: Leading marker of a JSON column frame.  Starts with a NUL byte, which can
 #: never begin a CSV reading line, so receivers dispatch on the payload
@@ -337,9 +336,7 @@ def _pack_string_column(values: List[Any], table: Dict[str, int]) -> List[int]:
 
 
 def _pack_indices(code: str, indices) -> bytes:
-    if _np is not None and not isinstance(indices, (list, array)):
-        return indices.astype(_INDEX_DTYPES[code]).tobytes()
-    return column_to_bytes(array(code, indices))
+    return indices.astype(_INDEX_DTYPES[code]).tobytes()
 
 
 def _pack_f64_column(column: array) -> bytes:
@@ -347,36 +344,20 @@ def _pack_f64_column(column: array) -> bytes:
     n = len(column)
     plain = column_to_bytes(column)
     if n >= _DICT_MIN_ROWS:
-        if _np is not None:
-            # Dictionary distinctness runs on the raw 64-bit patterns, so
-            # -0.0/0.0 and NaN payloads round-trip exactly.
-            bits = _np.frombuffer(column, dtype=_np.int64)
-            entries, inverse = _np.unique(bits, return_inverse=True)
-            count = len(entries)
-            code = _index_typecode(count)
-            dict_size = _U32.size + 8 * count + struct.calcsize(code) * n
-            if dict_size < len(plain):
-                return (
-                    bytes([_DICT_F64_TAG])
-                    + _U32.pack(count)
-                    + entries.astype("<i8", copy=False).tobytes()
-                    + _pack_indices(code, inverse)
-                )
-        else:
-            entry_for: Dict[bytes, int] = {}
-            intern = entry_for.setdefault
-            pack = _F64.pack
-            indices = [intern(pack(value), len(entry_for)) for value in column]
-            count = len(entry_for)
-            code = _index_typecode(count)
-            dict_size = _U32.size + 8 * count + struct.calcsize(code) * n
-            if dict_size < len(plain):
-                return (
-                    bytes([_DICT_F64_TAG])
-                    + _U32.pack(count)
-                    + b"".join(entry_for)
-                    + _pack_indices(code, indices)
-                )
+        # Dictionary distinctness runs on the raw 64-bit patterns, so
+        # -0.0/0.0 and NaN payloads round-trip exactly.
+        bits = np.frombuffer(column, dtype=np.int64)
+        entries, inverse = np.unique(bits, return_inverse=True)
+        count = len(entries)
+        code = _index_typecode(count)
+        dict_size = _U32.size + 8 * count + struct.calcsize(code) * n
+        if dict_size < len(plain):
+            return (
+                bytes([_DICT_F64_TAG])
+                + _U32.pack(count)
+                + entries.astype("<i8", copy=False).tobytes()
+                + _pack_indices(code, inverse)
+            )
     return bytes([_PLAIN_F64_TAG]) + plain
 
 
@@ -414,12 +395,9 @@ def _unpack_f64_column(view: memoryview, offset: int, n: int, what: str) -> tupl
     if tag != _DICT_F64_TAG:
         raise ValueError(f"binary column frame has unknown {what} layout tag {tag}")
     count, entries, indices, offset = _unpack_dict_indices(view, offset, n, what)
-    if _np is not None:
-        table = _np.frombuffer(entries, dtype="<f8")
-        gathered = table[_np.asarray(indices)].astype("<f8", copy=False)
-        return column_from_bytes("d", gathered.tobytes()), offset
-    table_column = column_from_bytes("d", entries)
-    return array("d", (table_column[i] for i in indices)), offset
+    table = np.frombuffer(entries, dtype="<f8")
+    gathered = table[np.asarray(indices)].astype("<f8", copy=False)
+    return column_from_bytes("d", gathered.tobytes()), offset
 
 
 def _pack_small_ints(values) -> bytes:
@@ -452,32 +430,17 @@ def _pack_small_ints(values) -> bytes:
         code = _WIDTH_CODES[width]
         plain_tag = width
     if n >= _DICT_MIN_ROWS:
-        if _np is not None:
-            entries, inverse = _np.unique(_np.frombuffer(column, dtype=_np.int64), return_inverse=True)
-            count = len(entries)
-            icode = _index_typecode(count)
-            dict_size = _U32.size + 8 * count + struct.calcsize(icode) * n
-            if dict_size < width * n:
-                return (
-                    bytes([_DICT_TAG])
-                    + _U32.pack(count)
-                    + entries.astype("<i8", copy=False).tobytes()
-                    + _pack_indices(icode, inverse)
-                )
-        else:
-            entry_for: Dict[int, int] = {}
-            intern = entry_for.setdefault
-            indices = [intern(value, len(entry_for)) for value in column]
-            count = len(entry_for)
-            icode = _index_typecode(count)
-            dict_size = _U32.size + 8 * count + struct.calcsize(icode) * n
-            if dict_size < width * n:
-                return (
-                    bytes([_DICT_TAG])
-                    + _U32.pack(count)
-                    + column_to_bytes(array("q", entry_for))
-                    + _pack_indices(icode, indices)
-                )
+        entries, inverse = np.unique(np.frombuffer(column, dtype=np.int64), return_inverse=True)
+        count = len(entries)
+        icode = _index_typecode(count)
+        dict_size = _U32.size + 8 * count + struct.calcsize(icode) * n
+        if dict_size < width * n:
+            return (
+                bytes([_DICT_TAG])
+                + _U32.pack(count)
+                + entries.astype("<i8", copy=False).tobytes()
+                + _pack_indices(icode, inverse)
+            )
     return bytes([plain_tag]) + column_to_bytes(array(code, column))
 
 

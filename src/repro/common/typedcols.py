@@ -11,12 +11,11 @@ column into a binary frame is ``tobytes()`` (one memcpy) instead of a
 per-element format loop.
 
 The helpers here are the single place the rest of the code goes through to
-create, gather and reduce typed columns.  When numpy is importable the
-gather/reduce helpers hand large columns to its vectorized kernels through a
-zero-copy buffer view; without numpy (or below the size threshold, where
-interpreter/numpy call overhead dominates) they fall back to pure-stdlib
-loops.  Both paths are behaviour-identical and both are covered by the test
-suite.
+create, gather and reduce typed columns.  The gather/reduce helpers hand
+large columns to numpy's vectorized kernels through a zero-copy buffer
+view; below a size threshold, where numpy's per-call overhead dominates,
+they use the stdlib's C loops instead.  Both paths are behaviour-identical
+and both are covered by the test suite.
 """
 
 from __future__ import annotations
@@ -25,10 +24,7 @@ import sys
 from array import array
 from typing import Iterable, Optional, Sequence
 
-try:  # pragma: no cover - exercised via the fallback tests either way
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as np
 
 #: Typecodes of the hot columns: C double timestamps, signed 64-bit sizes.
 FLOAT_TYPECODE = "d"
@@ -95,8 +91,8 @@ def column_from_bytes(typecode: str, data: bytes) -> array:
 # Gather and reduce (numpy-accelerated on large inputs)
 # --------------------------------------------------------------------------- #
 def _numpy_view(column: array):
-    """Zero-copy numpy view over a typed column (caller checked _np)."""
-    return _np.frombuffer(column, dtype=_np.float64 if column.typecode == FLOAT_TYPECODE else _np.int64)
+    """Zero-copy numpy view over a typed column."""
+    return np.frombuffer(column, dtype=np.float64 if column.typecode == FLOAT_TYPECODE else np.int64)
 
 
 def take_floats(column: Sequence[float], indices: Sequence[int]) -> array:
@@ -107,12 +103,11 @@ def take_floats(column: Sequence[float], indices: Sequence[int]) -> array:
     routing splits (:meth:`ReadingColumns.gather`) cheap at city scale.
     """
     if (
-        _np is not None
-        and len(indices) >= NUMPY_MIN_ELEMENTS
+        len(indices) >= NUMPY_MIN_ELEMENTS
         and type(column) is array
         and column.typecode == FLOAT_TYPECODE
     ):
-        gathered = _numpy_view(column)[_np.fromiter(indices, dtype=_np.intp, count=len(indices))]
+        gathered = _numpy_view(column)[np.fromiter(indices, dtype=np.intp, count=len(indices))]
         out = array(FLOAT_TYPECODE)
         out.frombytes(gathered.tobytes())
         return out
@@ -122,12 +117,11 @@ def take_floats(column: Sequence[float], indices: Sequence[int]) -> array:
 def take_ints(column: Sequence[int], indices: Sequence[int]) -> array:
     """``array('q', (column[i] for i in indices))``, vectorized when large."""
     if (
-        _np is not None
-        and len(indices) >= NUMPY_MIN_ELEMENTS
+        len(indices) >= NUMPY_MIN_ELEMENTS
         and type(column) is array
         and column.typecode == INT_TYPECODE
     ):
-        gathered = _numpy_view(column)[_np.fromiter(indices, dtype=_np.intp, count=len(indices))]
+        gathered = _numpy_view(column)[np.fromiter(indices, dtype=np.intp, count=len(indices))]
         out = array(INT_TYPECODE)
         out.frombytes(gathered.tobytes())
         return out
@@ -136,7 +130,7 @@ def take_ints(column: Sequence[int], indices: Sequence[int]) -> array:
 
 def column_sum(values: Sequence[int]) -> int:
     """``sum(values)`` with a vectorized path for large typed columns."""
-    if _np is not None and len(values) >= NUMPY_MIN_ELEMENTS and type(values) is array:
+    if len(values) >= NUMPY_MIN_ELEMENTS and type(values) is array:
         return int(_numpy_view(values).sum())
     return sum(values)
 
@@ -145,6 +139,6 @@ def column_min(values: Sequence[int]) -> Optional[int]:
     """``min(values)`` (None when empty), vectorized for large typed columns."""
     if not len(values):
         return None
-    if _np is not None and len(values) >= NUMPY_MIN_ELEMENTS and type(values) is array:
+    if len(values) >= NUMPY_MIN_ELEMENTS and type(values) is array:
         return _numpy_view(values).min().item()
     return min(values)

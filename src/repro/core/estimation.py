@@ -88,7 +88,9 @@ class Fig7Series:
     the compression factor to the aggregated volume (the pipeline the text
     describes); ``compression_on_raw`` applies compression to the raw volume
     (no redundancy elimination), which some panels of the paper's Fig. 7
-    appear to plot — see EXPERIMENTS.md for the fidelity discussion.
+    appear to plot: the garbage and parking panels show ~0.07 GB, which
+    compressing their raw 0.36 / 0.32 GB gives and compressing the
+    aggregated volume (0.023 / 0.042 GB) does not.
     """
 
     category: SensorCategory

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import le
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.aggregation.redundancy import RedundantDataElimination
 from repro.dlc.model import BlockResult, LifeCycleBlock, Phase, PhaseResult
@@ -23,10 +23,6 @@ from repro.dlc.quality import QualityAssessor, QualityPolicy, QualityReport
 from repro.sensors.catalog import SensorCatalog
 from repro.sensors.readings import Reading, ReadingBatch, ReadingColumns
 
-
-#: Tag keys the fused paths assign themselves; a static tag of the same name
-#: must win, which the copy-then-assign tag template cannot express.
-_TEMPLATE_KEYS = frozenset(("quality_score", "collected_at", "city", "category"))
 
 #: Value range of a sensor type the catalog does not know: never checked.
 _UNBOUNDED = (float("-inf"), float("inf"))
@@ -147,24 +143,13 @@ class DataDescriptionPhase(Phase):
         self,
         city_name: str = "barcelona",
         static_tags: Optional[Dict[str, object]] = None,
-        fog_node_resolver: Optional[Callable[[Reading], Optional[str]]] = None,
         fog_node_id: Optional[str] = None,
     ) -> None:
         self.city_name = city_name
         self.static_tags = dict(static_tags or {})
-        self._fog_node_resolver = fog_node_resolver
-        #: Constant fog node to assign to readings that arrive unassigned.
-        #: Fog layer-1 nodes use this instead of a resolver callable: a
-        #: constant lets the fused columnar path tag whole batches without
-        #: materializing a ``Reading`` per row for the callback.
+        #: Fog node assigned to readings that arrive unassigned (a fog
+        #: layer-1 node's own id); ``None`` leaves them unassigned.
         self.fog_node_id = fog_node_id
-
-    def _resolve_fog_node(self, reading: Reading) -> Optional[str]:
-        if self.fog_node_id is not None:
-            return self.fog_node_id
-        if self._fog_node_resolver is not None:
-            return self._fog_node_resolver(reading)
-        return None
 
     def run(self, batch: ReadingBatch, now: float) -> tuple[ReadingBatch, PhaseResult]:
         output = ReadingBatch()
@@ -175,10 +160,8 @@ class DataDescriptionPhase(Phase):
                 "category": reading.category,
                 **self.static_tags,
             }
-            if reading.fog_node_id is None:
-                fog_node = self._resolve_fog_node(reading)
-                if fog_node is not None:
-                    reading = reading.with_fog_node(fog_node)
+            if reading.fog_node_id is None and self.fog_node_id is not None:
+                reading = reading.with_fog_node(self.fog_node_id)
             if reading.fog_node_id is not None:
                 tags["fog_node"] = reading.fog_node_id
             output.append(reading.with_tags(**tags))
@@ -189,24 +172,13 @@ class DataDescriptionPhase(Phase):
 class AcquisitionBlock(LifeCycleBlock):
     """The complete acquisition block: collection → filtering → quality → description.
 
-    The hot path is *fused and columnar*: one loop over the batch's columns
-    performs redundant-data elimination (when the filter is the paper's
-    default batch-scope technique), scores each row with the inlined quality
-    checks, builds its final tag dict once, and writes admitted rows straight
-    into the output columns — no per-reading ``Reading`` objects are created
-    anywhere in the block.  The fusion is behaviour-preserving — the
-    per-phase results, tag contents/order and the quality report are
-    identical to running the phases sequentially — and is bypassed
-    automatically when a phase (or the quality assessor) has been
-    subclassed or a non-default aggregator is configured.
-
-    :meth:`run` is the one general path (penalties, rejections, custom
-    phases, assessors and resolvers).  :func:`acquire_round` acquires a
-    whole multi-node round at once when the round is *clean* — every
-    involved block in the default configuration and every row provably
-    scoring 1.0 — with outcomes identical to calling :meth:`run` per node;
-    which of the two runs is decided by the round's own content, never by
-    an option.
+    A block in the default configuration (:meth:`_acquires_by_round`) is
+    acquired by :func:`acquire_round` — on a one-node round when
+    :meth:`run` is called on the block itself — which reproduces the
+    sequential phases without a ``Reading`` per row and scores a flawed row
+    alone.  Any other block runs its phases one after the other
+    (:meth:`LifeCycleBlock.run`), the reference the round path is tested
+    against.  The block's configuration picks the path, never its rows.
     """
 
     def __init__(
@@ -225,451 +197,320 @@ class AcquisitionBlock(LifeCycleBlock):
             phases=[self.collection, self.filtering, self.quality, self.description],
         )
 
-    def _fuses_dedup(self) -> bool:
-        """Whether the filter is the paper's default batch-scope redundant-data
-        elimination, which fuses into the quality/description pass."""
-        aggregator = self.filtering.aggregator
-        return (
-            type(self.filtering) is DataFilteringPhase
-            and type(aggregator) is RedundantDataElimination
-            and aggregator.scope == "batch"
-        )
+    def _acquires_by_round(self) -> bool:
+        """Whether :func:`acquire_round` may stand in for the phases here.
 
-    def _fuses_whole_rounds(self) -> bool:
-        """Whether :func:`acquire_round` may stand in for :meth:`run` here.
-
-        The default fog layer-1 configuration exactly: nothing subclassed,
-        no collection sources, the fused batch-scope dedup, a constant fog
-        node and static tags the tag template can carry.
+        The default configuration: nothing subclassed (block, phases or
+        quality assessor), no collection sources, and either no filter or
+        the paper's batch-scope redundant-data elimination.
         """
-        description = self.description
+        aggregator = self.filtering.aggregator
         return (
             type(self) is AcquisitionBlock
             and type(self.collection) is DataCollectionPhase
             and not self.collection._sources
-            and self._fuses_dedup()
+            and type(self.filtering) is DataFilteringPhase
+            and (
+                aggregator is None
+                or (type(aggregator) is RedundantDataElimination and aggregator.scope == "batch")
+            )
             and type(self.quality) is DataQualityPhase
             and type(self.quality.assessor) is QualityAssessor
-            and type(description) is DataDescriptionPhase
-            and description.fog_node_id is not None
-            and _TEMPLATE_KEYS.isdisjoint(description.static_tags)
+            and type(self.description) is DataDescriptionPhase
         )
 
     def run(self, batch: ReadingBatch, now: float) -> tuple[ReadingBatch, BlockResult]:
-        if type(self.quality) is not DataQualityPhase or type(self.description) is not DataDescriptionPhase:
+        if not self._acquires_by_round():
             return super().run(batch, now)
-        result = BlockResult(block_name=self.name)
-        current, phase_result = self.collection.run(batch, now)
-        result.phase_results.append(phase_result)
-        # The paper's default fog layer-1 filter — batch-scope redundant
-        # data elimination — fuses into the quality/description loop as an
-        # inline dedup-key check, so the batch is traversed once instead of
-        # twice and no intermediate column set is built.  Any other
-        # aggregator (pipelines, other techniques, subclasses) runs through
-        # its own phase unchanged.
-        if self._fuses_dedup():
-            output, filter_result, quality_result, description_result = self._run_fused(
-                current, now, dedup=True
-            )
-            result.phase_results.append(filter_result)
-        else:
-            current, phase_result = self.filtering.run(current, now)
-            result.phase_results.append(phase_result)
-            output, _, quality_result, description_result = self._run_fused(current, now, dedup=False)
-        result.phase_results.append(quality_result)
-        result.phase_results.append(description_result)
-        return output, result
-
-    def _tag_template(self, now: float) -> Optional[Dict[str, object]]:
-        """The tag dict shared by rows that arrive without tags and score 1.0.
-
-        Key order matches the sequential phases: quality_score,
-        collected_at, city, category, static tags (``fog_node`` is assigned
-        after the copy).  ``None`` when a static tag shadows a built-in key:
-        assign-after-copy would win where the sequential phases let the
-        static tag win, so such blocks build every row's tags key by key.
-        """
-        static_tags = self.description.static_tags
-        if not _TEMPLATE_KEYS.isdisjoint(static_tags):
-            return None
-        template: Dict[str, object] = {
-            "quality_score": 1.0,
-            "collected_at": now,
-            "city": self.description.city_name,
-            "category": None,
-        }
-        template.update(static_tags)
-        return template
-
-    def _fused_results(
-        self,
-        offered: int,
-        offered_bytes: int,
-        deduplicated: int,
-        deduplicated_bytes: int,
-        admitted: int,
-        admitted_bytes: int,
-        report: QualityReport,
-    ) -> tuple[PhaseResult, PhaseResult, PhaseResult]:
-        """The filter / quality / description results of one fused pass.
-
-        *offered* rows entered the filter, *deduplicated* left it for the
-        quality phase, *admitted* passed quality and were tagged.
-        """
-        filter_result = PhaseResult(
-            self.filtering.name,
-            offered,
-            deduplicated,
-            offered_bytes,
-            deduplicated_bytes,
-            {"technique": "redundant_data_elimination", "bytes_after_encoding": None},
-        )
-        quality_result = PhaseResult(
-            self.quality.name,
-            deduplicated,
-            admitted,
-            deduplicated_bytes,
-            admitted_bytes,
-            {
-                "admitted": report.admitted,
-                "rejected": report.rejected,
-                "mean_score": round(report.mean_score, 3),
-                "rejection_reasons": dict(report.rejection_reasons),
-            },
-        )
-        description_result = PhaseResult(
-            self.description.name, admitted, admitted, admitted_bytes, admitted_bytes, {"tagged": admitted}
-        )
-        return filter_result, quality_result, description_result
-
-    def _run_fused(
-        self, batch: ReadingBatch, now: float, dedup: bool
-    ) -> tuple[ReadingBatch, Optional[PhaseResult], PhaseResult, PhaseResult]:
-        quality = self.quality
-        description = self.description
-        assessor = quality.assessor
-        resolver = description._fog_node_resolver
-        constant_fog = description.fog_node_id
-        static_tags = description.static_tags
-        city_name = description.city_name
-        seen: set = set()
-        seen_add = seen.add
-        dedup_removed = 0
-        dedup_removed_bytes = 0
-        # Tag template for rows that arrive without tags (the norm for raw
-        # sensor streams): one dict copy + three assignments per row instead
-        # of building the dict key by key.
-        tag_template = self._tag_template(now)
-        # Tag-dict memo for template-eligible rows: all rows of a batch that
-        # share (score, category, fog node) get the *same* tag dict object —
-        # one dict build per distinct combination per batch instead of one
-        # per admitted row.  Sharing is safe for the same reason the store's
-        # scalar interning is: tags are written once here and treated as
-        # immutable downstream (mutating a materialized reading's tag dict
-        # in place was never supported — ``Reading.with_tags`` copies).
-        shared_tags: Dict[tuple, Dict[str, object]] = {}
-        shared_tags_get = shared_tags.get
-        report = QualityReport()
-        scores_append = report.scores.append
-        record_rejection = report.record_rejection
-        # Scoring state bound once per batch.  The loop below inlines
-        # QualityAssessor.score_fields with the exact same checks and float
-        # expressions (the assessor method stays the reference
-        # implementation for per-reading callers and custom phases).
-        policy = assessor.policy
-        reject_non_numeric = policy.reject_non_numeric
-        max_future_skew_s = policy.max_future_skew_s
-        max_age_s = policy.max_age_s
-        minimum_score = policy.minimum_score
-        catalog = assessor.catalog
-        # A subclassed assessor may override score(); honour it by scoring a
-        # materialized reading per row instead of the inlined checks.
-        custom_score = None if type(assessor) is QualityAssessor else assessor.score
-        # sensor_type -> (low, high, low - span, high + span), or None when
-        # the type is not in the catalog.
-        range_cache: Dict[str, Optional[tuple]] = {}
-        # Column-wise fused loop: score each row from its columns, build its
-        # final tag dict once, and emit the admitted row straight into the
-        # output columns — no per-reading frozen-dataclass copies at all.
         columns = batch.columns
-        out = ReadingColumns()
-        # Bound column appends: the loop writes each admitted row straight
-        # into the output columns without a per-row method call.
-        out_ids = out.sensor_ids.append
-        out_types = out.sensor_types.append
-        out_cats = out.categories.append
-        out_values = out.values.append
-        out_tss = out.timestamps.append
-        out_fogs = out.fog_node_ids.append
-        out_sizes = out.sizes.append
-        out_seqs = out.sequences.append
-        out_tags = out.tags.append
-        admitted_bytes_total = 0
-        assessed = 0
-        for sensor_id, sensor_type, category, value, timestamp, fog_node_id, size, sequence, row_tags in zip(
-            columns.sensor_ids,
-            columns.sensor_types,
-            columns.categories,
-            columns.values,
-            columns.timestamps,
-            columns.fog_node_ids,
-            columns.sizes,
-            columns.sequences,
-            columns.tags,
-        ):
-            if dedup:
-                key = (sensor_id, sensor_type, value)
-                if key in seen:
-                    dedup_removed += 1
-                    dedup_removed_bytes += size
-                    continue
-                seen_add(key)
-            if custom_score is not None:
-                score, reason = custom_score(
-                    Reading(
-                        sensor_id=sensor_id,
-                        sensor_type=sensor_type,
-                        category=category,
-                        value=value,
-                        timestamp=timestamp,
-                        fog_node_id=fog_node_id,
-                        size_bytes=size,
-                        sequence=sequence,
-                        tags=row_tags if row_tags is not None else {},
-                    ),
-                    now,
-                )
-            else:
-                # --- inlined QualityAssessor.score_fields --------------- #
-                score = 1.0
-                reason = None
-                value_is_numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-                if not value_is_numeric:
-                    if reject_non_numeric:
-                        score, reason = 0.0, "non_numeric_value"
-                    else:
-                        score -= 0.4
-                if reason is None:
-                    if timestamp - timestamp != 0:  # NaN or ±inf
-                        score, reason = 0.0, "non_finite_timestamp"
-                    elif timestamp > now + max_future_skew_s:
-                        score, reason = 0.0, "timestamp_in_future"
-                    else:
-                        if now - timestamp > max_age_s:
-                            score -= 0.3
-                        if not sensor_id or not sensor_type:
-                            score, reason = 0.0, "missing_identity"
-                        elif catalog is not None and value_is_numeric:
-                            bounds = range_cache.get(sensor_type, range_cache)
-                            if bounds is range_cache:  # cache miss sentinel
-                                if sensor_type in catalog:
-                                    low, high = catalog.get(sensor_type).value_range
-                                    span = high - low
-                                    bounds = (low, high, low - span, high + span)
-                                else:
-                                    bounds = None
-                                range_cache[sensor_type] = bounds
-                            if bounds is not None:
-                                low, high, hard_low, hard_high = bounds
-                                float_value = float(value)
-                                if float_value < hard_low or float_value > hard_high:
-                                    score, reason = 0.0, "value_out_of_range"
-                                elif not low <= float_value <= high:
-                                    score -= 0.3
-                        if reason is None:
-                            score = max(0.0, min(1.0, score))
-                            if score < minimum_score:
-                                reason = "below_minimum_score"
-                # -------------------------------------------------------- #
-            assessed += 1
-            scores_append(score)
-            if reason is not None:
-                record_rejection(reason)
-                continue
-            if fog_node_id is None:
-                if constant_fog is not None:
-                    fog_node_id = constant_fog
-                elif resolver is not None:
-                    # Compatibility path for callable resolvers: materialize
-                    # this row so the callback sees a real Reading.
-                    fog_node_id = resolver(
-                        Reading(
-                            sensor_id=sensor_id,
-                            sensor_type=sensor_type,
-                            category=category,
-                            value=value,
-                            timestamp=timestamp,
-                            fog_node_id=None,
-                            size_bytes=size,
-                            sequence=sequence,
-                            tags=row_tags if row_tags is not None else {},
-                        )
-                    )
-            # Tag insertion order matches the sequential phases exactly:
-            # original tags, quality_score, then the description tags.
-            quality_score = 1.0 if score == 1.0 else round(score, 3)
-            if not row_tags and tag_template is not None:
-                memo_key = (quality_score, category, fog_node_id)
-                tags = shared_tags_get(memo_key)
-                if tags is None:
-                    tags = dict(tag_template)
-                    if quality_score != 1.0:
-                        tags["quality_score"] = quality_score
-                    tags["category"] = category
-                    if fog_node_id is not None:
-                        tags["fog_node"] = fog_node_id
-                    shared_tags[memo_key] = tags
-            else:
-                tags = dict(row_tags) if row_tags else {}
-                tags["quality_score"] = quality_score
-                tags["collected_at"] = now
-                tags["city"] = city_name
-                tags["category"] = category
-                if static_tags:
-                    tags.update(static_tags)
-                if fog_node_id is not None:
-                    tags["fog_node"] = fog_node_id
-            out_ids(sensor_id)
-            out_types(sensor_type)
-            out_cats(category)
-            out_values(value)
-            out_tss(timestamp)
-            out_fogs(fog_node_id)
-            out_sizes(size)
-            out_seqs(sequence)
-            out_tags(tags)
-            admitted_bytes_total += size
-        out._total_bytes = admitted_bytes_total
-        report.assessed = assessed
-        report.admitted = len(out)
-        output = ReadingBatch.from_columns(out)
-        quality.last_report = report
-        filter_result, quality_result, description_result = self._fused_results(
-            len(batch),
-            batch.total_bytes,
-            len(batch) - dedup_removed,
-            batch.total_bytes - dedup_removed_bytes,
-            len(output),
-            output.total_bytes,
-            report,
+        return acquire_round([self], columns, [0] * len(columns), [now])[0]
+
+
+#: The verdict of a row that passed the all-clean test.
+_ADMITTED = (1.0, None)
+
+
+def _row_tags(
+    description: DataDescriptionPhase,
+    row_tags: Optional[Dict[str, object]],
+    quality_score: float,
+    category: str,
+    fog_node_id: Optional[str],
+    now: float,
+) -> Dict[str, object]:
+    """An admitted row's tags, key by key in the order the phases merge them.
+
+    The row's own tags, ``quality_score`` (the quality phase), then
+    ``collected_at``, ``city``, ``category``, the static tags and
+    ``fog_node`` (the description phase).  A repeated key keeps its first
+    position and takes its last value, as the phases' dict merges do, so a
+    static tag named like a built-in one overrides it in place.
+    """
+    tags = {
+        **(row_tags or {}),
+        "quality_score": quality_score,
+        "collected_at": now,
+        "city": description.city_name,
+        "category": category,
+        **description.static_tags,
+    }
+    if fog_node_id is not None:
+        tags["fog_node"] = fog_node_id
+    return tags
+
+
+def _describe_clean_rows(
+    description: DataDescriptionPhase, out: ReadingColumns, now: float
+) -> None:
+    """Assign fog nodes and tags to *out*, whose rows all arrived untagged and
+    unassigned and scored 1.0: the block's fog node, one tag dict per category."""
+    fog_node_id = description.fog_node_id
+    out.fog_node_ids = [fog_node_id] * len(out)
+    tags_of = {
+        category: _row_tags(description, None, 1.0, category, fog_node_id, now)
+        for category in set(out.categories)
+    }
+    out.tags = list(map(tags_of.__getitem__, out.categories))
+
+
+def _describe_rows(
+    description: DataDescriptionPhase, out: ReadingColumns, scores: List[float], now: float
+) -> None:
+    """Assign fog nodes and tags to *out*, whose rows scored *scores*.
+
+    A row without a fog node takes the block's.  Untagged rows share one tag
+    dict per (quality score, category, fog node); a tagged row gets its own.
+    """
+    shared: Dict[tuple, Dict[str, object]] = {}
+    fog_node_ids = []
+    tags_column = []
+    rows = zip(scores, out.categories, out.fog_node_ids, out.tags)
+    for score, category, fog_node_id, row_tags in rows:
+        if fog_node_id is None:
+            fog_node_id = description.fog_node_id
+        quality_score = round(score, 3)
+        if row_tags:
+            tags = _row_tags(description, row_tags, quality_score, category, fog_node_id, now)
+        else:
+            key = (quality_score, category, fog_node_id)
+            tags = shared.get(key)
+            if tags is None:
+                tags = shared[key] = _row_tags(description, None, *key, now)
+        fog_node_ids.append(fog_node_id)
+        tags_column.append(tags)
+    out.fog_node_ids = fog_node_ids
+    out.tags = tags_column
+
+
+def _flawed_rows(
+    blocks: Sequence[AcquisitionBlock],
+    columns: ReadingColumns,
+    ranks: Sequence[int],
+    nows: Sequence[float],
+) -> Set[int]:
+    """The rows of a round that the all-clean test cannot admit unscored.
+
+    A row is clean when it provably scores exactly 1.0 and needs no tags of
+    its own: its value is exactly a ``float`` inside its type's catalog
+    range (a NaN is inside no range), id and type are non-empty, it carries
+    no tags and no fog node yet, and its timestamp is finite, not past its
+    block's ``now + max_future_skew_s`` and not older than ``max_age_s``.
+    The test is made once for the whole round first, a C-level pass per
+    column; only a round that fails it is tested row by row.  Blocks that
+    do not share one quality policy and catalog have every row scored.
+    """
+    count = len(columns)
+    assessor = blocks[0].quality.assessor
+    policy, catalog = assessor.policy, assessor.catalog
+    for block in blocks:
+        other = block.quality.assessor
+        if other.catalog is not catalog or other.policy != policy:
+            return set(range(count))
+    sensor_ids, sensor_types, values = columns.sensor_ids, columns.sensor_types, columns.values
+    timestamps, tags, fog_node_ids = columns.timestamps, columns.tags, columns.fog_node_ids
+    low_of: Dict[str, float] = {}
+    high_of: Dict[str, float] = {}
+    for sensor_type in set(sensor_types):
+        low_of[sensor_type], high_of[sensor_type] = (
+            catalog.get(sensor_type).value_range
+            if catalog is not None and sensor_type in catalog
+            else _UNBOUNDED
         )
-        return output, filter_result if dedup else None, quality_result, description_result
+    max_future_skew_s, max_age_s = policy.max_future_skew_s, policy.max_age_s
+    # min()/max() are order-dependent around a NaN; a sum is NaN if any term is.
+    timestamp_sum = sum(timestamps)
+    if (
+        set(map(type, values)) == {float}
+        and all(sensor_ids)
+        and all(sensor_types)
+        and not any(tags)
+        and fog_node_ids.count(None) == count
+        and timestamp_sum == timestamp_sum
+        and max(timestamps) <= min(nows) + max_future_skew_s
+        and max(nows) - min(timestamps) <= max_age_s
+        and all(map(le, map(low_of.__getitem__, sensor_types), values))
+        and all(map(le, values, map(high_of.__getitem__, sensor_types)))
+    ):
+        return set()
+    rows = enumerate(zip(sensor_ids, sensor_types, values, timestamps, tags, fog_node_ids, ranks))
+    return {
+        row
+        for row, (sensor_id, sensor_type, value, timestamp, row_tags, fog_node_id, rank) in rows
+        if not (
+            type(value) is float
+            and low_of[sensor_type] <= value <= high_of[sensor_type]
+            and sensor_id
+            and sensor_type
+            and not row_tags
+            and fog_node_id is None
+            and timestamp <= nows[rank] + max_future_skew_s
+            and nows[rank] - timestamp <= max_age_s
+        )
+    }
+
+
+def _block_result(
+    block: AcquisitionBlock,
+    offered: int,
+    offered_bytes: int,
+    kept: int,
+    kept_bytes: int,
+    out: ReadingColumns,
+    report: QualityReport,
+) -> BlockResult:
+    """The phase results the sequential phases give one block of a round.
+
+    *offered* rows entered the block, *kept* left the filter for the
+    quality phase, *out* holds the admitted, tagged ones.
+    """
+    admitted, admitted_bytes = len(out), out.total_bytes
+    aggregator = block.filtering.aggregator
+    if aggregator is None:
+        filtering_details: Dict[str, object] = {"technique": "none"}
+    else:
+        filtering_details = {"technique": aggregator.name, "bytes_after_encoding": None}
+    quality_details = {
+        "admitted": report.admitted,
+        "rejected": report.rejected,
+        "mean_score": round(report.mean_score, 3),
+        "rejection_reasons": dict(report.rejection_reasons),
+    }
+    collection_details = {"pulled_from_sources": 0, "source_count": 0}
+    return BlockResult(
+        block.name,
+        [
+            PhaseResult(
+                block.collection.name,
+                offered,
+                offered,
+                offered_bytes,
+                offered_bytes,
+                collection_details,
+            ),
+            PhaseResult(
+                block.filtering.name, offered, kept, offered_bytes, kept_bytes, filtering_details
+            ),
+            PhaseResult(
+                block.quality.name, kept, admitted, kept_bytes, admitted_bytes, quality_details
+            ),
+            PhaseResult(
+                block.description.name,
+                admitted,
+                admitted,
+                admitted_bytes,
+                admitted_bytes,
+                {"tagged": admitted},
+            ),
+        ],
+    )
 
 
 def acquire_round(
     blocks: Sequence[AcquisitionBlock],
     columns: ReadingColumns,
     ranks: Sequence[int],
-    now: float,
-) -> Optional[List[Tuple[ReadingBatch, BlockResult]]]:
-    """Acquire one routed round for all its fog nodes at once, if it is *clean*.
+    nows: Sequence[float],
+) -> List[Tuple[ReadingBatch, BlockResult]]:
+    """Acquire one routed round for all its fog nodes at once.
 
-    Row *i* of *columns* belongs to ``blocks[ranks[i]]``; all rows of one
-    sensor id must share a rank (true of anything routed by sensor id), so
-    that round-wide first occurrence of a dedup key is its first occurrence
-    at its node.  Returns, per block, exactly the ``(acquired, result)`` that
-    ``block.run`` returns for that block's rows in their original order —
-    same rows, tag dict contents, key order and sharing (one dict per node
-    and category), phase results and ``quality.last_report`` — or ``None``,
-    having touched nothing, when the round is not clean and the caller must
-    run each block's row loop instead.
+    Row *i* of *columns* belongs to ``blocks[ranks[i]]``, which acquires it
+    at ``nows[ranks[i]]``; every block is in the default configuration
+    (:meth:`AcquisitionBlock._acquires_by_round`).  Returns, per block,
+    what its sequential phases (:meth:`LifeCycleBlock.run`) return for that
+    block's rows in their original order — the same rows, tag contents and
+    key order, phase results and ``quality.last_report``.
 
-    A round is clean when every block is the default fused configuration
-    (:meth:`AcquisitionBlock._fuses_whole_rounds`) with one shared quality
-    policy and catalog, and every row scores exactly 1.0 on the template-tag
-    path: the value is exactly a ``float`` inside its type's catalog range
-    (a NaN is inside no range), id and type are non-empty, the row carries
-    no tags and no fog node yet, and its timestamp is finite, not past
-    ``now + max_future_skew_s`` and not older than ``max_age_s``.  Every test is
-    a C-level pass over a column.  Penalised, rejected or pre-tagged rows
-    are what the row loop is for.
+    Redundant-data elimination keys on ``(rank, sensor id, type, value)``,
+    so duplicates are dropped per node.  In a round that passes the
+    all-clean test (:func:`_flawed_rows`) every row scores 1.0 without a
+    per-row step; otherwise only the rows that fail it are scored, by
+    :meth:`QualityAssessor.score_fields`, and merged back in row order.
+    Untagged admitted rows share one tag dict per (node, quality score,
+    category, fog node); a row that arrives tagged gets a dict of its own.
 
     *columns* is only read: the survivors are gathered into new columns.
     """
     if not blocks:
         return []
-    if not all(block._fuses_whole_rounds() for block in blocks):
-        return None
-    assessor = blocks[0].quality.assessor
-    policy, catalog = assessor.policy, assessor.catalog
-    for block in blocks:
-        other = block.quality.assessor
-        if other.catalog is not catalog or other.policy != policy:
-            return None
-
     count = len(columns)
     sensor_ids, sensor_types, values = columns.sensor_ids, columns.sensor_types, columns.values
-    timestamps = columns.timestamps
-    if (
-        set(map(type, values)) != {float}
-        or not all(sensor_ids)
-        or not all(sensor_types)
-        or any(columns.tags)
-        or columns.fog_node_ids.count(None) != count
-    ):
-        return None
-    # min()/max() are order-dependent around a NaN; a sum is NaN if any term is.
-    timestamp_sum = sum(timestamps)
-    if (
-        timestamp_sum != timestamp_sum
-        or max(timestamps) > now + policy.max_future_skew_s
-        or now - min(timestamps) > policy.max_age_s
-    ):
-        return None
-    if catalog is not None:
-        low_of: Dict[str, float] = {}
-        high_of: Dict[str, float] = {}
-        for sensor_type in set(sensor_types):
-            low_of[sensor_type], high_of[sensor_type] = (
-                catalog.get(sensor_type).value_range if sensor_type in catalog else _UNBOUNDED
-            )
-        if not (
-            all(map(le, map(low_of.__getitem__, sensor_types), values))
-            and all(map(le, values, map(high_of.__getitem__, sensor_types)))
-        ):
-            return None
-
-    # Batch-scope dedup for the whole round: zipping the keys in reverse
-    # leaves each key mapped to its first row.
-    keys = zip(reversed(sensor_ids), reversed(sensor_types), reversed(values))
-    first_row = dict(zip(keys, reversed(range(count))))
     node_major = sorted(range(count), key=ranks.__getitem__)
-    survivors = list(filter(set(first_row.values()).__contains__, node_major))
-    offered_rows = Counter(ranks)
-    offered_sizes = list(map(columns.sizes.__getitem__, node_major))
-    kept_rows = Counter(map(ranks.__getitem__, survivors))
-    kept = columns.gather(survivors).split(kept_rows[rank] for rank in range(len(blocks)))
+    dedups = [block.filtering.aggregator is not None for block in blocks]
+    kept = range(count)
+    if any(dedups):
+        # Zipping the keys in reverse leaves each key mapped to its first row.
+        keys = zip(reversed(ranks), reversed(sensor_ids), reversed(sensor_types), reversed(values))
+        kept = set(dict(zip(keys, reversed(range(count)))).values())
+        if not all(dedups):
+            kept.update(row for row in range(count) if not dedups[ranks[row]])
+    survivors = list(filter(kept.__contains__, node_major))
+    timestamps = columns.timestamps
+    scored = {
+        row: blocks[ranks[row]].quality.assessor.score_fields(
+            sensor_ids[row], sensor_types[row], values[row], timestamps[row], nows[ranks[row]]
+        )
+        for row in _flawed_rows(blocks, columns, ranks, nows)
+        if row in kept
+    }
+    flawed_ranks = set(map(ranks.__getitem__, scored))
 
+    offered_rows = Counter(ranks)
+    kept_rows = admitted_rows = Counter(map(ranks.__getitem__, survivors))
+    admitted = survivors
+    if scored:
+        admitted = [row for row in survivors if scored.get(row, _ADMITTED)[1] is None]
+        admitted_rows = Counter(map(ranks.__getitem__, admitted))
+    offered_sizes = list(map(columns.sizes.__getitem__, node_major))
+    outs = columns.gather(admitted).split(admitted_rows[rank] for rank in range(len(blocks)))
     outcomes = []
-    offered_start = 0
-    for rank, (block, out) in enumerate(zip(blocks, kept)):
-        offered = offered_rows[rank]
+    offered_start = kept_start = 0
+    for rank, (block, now, out) in enumerate(zip(blocks, nows, outs)):
+        offered, deduplicated = offered_rows[rank], kept_rows[rank]
         offered_bytes = sum(offered_sizes[offered_start:offered_start + offered])
         offered_start += offered
-        admitted = len(out)
-        node_id = block.description.fog_node_id
-        out.fog_node_ids = [node_id] * admitted
-        template = block._tag_template(now)
-        tags_of = {}
-        for category in set(out.categories):
-            tags = tags_of[category] = dict(template)
-            tags["category"] = category
-            tags["fog_node"] = node_id
-        out.tags = list(map(tags_of.__getitem__, out.categories))
-        admitted_bytes = out.total_bytes
-        report = QualityReport(assessed=admitted, admitted=admitted, scores=[1.0] * admitted)
+        kept_start += deduplicated
+        if rank in flawed_ranks:
+            block_survivors = survivors[kept_start - deduplicated:kept_start]
+            report = QualityReport(assessed=deduplicated)
+            admitted_scores = []
+            for row in block_survivors:
+                score, reason = scored.get(row, _ADMITTED)
+                report.scores.append(score)
+                if reason is None:
+                    admitted_scores.append(score)
+                else:
+                    report.record_rejection(reason)
+            report.admitted = len(admitted_scores)
+            _describe_rows(block.description, out, admitted_scores, now)
+            deduplicated_bytes = sum(map(columns.sizes.__getitem__, block_survivors))
+        else:
+            scores = [1.0] * deduplicated
+            report = QualityReport(assessed=deduplicated, admitted=deduplicated, scores=scores)
+            _describe_clean_rows(block.description, out, now)
+            deduplicated_bytes = out.total_bytes
         block.quality.last_report = report
-        collection_result = PhaseResult(
-            block.collection.name,
-            offered,
-            offered,
-            offered_bytes,
-            offered_bytes,
-            {"pulled_from_sources": 0, "source_count": 0},
+        result = _block_result(
+            block, offered, offered_bytes, deduplicated, deduplicated_bytes, out, report
         )
-        fused_results = block._fused_results(
-            offered, offered_bytes, admitted, admitted_bytes, admitted, admitted_bytes, report
-        )
-        result = BlockResult(block.name, [collection_result, *fused_results])
         outcomes.append((ReadingBatch.from_columns(out), result))
     return outcomes

@@ -391,7 +391,7 @@ BARCELONA_CATALOG = SensorCatalog(
 )
 
 #: The category totals the paper prints in Table I (bytes per day, cloud model
-#: and F2C model).  Used by tests and EXPERIMENTS.md to check exact fidelity.
+#: and F2C model).  Used by tests to check exact fidelity.
 PAPER_TABLE1_DAILY_TOTALS: Mapping[SensorCategory, Tuple[int, int]] = {
     SensorCategory.ENERGY: (2_539_023_168, 1_269_511_584),
     SensorCategory.NOISE: (641_280_000, 160_320_000),

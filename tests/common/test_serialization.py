@@ -236,46 +236,6 @@ class TestColumnFrameCodecs:
         # little, so assert consistency rather than a specific flag value.)
         assert flags in (0, ser._FLAG_DICT_COMPRESSED)
 
-    def test_dictionary_paths_round_trip_under_both_implementations(self, monkeypatch):
-        from repro.common import serialization as ser
-
-        n = 600
-        record = {
-            "sensor_ids": [f"s-{i % 10}" for i in range(n)],
-            "sensor_types": ["temperature"] * n,
-            "categories": ["energy"] * n,
-            "values": [float(i % 5) for i in range(n)],
-            "timestamps": [float(i % 3) for i in range(n)],
-            "sizes": [(i % 2) * 100 + 22 for i in range(n)],
-            "sequences": list(range(n)),
-        }
-        with_numpy = ser.encode_columns_binary_v2(record)
-        monkeypatch.setattr(ser, "_np", None)
-        without_numpy = ser.encode_columns_binary_v2(record)
-        for payload in (with_numpy, without_numpy):
-            decoded = ser.decode_columns_binary_v2(payload)
-            assert list(decoded["timestamps"]) == record["timestamps"]
-            assert list(decoded["sizes"]) == record["sizes"]
-            assert decoded["sensor_ids"] == record["sensor_ids"]
-            assert decoded["values"] == record["values"]
-
-    def test_numpy_encoded_frames_decode_without_numpy_and_vice_versa(self, monkeypatch):
-        from repro.common import serialization as ser
-
-        n = 600
-        record = self._record(n)
-        record["timestamps"] = [float(i % 4) for i in range(n)]
-        if ser._np is None:
-            pytest.skip("numpy not available")
-        encoded_with = ser.encode_columns_binary_v2(record)
-        monkeypatch.setattr(ser, "_np", None)
-        decoded_without = ser.decode_columns_binary_v2(encoded_with)
-        encoded_without = ser.encode_columns_binary_v2(record)
-        monkeypatch.undo()
-        decoded_with = ser.decode_columns_binary_v2(encoded_without)
-        assert list(decoded_without["timestamps"]) == record["timestamps"]
-        assert list(decoded_with["timestamps"]) == record["timestamps"]
-
     def test_json_decode_validates_field_types(self):
         from repro.common import serialization as ser
 

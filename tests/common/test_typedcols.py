@@ -1,10 +1,11 @@
 """Tests for the typed-array column helpers.
 
 Every helper with a numpy fast path is exercised on *both* paths — the
-vectorized one (threshold forced down) and the pure-stdlib fallback
-(numpy masked out) — against the same reference results.
+vectorized one (threshold forced down) and the stdlib one (threshold
+raised past any input) — against the same reference results.
 """
 
+import sys
 from array import array
 
 import pytest
@@ -14,13 +15,9 @@ from repro.common import typedcols
 
 @pytest.fixture(params=["numpy", "stdlib"])
 def both_paths(request, monkeypatch):
-    """Run the test under the numpy path (threshold 1) and the fallback."""
-    if request.param == "numpy":
-        if typedcols._np is None:
-            pytest.skip("numpy not available")
-        monkeypatch.setattr(typedcols, "NUMPY_MIN_ELEMENTS", 1)
-    else:
-        monkeypatch.setattr(typedcols, "_np", None)
+    """Run the test under the numpy path (threshold 1) and the stdlib one."""
+    threshold = 1 if request.param == "numpy" else sys.maxsize
+    monkeypatch.setattr(typedcols, "NUMPY_MIN_ELEMENTS", threshold)
     return request.param
 
 

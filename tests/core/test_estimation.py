@@ -130,8 +130,8 @@ class TestFig7Series:
         [
             # Raw / aggregated values read from Fig. 7 and the Section V.B
             # narrative; compressed values are redundancy elimination followed
-            # by the measured zip factor (see EXPERIMENTS.md for why some of
-            # the paper's own compressed panels differ).
+            # by the measured zip factor (the paper's own garbage and parking
+            # panels compress the raw volume instead; see the next test).
             (SensorCategory.ENERGY, 2.5, 1.2, 0.276),
             (SensorCategory.NOISE, 0.64, 0.16, 0.035),
             (SensorCategory.GARBAGE, 0.36, 0.11, 0.023),
@@ -149,7 +149,8 @@ class TestFig7Series:
 
     def test_compression_on_raw_matches_paper_garbage_parking_panels(self, estimator):
         # The paper's garbage and parking panels apply compression to the raw
-        # volume (0.36 -> 0.07 GB, 0.32 -> 0.07 GB); see EXPERIMENTS.md.
+        # volume (0.36 -> 0.07 GB, 0.32 -> 0.07 GB), a value compressing the
+        # aggregated volume (0.023 / 0.042 GB) cannot reach.
         garbage = estimator.fig7_series(SensorCategory.GARBAGE)
         parking = estimator.fig7_series(SensorCategory.PARKING)
         assert garbage.compression_on_raw_gb == pytest.approx(0.078, abs=0.01)

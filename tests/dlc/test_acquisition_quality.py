@@ -10,6 +10,7 @@ from repro.dlc.acquisition import (
     DataFilteringPhase,
     DataQualityPhase,
 )
+from repro.dlc.model import LifeCycleBlock
 from repro.dlc.quality import QualityAssessor, QualityPolicy
 from repro.sensors.readings import ReadingBatch
 from tests.conftest import make_reading
@@ -135,8 +136,8 @@ class TestDataDescriptionPhase:
         assert tags["collected_at"] == 42.0
         assert tags["licence"] == "ODbL"
 
-    def test_fog_node_resolution(self):
-        phase = DataDescriptionPhase(fog_node_resolver=lambda reading: "fog1/somewhere")
+    def test_fog_node_assignment(self):
+        phase = DataDescriptionPhase(fog_node_id="fog1/somewhere")
         output, _ = phase.run(batch_of(make_reading()), now=0.0)
         assert output[0].fog_node_id == "fog1/somewhere"
         assert output[0].tags["fog_node"] == "fog1/somewhere"
@@ -166,8 +167,8 @@ class TestAcquisitionBlock:
 
 
 class TestFusedQualityDescription:
-    """The fused quality+description loop must be indistinguishable from
-    running the two phases sequentially."""
+    """A default block's round acquisition must be indistinguishable from
+    running its phases sequentially."""
 
     @staticmethod
     def _mixed_batch():
@@ -188,7 +189,7 @@ class TestFusedQualityDescription:
             description=DataDescriptionPhase(
                 city_name="toyville",
                 static_tags={"section": "d-01/s-01"},
-                fog_node_resolver=lambda reading: "fog1/d-01/s-01",
+                fog_node_id="fog1/d-01/s-01",
             ),
         )
 
@@ -254,10 +255,10 @@ class TestFusedQualityDescription:
     def _every_scoring_branch(small_catalog):
         """One reading per branch of the quality checks (drift guard).
 
-        The fused loop inlines a copy of ``QualityAssessor.score_fields``
-        for speed; this corpus exercises every branch of the checks so any
-        divergence between the inline copy and the reference implementation
-        fails the sequential-equivalence assertions.
+        The round path admits clean rows without scoring them; this corpus
+        exercises every branch of the checks so any row it admits that
+        ``QualityAssessor.score_fields`` would not fails the
+        sequential-equivalence assertions.
         """
         return [
             make_reading(sensor_id="clean", value=20.0, timestamp=9.0),
@@ -276,7 +277,7 @@ class TestFusedQualityDescription:
         ]
 
     @pytest.mark.parametrize("reject_non_numeric", [True, False])
-    def test_inlined_scoring_matches_score_fields_on_every_branch(
+    def test_round_scoring_matches_score_fields_on_every_branch(
         self, small_catalog, reject_non_numeric
     ):
         policy = QualityPolicy(minimum_score=0.5, reject_non_numeric=reject_non_numeric)
@@ -339,3 +340,70 @@ class TestFusedQualityDescription:
         assert list(fused_output) == list(current)
         for fused, sequential in zip(fused_result.phase_results, sequential_results):
             assert fused == sequential
+
+    @staticmethod
+    def _tagged_and_untagged_batch():
+        return ReadingBatch(
+            [
+                make_reading(sensor_id="a", value=20.0, timestamp=9.0),
+                make_reading(sensor_id="b", value=20.0, timestamp=9.0),
+                make_reading(sensor_id="c", value=20.0, timestamp=9.0, category="urban"),
+                make_reading(sensor_id="stale-1", value=20.0, timestamp=-100_000.0),
+                make_reading(sensor_id="stale-2", value=21.0, timestamp=-100_000.0),
+                make_reading(sensor_id="placed", value=20.0, timestamp=9.0, fog_node_id="fog1/y"),
+                make_reading(sensor_id="tagged-1", value=20.0, timestamp=9.0, tags={"origin": "kit"}),
+                make_reading(sensor_id="tagged-2", value=20.0, timestamp=9.0, tags={"origin": "kit"}),
+                make_reading(sensor_id="", value=20.0, timestamp=9.0),
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "static_tags",
+        [{}, {"section": "d-01/s-01"}, {"city": "static", "quality_score": "static", "fog_node": "static"}],
+        ids=["none", "section", "shadowing"],
+    )
+    @pytest.mark.parametrize("fog_node_id", [None, "fog1/x"])
+    @pytest.mark.parametrize("aggregator", [None, RedundantDataElimination], ids=["no-filter", "dedup"])
+    def test_every_default_configuration_matches_the_sequential_phases(
+        self, small_catalog, static_tags, fog_node_id, aggregator
+    ):
+        def build():
+            return AcquisitionBlock(
+                filtering=DataFilteringPhase(aggregator=aggregator() if aggregator else None),
+                quality=DataQualityPhase(catalog=small_catalog),
+                description=DataDescriptionPhase(
+                    city_name="toyville", static_tags=static_tags, fog_node_id=fog_node_id
+                ),
+            )
+
+        block, reference = build(), build()
+        assert block._acquires_by_round()
+        output, result = block.run(self._tagged_and_untagged_batch(), now=10.0)
+        expected, expected_result = LifeCycleBlock.run(reference, self._tagged_and_untagged_batch(), 10.0)
+        assert repr(list(output)) == repr(list(expected))
+        assert result == expected_result
+        assert repr(block.quality.last_report) == repr(reference.quality.last_report)
+
+    def test_untagged_rows_share_one_tag_dict_per_score_category_and_fog_node(self, small_catalog):
+        block = AcquisitionBlock(
+            quality=DataQualityPhase(catalog=small_catalog),
+            description=DataDescriptionPhase(fog_node_id="fog1/x"),
+        )
+        output, _ = block.run(self._tagged_and_untagged_batch(), now=10.0)
+        tags = dict(zip(output.columns.sensor_ids, output.columns.tags))
+        assert tags["a"] is tags["b"]  # 1.0, energy, fog1/x
+        assert tags["stale-1"] is tags["stale-2"]  # 0.7, energy, fog1/x
+        distinct = [tags[sensor_id] for sensor_id in ("a", "c", "stale-1", "placed", "tagged-1", "tagged-2")]
+        assert len({id(row_tags) for row_tags in distinct}) == len(distinct)
+
+    def test_subclassed_assessor_runs_the_sequential_phases(self):
+        class StrictAssessor(QualityAssessor):
+            def score(self, reading, now):
+                return 0.0, "strict"
+
+        block = AcquisitionBlock()
+        block.quality.assessor = StrictAssessor()
+        assert not block._acquires_by_round()
+        output, _ = block.run(ReadingBatch([make_reading()]), now=0.0)
+        assert len(output) == 0
+        assert block.quality.last_report.rejection_reasons == {"strict": 1}

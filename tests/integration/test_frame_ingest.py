@@ -6,6 +6,7 @@ frame carries each reading's Table-I wire size).
 """
 
 import base64
+import itertools
 import json
 import pathlib
 import struct
@@ -236,8 +237,8 @@ class TestFramePathEquivalence:
 
 
 class TestFlushIsARound:
-    """``flush_broker`` acquires a clean flush once for all its nodes, and
-    keeps per-node semantics wherever a round-wide pass would differ."""
+    """``flush_broker`` acquires a flush once for all its nodes, with the
+    per-node semantics of acquiring each inbox on its own."""
 
     @staticmethod
     def _flush_counting_block_runs(system, now):
@@ -300,11 +301,42 @@ class TestFlushIsARound:
         )
         counts, block_runs = self._flush_counting_block_runs(system, now=5.0)
         assert counts == {"fog1/d-01/s-01": 2, "fog1/d-02/s-01": 1}
-        assert block_runs == 2  # the row loop, node by node
+        assert block_runs == 0  # one pass: the node leads the dedup key
         for section in ("d-01/s-01", "d-02/s-01"):
             fog1 = system.fog1_for_section(section)
             assert fog1.has_series("dup-1")
             assert fog1.rejected_readings == 0
+
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["flush", "per-message"])
+    @pytest.mark.parametrize("non_finite", [float("nan"), float("inf"), float("-inf")], ids=repr)
+    def test_a_non_finite_timestamp_does_not_move_its_siblings_now(
+        self, small_city, small_catalog, non_finite, batched
+    ):
+        """Given no ``now``, a batch is acquired at its latest finite timestamp, in any row order."""
+        timestamp_of = {"broken": non_finite, "old": 0.0, "new": 200_000.0}
+        for order in itertools.permutations(timestamp_of):
+            system = F2CDataManagement(city=small_city, catalog=small_catalog)
+            broker = Broker()
+            system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=batched)
+            readings = [
+                make_reading(sensor_id=sensor_id, value=20.0, timestamp=timestamp_of[sensor_id])
+                for sensor_id in order
+            ]
+            broker.publish_columns(
+                "city/toyville/d-01/s-01/frame", ReadingColumns.from_readings(readings), timestamp=0.0
+            )
+            if batched:
+                system.api_pipeline.flush_broker()
+            fog1 = system.fog1_for_section("d-01/s-01")
+            report = fog1.acquisition.quality.last_report
+            assert report.rejection_reasons == {"non_finite_timestamp": 1}
+            score_of = dict(zip(order, report.scores))
+            assert (score_of["old"], score_of["new"]) == (pytest.approx(0.7), 1.0), order
+            stored = list(fog1.storage.store.all_readings())
+            assert sorted(reading.sensor_id for reading in stored) == ["new", "old"]
+            assert all(reading.tags["collected_at"] == 200_000.0 for reading in stored), order
+            assert [record.timestamp for record in system.simulator.accountant.records] == [200_000.0]
 
 
 class TestBinaryFrameDecoderFuzz:
