@@ -7,6 +7,11 @@ provided — a count-min sketch for per-key frequency estimation and a
 probabilistic distinct counter (a simplified Flajolet–Martin / HyperLogLog
 scheme) — plus an :class:`AggregationTechnique` wrapper that replaces a
 batch by a constant-size sketch summary.
+
+A key's cells depend only on its ``repr`` and the sketch's shape, so they
+are cached per key: its count-min column in each row per ``(width,
+depth)`` and its distinct-counter ``(register, rank)`` per ``precision``.
+Both caches are LRU-bounded like the digest cache beneath them.
 """
 
 from __future__ import annotations
@@ -14,24 +19,44 @@ from __future__ import annotations
 import hashlib
 import math
 from functools import lru_cache
-from typing import Hashable, List, Optional
+from typing import Hashable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.aggregation.base import AggregationResult, AggregationTechnique
 from repro.sensors.readings import Reading, ReadingBatch
 
+_DISTINCT_SEED = 0xC0FFEE  # the distinct counter's digest seed
 
-def _hash64(value: Hashable, seed: int) -> int:
-    """A stable 64-bit hash of *value* mixed with *seed* (hashed once per process)."""
-    return _digest64(repr(value), seed)
+#: Bound of each per-key cache below (entries, LRU).
+_KEY_CACHE_SIZE = 1 << 16
 
 
-@lru_cache(maxsize=1 << 16)  # keyed on the repr digested: 1, 1.0, True stay distinct
+@lru_cache(maxsize=_KEY_CACHE_SIZE)  # keyed on the repr digested: 1, 1.0, True stay distinct
 def _digest64(text: str, seed: int) -> int:
+    """A stable 64-bit hash of *text* mixed with *seed* (hashed once per process)."""
     digest = hashlib.blake2b(
         text.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little")
     ).digest()
     return int.from_bytes(digest, "little")
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _cells(text: str, width: int, depth: int) -> Tuple[int, ...]:
+    """The count-min column of the key whose repr is *text*, one per row."""
+    return tuple(_digest64(text, row) % width for row in range(depth))
+
+
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _register_rank(text: str, precision: int) -> Tuple[int, int]:
+    """The distinct-counter ``(register, rank)`` of the value whose repr is *text*."""
+    hashed = _digest64(text, _DISTINCT_SEED)
+    register = hashed & ((1 << precision) - 1)
+    remaining = hashed >> precision
+    rank = 1
+    while remaining & 1 == 0 and rank < 64 - precision:
+        rank += 1
+        remaining >>= 1
+    return register, rank
 
 
 class CountMinSketch:
@@ -62,16 +87,14 @@ class CountMinSketch:
     def add(self, key: Hashable, count: int = 1) -> None:
         if count < 0:
             raise ValueError("count must be non-negative")
-        for row in range(self.depth):
-            column = _hash64(key, row) % self.width
-            self._table[row][column] += count
+        for cells, column in zip(self._table, _cells(repr(key), self.width, self.depth)):
+            cells[column] += count
         self._total += count
 
     def estimate(self, key: Hashable) -> int:
         """Estimated count of *key* (never below the true count)."""
-        return min(
-            self._table[row][_hash64(key, row) % self.width] for row in range(self.depth)
-        )
+        columns = _cells(repr(key), self.width, self.depth)
+        return min(cells[column] for cells, column in zip(self._table, columns))
 
     def merge(self, other: "CountMinSketch") -> "CountMinSketch":
         """Merge two sketches of identical dimensions (cell-wise sum)."""
@@ -120,13 +143,7 @@ class DistinctCounter:
         self._registers = [0] * self._register_count
 
     def add(self, value: Hashable) -> None:
-        hashed = _hash64(value, seed=0xC0FFEE)
-        register = hashed & (self._register_count - 1)
-        remaining = hashed >> self.precision
-        rank = 1
-        while remaining & 1 == 0 and rank < 64 - self.precision:
-            rank += 1
-            remaining >>= 1
+        register, rank = _register_rank(repr(value), self.precision)
         self._registers[register] = max(self._registers[register], rank)
 
     def estimate(self) -> float:

@@ -37,12 +37,16 @@ fog layer-2 node, and everything older from the cloud.
   surfaced through :meth:`stats` / the client's health report;
 * wide historical windows can be answered approximately through
   :meth:`summarize`, which counts the window's ``(category, sensor)`` keys
-  exactly and hashes each distinct key once into constant-size sketches
+  exactly and folds each distinct key once into constant-size sketches
   (:class:`~repro.aggregation.sketches.CountMinSketch` /
-  :class:`~repro.aggregation.sketches.DistinctCounter`) with the same
+  :class:`~repro.aggregation.sketches.DistinctCounter`, whose per-key
+  cells are cached, so a key seen before costs one lookup) with the same
   per-tier attribution, so a city-wide question does not have to
   materialize every cloud row for the consumer.
 
+A cold query copies each served row once: a store scan slices its window
+out of the store's columns and the result adopts those slices (the first
+tier slice *is* the result's columns, later ones are appended to it).
 Results (cold and memoized alike) share *frozen* read-only columns — no
 defensive copy per hit; :meth:`QueryResult.batch` copies lazily when a
 caller adopts the rows.
@@ -61,12 +65,13 @@ would experience it.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.aggregation.sketches import CountMinSketch, DistinctCounter
-from repro.common.errors import RoutingError
+from repro.common.errors import RoutingError, ValidationError
 from repro.sensors.readings import Reading, ReadingBatch, ReadingColumns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -185,6 +190,12 @@ class QuerySummary:
         return tuple(tier for tier in TIERS if tier in used)
 
 
+def _check_window(since: float, until: float) -> None:
+    """Refuse a NaN window bound (±inf are the unbounded defaults)."""
+    if math.isnan(since) or math.isnan(until):
+        raise ValidationError(f"window bounds must not be NaN, got [{since}, {until})")
+
+
 class QueryService:
     """Nearest-tier query resolution over one F2C deployment."""
 
@@ -291,7 +302,10 @@ class QueryService:
             return
         # The memo keeps its own rows_by_tier dict (callers may mutate
         # theirs); the columns are frozen and safely shared.
-        self._cache[key] = (replace(result, rows_by_tier=dict(result.rows_by_tier)), cost)
+        memo = QueryResult(
+            result.since, result.until, result.columns, result.sources, dict(result.rows_by_tier)
+        )
+        self._cache[key] = (memo, cost)
         self._cache_bytes += cost
         cache = self._cache
         while self._cache_bytes > capacity:
@@ -316,9 +330,11 @@ class QueryService:
         *section_id* to that section's chain, neither to a scatter-gather
         across every section; *category* narrows any scope.  The window is
         half-open (``since <= t < until``); an inverted window is simply
-        empty.  Repeated queries are memoized (LRU, byte-bounded) until
+        empty; a NaN bound raises :class:`~repro.common.errors.ValidationError`.
+        Repeated queries are memoized (LRU, byte-bounded) until
         :meth:`invalidate`.
         """
+        _check_window(since, until)
         key = (since, until, sensor_id, section_id, category)
         entry = self._cache.get(key)
         if entry is not None:
@@ -328,12 +344,19 @@ class QueryService:
             cached = entry[0]
             # No columnar copy: the columns are frozen and shared.  Only
             # the small mutable dict is duplicated per hit.
-            return replace(cached, rows_by_tier=dict(cached.rows_by_tier), cache_hit=True)
+            return QueryResult(
+                cached.since,
+                cached.until,
+                cached.columns,
+                cached.sources,
+                dict(cached.rows_by_tier),
+                cache_hit=True,
+            )
 
         scatter = sensor_id is None and section_id is None
         plans = self._chain_plans(since, until, sensor_id, section_id)
 
-        out = ReadingColumns()
+        out = None
         sources: List[TierSlice] = []
         rows_by_tier: Dict[str, int] = {}
         for fog1, slices in plans:
@@ -341,7 +364,12 @@ class QueryService:
                 part = self._query_at(node, tier, fog1, sub_since, sub_until, sensor_id, category)
                 rows = len(part)
                 if rows:
-                    out.extend_columns(part)
+                    # A scan's columns are fresh, so the first slice is the
+                    # result and later ones are appended to it.
+                    if out is None:
+                        out = part
+                    else:
+                        out.extend_columns(part)
                     rows_by_tier[tier] = rows_by_tier.get(tier, 0) + rows
                 if rows or not scatter:
                     # Scatter-gather over 73 empty sections would drown the
@@ -353,7 +381,7 @@ class QueryService:
         result = QueryResult(
             since=since,
             until=until,
-            columns=out.freeze(),
+            columns=(out if out is not None else ReadingColumns()).freeze(),
             sources=tuple(sources),
             rows_by_tier=rows_by_tier,
         )
@@ -385,8 +413,10 @@ class QueryService:
         is.  *width*/*depth*/*precision* size the sketches (see
         :mod:`repro.aggregation.sketches`).  Whole summaries are not
         memoized, but each synced broad-tier segment's key counts are
-        (until :meth:`invalidate`).
+        (until :meth:`invalidate`).  A NaN bound raises
+        :class:`~repro.common.errors.ValidationError`.
         """
+        _check_window(since, until)
         scatter = section_id is None
         plans = self._chain_plans(since, until, None, section_id)
 
@@ -492,7 +522,10 @@ class QueryService:
             fog1_nodes = [self._node_for_sensor(sensor_id)]
         else:
             fog1_nodes = system.fog1_chain()  # canonical city-section order
-        return [(fog1, self._chain_slices(fog1, since, until)) for fog1 in fog1_nodes]
+        # A scatter's chains share their fog layer-2 nodes and the cloud, and
+        # ``since`` is fixed: probe each node once per plan, not per chain.
+        probes: Dict[str, tuple] = {}
+        return [(fog1, self._chain_slices(fog1, since, until, probes)) for fog1 in fog1_nodes]
 
     def _node_for_sensor(self, sensor_id: str):
         """The fog layer-1 chain owning *sensor_id*'s data.
@@ -531,7 +564,9 @@ class QueryService:
                 return fog1
         return system.fog1_for_section(system.spread_section(sensor_id))
 
-    def _chain_slices(self, fog1, since: float, until: float):
+    def _chain_slices(
+        self, fog1, since: float, until: float, probes: Optional[Dict[str, tuple]] = None
+    ):
         """Partition the window across *fog1*'s chain, nearest tier first.
 
         Walks fog L1 → fog L2 → cloud.  A tier that covers the (remaining)
@@ -544,10 +579,13 @@ class QueryService:
         tiers hold everything that was ever synced up, so the returned
         slices are a duplicate-free, loss-free partition of the window.
 
-        Returns ``(node, tier, sub_since, sub_until)`` tuples in ascending
-        time order.
+        *probes* memoizes each node's ``(covers since, oldest retained)``
+        for this *since* across the chains of one plan.  Returns ``(node,
+        tier, sub_since, sub_until)`` tuples in ascending time order.
         """
         system = self.system
+        if probes is None:
+            probes = {}
         fog2 = system.fog2_node(system.parent_of(fog1.node_id))
         chain = []
         if system.fog1_store_is_authoritative(fog1.node_id):
@@ -558,10 +596,16 @@ class QueryService:
         for node, tier in chain:
             if upper <= since:
                 break
-            if self._covers_node(node, since):
+            probe = probes.get(node.node_id)
+            if probe is None:
+                covers = self._covers_node(node, since)
+                probe = probes[node.node_id] = (
+                    covers, None if covers else self._oldest_retained(node)
+                )
+            covers, oldest = probe
+            if covers:
                 slices.append((node, tier, since, upper))
                 break
-            oldest = self._oldest_retained(node)
             if oldest is not None and since < oldest < upper:
                 slices.append((node, tier, oldest, upper))
                 upper = oldest

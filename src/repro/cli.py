@@ -433,6 +433,9 @@ def _cmd_serve(args) -> str:
 
 
 def _cmd_query(args) -> str:
+    for flag, bound in (("--since", args.since), ("--until", args.until)):
+        if math.isnan(bound):
+            raise SystemExit(f"{flag} must not be nan")
     client = _run_workload_from_args(args)
     if args.summarize:
         return _cmd_summarize(args, client)

@@ -37,9 +37,13 @@ Cost model
   other run merges with one stable sort over the partition suffix it
   overlaps.  Counters update once per batch.
 * **Window scan.**  Per partition visited: two bisects and one slice per
-  column.  A fog filter visits one partition, a sensor filter only the
-  partitions that ever held the sensor; category and sensor filters test
-  only the rows inside the window slice and gather just the matches.
+  column.  Without a filter the first non-empty partition's slices *are*
+  the result's columns (its typed timestamp and size slices become lists;
+  the fog column is the key repeated), and later partitions are appended
+  to them, so each returned row is copied once.  A fog filter visits one
+  partition, a sensor filter only the partitions that ever held the
+  sensor; category and sensor filters test only the rows inside the
+  window slice and gather just the matches.
 * **Eviction.**  Per partition: one bisect and one prefix delete.  Byte and
   category accounting sums the evicted prefix's columns.
 """
@@ -170,6 +174,27 @@ def _emit(out: ReadingColumns, key: Optional[str], rows: List[Sequence]) -> None
     )
 
 
+def _adopt(key: Optional[str], rows: List[Sequence]) -> ReadingColumns:
+    """Fresh :meth:`_Partition.rows` slices as result columns, not copied again.
+
+    The typed timestamp and size slices become lists, as :func:`_emit`
+    makes them, so a result holds the same objects either way.
+    """
+    ids, types, categories, values, timestamps, sizes, sequences, tags = rows
+    out = ReadingColumns()
+    out.sensor_ids = ids
+    out.sensor_types = types
+    out.categories = categories
+    out.values = values
+    out.timestamps = timestamps.tolist()
+    out.fog_node_ids = [key] * len(ids)
+    out.sizes = sizes.tolist()
+    out.sequences = sequences
+    out.tags = tags
+    out._total_bytes = sum(sizes)
+    return out
+
+
 class TimeSeriesStore:
     """Append-mostly reading storage with time-range queries."""
 
@@ -261,8 +286,12 @@ class TimeSeriesStore:
         category: Optional[str] = None,
         sensor_id: Optional[str] = None,
     ) -> ReadingColumns:
-        """The window's rows of *parts*, in order, optionally filtered."""
-        out = ReadingColumns()
+        """The window's rows of *parts*, in order, optionally filtered.
+
+        The first unfiltered slice is adopted as the result's columns; later
+        ones are appended to it.
+        """
+        out = None
         for part in parts:
             timestamps = part.timestamps
             start = bisect_left(timestamps, since)
@@ -270,7 +299,10 @@ class TimeSeriesStore:
             if start >= end:
                 continue
             if category is None and sensor_id is None:
-                _emit(out, part.key, part.rows(start, end))
+                if out is None:
+                    out = _adopt(part.key, part.rows(start, end))
+                else:
+                    _emit(out, part.key, part.rows(start, end))
                 continue
             mask = None
             if category is not None:
@@ -280,8 +312,10 @@ class TimeSeriesStore:
                 mask = matches if mask is None else map(and_, mask, matches)
             indices = list(compress(range(start, end), mask))
             if indices:
+                if out is None:
+                    out = ReadingColumns()
                 _emit(out, part.key, part.take(indices))
-        return out
+        return out if out is not None else ReadingColumns()
 
     def latest(self, sensor_id: str) -> Reading:
         """The most recent reading of *sensor_id*; raises if it has none."""

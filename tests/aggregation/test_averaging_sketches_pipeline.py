@@ -1,5 +1,8 @@
 """Tests for window averaging, sketches and the aggregation pipeline."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.aggregation.averaging import WindowAveraging
@@ -65,29 +68,55 @@ class TestWindowAveraging:
             WindowAveraging(window_seconds=0.0)
 
 
+def _clear_key_caches():
+    for cache in (sketches._digest64, sketches._cells, sketches._register_rank):
+        cache.cache_clear()
+
+
 class TestHashMemo:
-    """``_hash64`` is memoised on the key's ``repr`` — the text it digests."""
+    """Digests and per-key cells are memoised on the key's ``repr`` — the text digested."""
 
     def test_equal_but_differently_printed_keys_keep_their_own_hashes(self):
         # 1 == 1.0 == True and all three hash alike as dict keys; a memo
-        # keyed on the value itself would hand all of them one digest.
+        # keyed on the value itself would hand all of them one key's cells,
+        # whichever came first.
         keys = [1, 1.0, True, "1"]
-        for seed in (0, 3, 0xC0FFEE):
-            sketches._digest64.cache_clear()
-            forward = [sketches._hash64(key, seed) for key in keys]
-            sketches._digest64.cache_clear()
-            backward = [sketches._hash64(key, seed) for key in reversed(keys)][::-1]
-            assert len(set(forward)) == 4
-            assert forward == backward  # no dependence on which came first
+
+        def fold(order):
+            _clear_key_caches()
+            sketch, counter = CountMinSketch(64, 4), DistinctCounter(8)
+            for position in order:
+                sketch.add(keys[position], position + 1)
+                counter.add(keys[position])
+            return sketch, counter
+
+        forward, backward = fold(range(4)), fold(range(3, -1, -1))
+        assert forward[0]._table == backward[0]._table
+        assert forward[1]._registers == backward[1]._registers
+        cells = {sketches._cells(repr(key), 64, 4) for key in keys}
+        assert len(cells) == 4
+        assert [forward[0].estimate(key) for key in keys] == [1, 2, 3, 4]
 
     def test_memo_hits_and_is_bounded(self):
-        sketches._digest64.cache_clear()
-        first = sketches._hash64("sensor-1", 2)
-        assert sketches._hash64("sensor-1", 2) == first
-        assert sketches._hash64("sensor-1", 3) != first  # the seed is part of the key
-        info = sketches._digest64.cache_info()
-        assert (info.hits, info.misses) == (1, 2)
-        assert info.maxsize is not None and info.maxsize <= 1 << 16
+        _clear_key_caches()
+        sketch = CountMinSketch(256, 4)
+        sketch.add("sensor-1")
+        sketch.add("sensor-1")
+        CountMinSketch(128, 4).add("sensor-1")  # the shape is part of the key
+        cells = sketches._cells.cache_info()
+        assert (cells.hits, cells.misses) == (1, 2)
+        counter = DistinctCounter(10)
+        counter.add("sensor-1")
+        counter.add("sensor-1")
+        DistinctCounter(8).add("sensor-1")  # so is the precision
+        ranks = sketches._register_rank.cache_info()
+        assert (ranks.hits, ranks.misses) == (1, 2)
+        digests = sketches._digest64.cache_info()
+        # Digests are shared across shapes: 4 count-min rows plus 1 register hash.
+        assert (digests.hits, digests.misses) == (5, 5)
+        for cache in (sketches._digest64, sketches._cells, sketches._register_rank):
+            maxsize = cache.cache_info().maxsize
+            assert maxsize is not None and maxsize <= 1 << 16
 
     def test_counted_add_equals_repeated_adds(self):
         # What summarize() relies on: count-min is linear in the count and
@@ -102,6 +131,34 @@ class TestHashMemo:
                 thrice.add(key)
         assert weighted._table == repeated._table and weighted.total == repeated.total
         assert once._registers == thrice._registers
+
+
+class TestPinnedCells:
+    """Cells of a fixed fold, pinned to digests recorded before the per-key caches.
+
+    Two folds through the same per-key cache always agree with each other;
+    only a recorded value catches a cache that maps a key to the wrong cell.
+    """
+
+    KEYS = [f"sensor-{i:04d}" for i in range(400)] + [1, 1.0, True, "1", (2, "b"), -7, 3.5]
+
+    @staticmethod
+    def _sha256(cells) -> str:
+        return hashlib.sha256(json.dumps(cells).encode()).hexdigest()
+
+    def test_count_min_and_distinct_cells_match_the_recorded_fold(self):
+        sketch, counter = CountMinSketch(256, 4), DistinctCounter(10)
+        for index, key in enumerate(self.KEYS):
+            sketch.add(key, index % 5 + 1)
+            counter.add(key)
+        assert self._sha256(sketch._table) == (
+            "01a7f47cd588db2b596f3244f75db604344e70fcc335c4764ec74bd62860b81b"
+        )
+        assert self._sha256(counter._registers) == (
+            "76852f57cc50fb78da917f0b6d2d3d3254beaf151925dbeb4be4c5ea6bb4d47c"
+        )
+        assert sketch.total == 1218
+        assert round(counter.estimate(), 2) == 405.74
 
 
 class TestCountMinSketch:

@@ -10,8 +10,11 @@ serving tier asserted through the result's attribution.
 import pytest
 
 from repro.api import F2CClient, PipelineConfig, QueryService, run_workload
+from repro.common.errors import ValidationError
 from repro.core.architecture import F2CDataManagement
 from tests.conftest import make_reading
+
+NAN = float("nan")
 
 #: Default retention: fog L1 keeps 6 h, fog L2 keeps 72 h (TTL).
 AFTER_L1_TTL = 8 * 3600.0
@@ -209,6 +212,25 @@ class TestWindowSemantics:
         _seed(client, count=8)
         result = client.query(section_id="d-01/s-01")
         assert len(result) == 8
+
+    @pytest.mark.parametrize(
+        "window", [(NAN, 1_000.0), (0.0, NAN), (NAN, NAN)], ids=["since", "until", "both"]
+    )
+    @pytest.mark.parametrize("scope", [{}, {"section_id": "d-01/s-01"}], ids=["city", "section"])
+    def test_nan_bound_is_rejected(self, small_city, small_catalog, window, scope):
+        # bisect reads a NaN since as -inf and a NaN until as "before every
+        # row": the window would silently turn unbounded or empty.
+        client = _client(small_city, small_catalog)
+        _seed(client, count=8)
+        since, until = window
+        with pytest.raises(ValidationError, match="NaN"):
+            client.query(since=since, until=until, **scope)
+        with pytest.raises(ValidationError, match="NaN"):
+            client.summarize(since=since, until=until, **scope)
+        assert client.queries.queries_served == 0
+        assert client.queries.summaries_served == 0
+        assert len(client.query(since=float("-inf"), until=float("inf"), **scope)) == 8
+        assert client.summarize(since=float("-inf"), until=float("inf"), **scope).rows == 8
 
 
 class TestMemoization:

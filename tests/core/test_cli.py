@@ -177,3 +177,11 @@ class TestQueryCommand:
     def test_query_summarize_rejects_sensor_filter(self, capsys):
         with pytest.raises(SystemExit, match="per category"):
             run_cli(capsys, "query", "--summarize", "--sensor", "s-1")
+
+    @pytest.mark.parametrize("flag", ["--since", "--until"])
+    @pytest.mark.parametrize("mode", [(), ("--summarize",)], ids=["rows", "summarize"])
+    def test_query_rejects_a_nan_bound(self, capsys, flag, mode):
+        # A NaN bound used to read as an unbounded (or empty) window and
+        # print "since": null like the default one.
+        with pytest.raises(SystemExit, match=f"{flag} must not be nan"):
+            run_cli(capsys, "query", flag, "nan", "--json", *mode)

@@ -29,7 +29,7 @@ import pytest
 from repro.api import PipelineConfig, recover, run_workload, serve
 from repro.api.serving import ServeHandle
 from repro.common.clock import VirtualClock
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ValidationError
 from repro.runtime import ShardedWorkload
 from repro.sensors.catalog import BARCELONA_CATALOG
 
@@ -398,6 +398,19 @@ class TestHandleLifecycle:
         summary = handle.summarize(category="energy")
         assert summary.rows >= 0
         assert handle.stats()["queries_served"] == 1
+        handle.shutdown()
+
+    def test_nan_window_is_rejected_and_the_lock_released(self):
+        handle = serve(ShardedWorkload(devices_per_type=2, rounds=3), clock=VirtualClock())
+        assert handle.drain(timeout=120)
+        nan = float("nan")
+        with pytest.raises(ValidationError, match="NaN"):
+            handle.submit_query(since=nan, until=2000.0)
+        with pytest.raises(ValidationError, match="NaN"):
+            handle.submit_query(until=nan)
+        with pytest.raises(ValidationError, match="NaN"):
+            handle.summarize(since=nan, until=2000.0)
+        assert len(handle.submit_query(until=2000.0)) == 126
         handle.shutdown()
 
     def test_clock_must_expose_sleep(self):
