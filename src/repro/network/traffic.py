@@ -84,6 +84,10 @@ class TrafficAccountant:
     def records(self) -> List[TrafficRecord]:
         return list(self._records)
 
+    def records_since(self, start: int) -> List[TrafficRecord]:
+        """The records made after the first *start* ones, without copying the rest."""
+        return self._records[start:]
+
     def total_bytes(self) -> int:
         return sum(r.size_bytes for r in self._records)
 

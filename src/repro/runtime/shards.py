@@ -295,7 +295,7 @@ def run_shard(
         ]
         if drained:
             send(ipc.encode_batch(sync_index, drained))
-        new_records = accountant.records[records_seen:]
+        new_records = accountant.records_since(records_seen)
         records_seen += len(new_records)
         send(
             ipc.encode_sync_done(

@@ -46,6 +46,8 @@ Cost model
   window slice and gather just the matches.
 * **Eviction.**  Per partition: one bisect and one prefix delete.  Byte and
   category accounting sums the evicted prefix's columns.
+* **Canonical rows.**  Per partition: one stable argsort of its sensor
+  column; per sensor: one gather and one sort of its own rows.
 """
 
 from __future__ import annotations
@@ -53,9 +55,11 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import compress, groupby, islice, repeat
+from itertools import chain, compress, groupby, islice, repeat
 from operator import and_, attrgetter, eq, itemgetter, le
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+
+import numpy as np
 
 from repro.common.errors import StorageError
 from repro.common.typedcols import float_column, int_column
@@ -417,33 +421,67 @@ class TimeSeriesStore:
         for part in self._parts.values():
             yield from part.readings(0, len(part.timestamps))
 
-    def canonical_rows(self) -> List[tuple]:
-        """Every row as ``(sensor_id, sensor_type, category, value, timestamp,
-        size_bytes, sequence, tag_items)``, sorted — the canonical contents
-        equivalence checks compare.
+    def canonical_groups(self) -> Iterator[List[tuple]]:
+        """The canonical rows one sensor at a time: a sorted list per sensor id.
+
+        A row is ``(sensor_id, sensor_type, category, value, timestamp,
+        size_bytes, sequence, tag_items)``.  Sensor ids come in ascending
+        order; each sensor's rows are gathered from every partition that
+        holds it, in :meth:`all_readings` order, and put through ``sorted()``.
+        For rows that order totally this is the order of one global sort;
+        where a NaN value or tag value makes ``sorted()`` depend on its
+        input order, only the sensor's own rows are that input
+        ("sensor-major").
 
         ``tag_items`` is ``tuple(sorted(tags.items()))`` (``()`` for ``None``
         or empty tags), built once per distinct tag dict and shared by its
         rows; an item tuple is shared by every dict holding the same key and
-        value objects.  Rows enter the sort in :meth:`all_readings` order, so
-        even values that do not order (NaN) land where sorting those
-        readings puts them.
+        value objects.
+
+        Memory: besides one group's rows, the iterator holds one sort
+        permutation per partition (8 bytes per stored row) and the tag
+        caches — never a row tuple per stored row.  The store must not
+        change while the iterator runs.
         """
+        where: Dict[str, list] = defaultdict(list)  # sensor id -> [(part, positions)]
         tag_items: Dict[int, tuple] = {}  # id(tag dict) -> its sorted items
-        shared: Dict[tuple, tuple] = {}  # (id(name), id(value)) -> one item tuple
-        rows: List[tuple] = []
+        held: list = []  # every tag dict keyed above, so no id is reused meanwhile
+        shared: Dict[tuple, tuple] = {}  # (id(name), id(value)) -> one item tuple, holding both
         for part in self._parts.values():
-            *fields, tags = part.columns()
-            keys = list(map(id, tags))
-            for key, tag_dict in dict(zip(keys, tags)).items():
+            ids = part.sensor_ids
+            if not ids:
+                continue
+            sensors = list(dict.fromkeys(ids))
+            code = {sensor: index for index, sensor in enumerate(sensors)}
+            codes = np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
+            order = np.argsort(codes, kind="stable")  # positions ascend per sensor
+            bounds = np.cumsum(np.bincount(codes, minlength=len(sensors))).tolist()
+            for sensor, start, end in zip(sensors, [0, *bounds], bounds):
+                where[sensor].append((part, order[start:end]))
+            for key, tag_dict in dict(zip(map(id, part.tags), part.tags)).items():
                 if key not in tag_items:
+                    held.append(tag_dict)
                     tag_items[key] = tuple(sorted([
                         shared.setdefault((id(name), id(value)), (name, value))
                         for name, value in (tag_dict or {}).items()
                     ]))
-            rows.extend(zip(*fields, map(tag_items.__getitem__, keys)))
-        rows.sort()
-        return rows
+        for sensor in sorted(where):
+            rows: List[tuple] = []
+            for part, positions in where.pop(sensor):
+                *fields, tags = part.take(positions.tolist())
+                rows.extend(zip(*fields, map(tag_items.__getitem__, map(id, tags))))
+            rows.sort()
+            yield rows
+
+    def canonical_rows(self) -> List[tuple]:
+        """Every row of :meth:`canonical_groups`, concatenated — the canonical
+        contents equivalence checks compare.
+
+        Sensor-major order: sensor ids ascending, each sensor's rows sorted
+        on their own.  The list holds one tuple per stored row; stream
+        :meth:`canonical_groups` to stay within one sensor's rows.
+        """
+        return list(chain.from_iterable(self.canonical_groups()))
 
     def sensor_ids(self) -> List[str]:
         return sorted(set().union(*(part.sensor_ids for part in self._parts.values())))

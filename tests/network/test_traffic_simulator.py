@@ -62,6 +62,20 @@ class TestTrafficAccountant:
         assert accountant.total_bytes() == 0
         assert accountant.records == []
 
+    def test_records_since_returns_the_tail_and_records_a_copy(self):
+        accountant = TrafficAccountant()
+        made = [accountant.record_transfer(float(i), "a", "b", LayerName.CLOUD, i) for i in range(5)]
+        assert accountant.records_since(0) == made
+        assert accountant.records_since(3) == made[3:]
+        assert accountant.records_since(5) == []
+        tail = accountant.records_since(2)
+        tail.clear()  # the caller owns what it gets back
+        assert accountant.records_since(2) == made[2:]
+        copy = accountant.records
+        assert copy == made and copy is not accountant.records
+        copy.clear()
+        assert accountant.records == made
+
     def test_invalid_record(self):
         with pytest.raises(ValueError):
             TrafficRecord(timestamp=0.0, source="a", target="b", target_layer=LayerName.CLOUD, size_bytes=-1)
