@@ -2,7 +2,7 @@
 
 This package is *the* way to use the system:
 
-Write side (one pipeline abstraction, five transports)::
+Write side (one pipeline abstraction, four transports)::
 
     from repro.api import PipelineConfig, connect
 

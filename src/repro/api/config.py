@@ -1,10 +1,9 @@
 """The one ingest-pipeline configuration object.
 
-Before the facade existed the repo had divergent write entry points
-(per-message broker delivery, batched broker CSV, JSON column frames,
-binary column frames, direct batch ingest) plus the multi-process sharded
-runtime — each with its own driver code and knobs.  :class:`PipelineConfig`
-collapses that into one frozen value: pick a *transport*, and the
+Readings enter the system through one of four transports — direct batch
+ingest, per-reading CSV over the broker, binary column frames over the
+broker, or the multi-process sharded runtime.  :class:`PipelineConfig` is
+the one frozen value that selects among them: pick a *transport*, and the
 :class:`~repro.api.pipeline.Pipeline` drives the identical data through the
 identical acquisition/movement machinery, proven byte-identical by the
 golden equivalence tests.
@@ -21,7 +20,6 @@ from repro.common.errors import ConfigurationError
 TRANSPORTS: Tuple[str, ...] = (
     "direct",         # ingest whole batches in-process (no wire encoding)
     "broker-csv",     # one CSV payload per reading over the MQTT-style broker
-    "frames-json",    # one JSON column frame per (section, round)
     "sharded",        # N worker processes over binary-frame IPC + a supervisor
     "frames-binary-v2",  # one binary column frame per (section, round)
 )
@@ -36,16 +34,14 @@ class PipelineConfig:
     transport:
         One of :data:`TRANSPORTS`.  ``"direct"`` is the in-process upper
         bound; the broker transports reproduce a real deployment's wire
-        path; ``"sharded"`` runs fog layer-1 acquisition in *workers*
-        processes (whole-workload runs only, see
+        path (messages park in per-fog-node broker inboxes and each
+        ``ingest`` acquires them in one flush); ``"sharded"`` runs fog
+        layer-1 acquisition in *workers* processes (whole-workload runs
+        only, see
         :meth:`~repro.api.pipeline.Pipeline.run`).
     workers:
         Worker-process count for the sharded transport (must stay 1
         otherwise).
-    batched:
-        Broker-CSV only: ``True`` parks messages in per-fog-node inboxes
-        and acquires them per flush (the high-throughput mode); ``False``
-        delivers per message, reproducing the pre-batching legacy path.
     city_slug:
         Topic prefix for broker transports
         (``city/<slug>/<section>/...``).
@@ -101,7 +97,6 @@ class PipelineConfig:
 
     transport: str = "direct"
     workers: int = 1
-    batched: bool = True
     city_slug: str = "bcn"
     fog1_sync_interval_s: Optional[float] = None
     fog2_sync_interval_s: Optional[float] = None
@@ -145,16 +140,8 @@ class PipelineConfig:
         if self.durable_fog2 and self.durable_dir is None:
             raise ConfigurationError("durable_fog2 requires durable_dir")
 
-    def resolved_frame_format(self) -> Optional[str]:
-        """The wire layout a frame transport publishes in, else ``None``."""
-        if self.transport == "frames-json":
-            return "json"
-        if self.transport == "frames-binary-v2":
-            return "binary-v2"
-        return None
-
     def uses_broker(self) -> bool:
-        return self.transport in ("broker-csv", "frames-json", "frames-binary-v2")
+        return self.transport in ("broker-csv", "frames-binary-v2")
 
     def movement_policy(self):
         """A :class:`~repro.core.movement.MovementPolicy` for the sync cadence.

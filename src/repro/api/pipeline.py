@@ -1,10 +1,11 @@
 """The unified write-side pipeline.
 
-One engine, five transports.  :class:`Pipeline` owns the transport-level
+One engine, four transports.  :class:`Pipeline` owns the transport-level
 ingest operations that used to live directly on
 :class:`~repro.core.architecture.F2CDataManagement` — direct batch ingest,
-broker CSV delivery (per-message and batched), column-frame publishing and
-flushing — plus the config-driven porcelain on top:
+broker CSV and column-frame publishing, and the one broker entry into fog
+layer-1 acquisition, :meth:`Pipeline.flush_broker` — plus the
+config-driven porcelain on top:
 
 * :meth:`Pipeline.session` returns an :class:`IngestSession` whose single
   ``ingest()`` verb drives readings through whatever transport the frozen
@@ -18,8 +19,7 @@ flushing — plus the config-driven porcelain on top:
 This is the only write surface of the system:
 :class:`~repro.core.architecture.F2CDataManagement` holds the deployment
 (nodes, routing tables, broker subscription state) and exposes its default
-engine as ``system.api_pipeline``.  The configured transport alone decides
-the wire layout a pipeline publishes column frames in.
+engine as ``system.api_pipeline``.
 """
 
 from __future__ import annotations
@@ -287,37 +287,27 @@ class Pipeline:
     # ------------------------------------------------------------------ #
     # Broker integration
     # ------------------------------------------------------------------ #
-    def attach_broker(self, broker: Broker, city_slug: str = "bcn", batched: bool = False) -> None:
+    def attach_broker(self, broker: Broker, city_slug: str = "bcn") -> None:
         """Subscribe every fog layer-1 node to its section's topic subtree.
 
-        Topics follow ``city/<city>/<district>/<section>/<category>/<type>``;
-        the payload must be the reading's wire encoding produced by
-        :meth:`repro.sensors.readings.Reading.encode` and is re-parsed into a
-        minimal reading (value as string) for acquisition.
-
-        With ``batched=True`` messages are parked in a per-fog-node broker
-        inbox instead of running the acquisition block per message; call
-        :meth:`flush_broker` to drain every inbox and acquire each node's
-        backlog as one batch.  This is the high-throughput ingest mode: the
-        acquisition block, traffic accounting and storage bookkeeping all run
-        once per batch instead of once per reading.
+        Topics follow ``city/<city>/<district>/<section>/<category>/<type>``
+        (per-reading CSV payloads from :meth:`Reading.encode`) or
+        ``city/<city>/<section>/frame`` (column frames).  Matching messages
+        are parked in a per-fog-node broker inbox; :meth:`flush_broker`
+        drains every inbox and acquires the backlog as one round, so the
+        acquisition block, traffic accounting and storage bookkeeping run
+        once per flush instead of once per message.
 
         The subscription state lives on the deployment (not this engine), so
         every pipeline bound to the same system shares it.
         """
         system = self.system
         system._broker = broker
-        system._broker_batched = batched
         for district in system.city.districts:
             for section in district.sections:
-                node_id = fog1_node_id(section.section_id)
                 # Section ids contain '/', which is fine for MQTT topics.
-                topic_filter = f"city/{city_slug}/{section.section_id}/#"
                 broker.subscribe(
-                    client_id=node_id,
-                    topic_filter=topic_filter,
-                    handler=self._broker_handler(node_id),
-                    batched=batched,
+                    fog1_node_id(section.section_id), f"city/{city_slug}/{section.section_id}/#"
                 )
 
     @staticmethod
@@ -381,29 +371,16 @@ class Pipeline:
         columns.append_reading(reading)
         return columns
 
-    def _broker_handler(self, node_id: str):
-        def handle(message: Message) -> None:
-            columns = self._decode_message_columns(message)
-            if columns is None or not len(columns):
-                return
-            timestamp = self._acquisition_time(columns.timestamps)
-            fog1 = self.system.fog1_node(node_id)
-            self._record_edge_transfer(
-                fog1, f"broker/{node_id}", timestamp, columns.total_bytes, len(columns)
-            )
-            fog1.ingest(ReadingBatch.from_columns(columns), timestamp)
-
-        return handle
-
     def flush_broker(self, now: Optional[float] = None) -> Dict[str, int]:
         """Drain every fog node's broker inbox and acquire the flush as one round.
 
-        Only meaningful after ``attach_broker(..., batched=True)``.  Every
-        fog layer-1 inbox is drained in deployment order and each payload
-        decoded (a malformed one is dropped and counted in
-        ``dropped_payloads``, never aborting the flush); the decoded rows
-        are concatenated node-major into one column set with a rank column —
-        a row belongs to the node whose inbox it arrived in — and handed to
+        The one broker entry into fog layer-1 acquisition, after
+        :meth:`attach_broker`.  Every fog layer-1 inbox is drained in
+        deployment order and each payload decoded (a malformed one is
+        dropped and counted in ``dropped_payloads``, never aborting the
+        flush); the decoded rows are concatenated node-major into one column
+        set with a rank column — a row belongs to the node whose inbox it
+        arrived in — and handed to
         :meth:`_acquire_routed`, the post-routing code of
         :meth:`ingest_columns`.  Each node acquires its rows at *now*, or,
         when *now* is ``None``, at its own batch's latest finite timestamp
@@ -417,10 +394,8 @@ class Pipeline:
         system = self.system
         if system._broker is None:
             raise ConfigurationError("no broker attached")
-        if not system._broker_batched:
-            raise ConfigurationError("broker was not attached in batched mode")
         # Drain only this architecture's own fog layer-1 subscriptions: other
-        # batched clients may share the broker and own their inboxes.
+        # clients may share the broker and own their inboxes.
         drain = system._broker.drain_inbox
         decode = self._decode_message_columns
         nodes: list = []
@@ -472,11 +447,6 @@ class Pipeline:
         per-reading Table-I wire sizes — carried inside the frame — keep the
         traffic accounting identical.
 
-        The wire layout is the transport's
-        (:meth:`PipelineConfig.resolved_frame_format`): JSON on
-        ``frames-json``, binary version 2 on every other transport.
-        Receivers detect the layout per payload.
-
         Returns the number of readings framed per section.
         """
         system = self.system
@@ -484,7 +454,6 @@ class Pipeline:
             broker = system._broker
         if broker is None:
             raise ConfigurationError("no broker attached and none supplied")
-        frame_format = self.config.resolved_frame_format()
         published: Dict[str, int] = {}
         topic_cache = system._frame_topic_cache
         for section_id, columns in self._columns_per_section(readings, default_section):
@@ -495,7 +464,7 @@ class Pipeline:
                 )
             broker.publish(
                 topic,
-                columns.encode_frame(format=frame_format),
+                columns.encode_frame(),
                 timestamp=timestamp,
             )
             published[section_id] = len(columns)
@@ -728,8 +697,7 @@ class IngestSession:
         self.broker: Optional[Broker] = None
         if config.uses_broker():
             self.broker = broker if broker is not None else Broker()
-            batched = config.batched if config.transport == "broker-csv" else True
-            pipeline.attach_broker(self.broker, city_slug=config.city_slug, batched=batched)
+            pipeline.attach_broker(self.broker, city_slug=config.city_slug)
 
     @property
     def system(self) -> "F2CDataManagement":
@@ -743,13 +711,10 @@ class IngestSession:
     ) -> Dict[str, int]:
         """Drive *readings* through the configured transport.
 
-        Returns the number of readings acquired per fog layer-1 node for
-        the batched transports.  For the per-message broker transport
-        (``broker-csv`` with ``batched=False``) acquisition happens
-        synchronously during publishing and the returned counts are the
-        readings *published* per node (a truncated-CSV payload can still be
-        dropped at the fog node — see
-        :attr:`~repro.core.architecture.F2CDataManagement.dropped_payloads`).
+        Returns the number of readings acquired per fog layer-1 node.  A
+        broker transport publishes the readings and then flushes the
+        broker, so every row this call published has been acquired (or
+        dropped and counted) when it returns.
         """
         transport = self.config.transport
         pipeline = self.pipeline
@@ -758,18 +723,15 @@ class IngestSession:
         if transport == "direct":
             counts = pipeline.ingest_rows(readings, now=now, default_section=default_section)
         elif transport == "broker-csv":
-            published = pipeline.publish_csv(
+            pipeline.publish_csv(
                 self.broker,
                 readings,
                 city_slug=self.config.city_slug,
                 default_section=default_section,
             )
-            if self.config.batched:
-                counts = pipeline.flush_broker(now=now)
-            else:
-                counts = {fog1_node_id(section): count for section, count in published.items()}
+            counts = pipeline.flush_broker(now=now)
         else:
-            # Frame transports: one column frame per section, then one flush.
+            # The frame transport: one column frame per section, then one flush.
             timestamp = now if now is not None else pipeline.system.simulator.clock.now()
             pipeline.publish_frames(
                 self.broker,

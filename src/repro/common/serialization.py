@@ -10,32 +10,26 @@ instead of one CSV payload per reading).  The encoded size is what the
 traffic accounting measures, so encoders are deliberately simple and
 deterministic.
 
-Column frames come in two wire layouts, told apart on decode by their
-magic prefix:
-
-* **JSON frames** (``RBF1``) — the frame body is canonical JSON.  Simple
-  and human-readable: the debug codec behind the ``frames-json``
-  transport.
-* **Binary frames** (``RBB`` + version byte 2) — a packed binary layout:
-  struct-packed little-endian numeric columns, one length-prefixed interned
-  string table shared by the three string columns, adaptive 1/2/4/8-byte
-  widths for the small-integer columns, and a CRC-32 over header and body
-  so truncation and bit flips are always detected (a corrupted frame
-  decodes to a ``ValueError``, never to silently wrong data).  The body is
-  compressed against a *deployment-scoped shared dictionary* built once
-  from the city's interned vocabulary (sensor type names, categories,
-  section and fog-node ids, tag-template JSON fragments): small
-  per-section frames are dominated by exactly those strings, and one
-  primed ``compressobj`` is reused (via ``.copy()``) per frame instead of
-  paying zlib setup each time.  The header carries the dictionary's CRC-32
-  so a decoder with a different dictionary rejects the frame instead of
-  mis-inflating it, and an *extended* flag lets a frame carry the per-row
-  tag/fog-node identity columns in dictionary-coded form (the shard IPC
-  batch and the durable segment log use it).  A binary frame with any
-  other version byte is rejected.
-
-The producing format is chosen per call (``encode_columns(...,
-format=...)``), falling back to :data:`DEFAULT_FRAME_FORMAT` (binary).
+A column frame has one wire layout, **binary version 2** (``RBB`` +
+version byte 2): struct-packed little-endian numeric columns, one
+length-prefixed interned string table shared by the three string columns,
+adaptive 1/2/4/8-byte widths for the small-integer columns, and a CRC-32
+over header and body so truncation and bit flips are always detected (a
+corrupted frame decodes to a ``ValueError``, never to silently wrong data).
+The body is compressed against a *deployment-scoped shared dictionary*
+built once from the city's interned vocabulary (sensor type names,
+categories, section and fog-node ids, tag-template JSON fragments): small
+per-section frames are dominated by exactly those strings, and one primed
+``compressobj`` is reused (via ``.copy()``) per frame instead of paying
+zlib setup each time.  The header carries the dictionary's CRC-32 so a
+decoder with a different dictionary rejects the frame instead of
+mis-inflating it, and an *extended* flag lets a frame carry the per-row
+tag/fog-node identity columns in dictionary-coded form (the shard IPC
+batch and the durable segment log use it).  A binary frame with any other
+version byte is rejected, and so is a payload in any retired layout (the
+JSON frame, ``\\x00RBF1``): every frame magic starts with a NUL byte,
+which never starts a CSV line, so receivers send every NUL-led payload to
+the frame decoder.
 """
 
 from __future__ import annotations
@@ -51,11 +45,6 @@ import numpy as np
 
 from repro.common.typedcols import as_float_column, column_from_bytes, column_to_bytes
 
-#: Leading marker of a JSON column frame.  Starts with a NUL byte, which can
-#: never begin a CSV reading line, so receivers dispatch on the payload
-#: prefix.
-COLUMN_FRAME_MAGIC = b"\x00RBF1\n"
-
 #: Leading marker of a packed binary column frame (NUL + "RBB"); the byte
 #: after the magic is the layout version.
 BINARY_FRAME_MAGIC = b"\x00RBB"
@@ -63,12 +52,6 @@ BINARY_FRAME_MAGIC = b"\x00RBB"
 #: The binary frame layout version.  Decoders reject every other version,
 #: so the layout can evolve without ever misreading an old frame.
 BINARY_FRAME_VERSION_2 = 2
-
-#: Supported frame format names.
-FRAME_FORMATS = ("json", "binary-v2")
-
-#: The format used when an encoder is not told one explicitly.
-DEFAULT_FRAME_FORMAT = "binary-v2"
 
 #: The column names a frame must carry, all lists of equal length — also the
 #: exact column order of the binary layout's body.
@@ -123,11 +106,6 @@ def encode_json(record: Mapping[str, Any]) -> bytes:
     return _canonical_json(record).encode("utf-8")
 
 
-def decode_json(payload: bytes) -> dict:
-    """Inverse of :func:`encode_json`."""
-    return json.loads(payload.decode("utf-8"))
-
-
 def encode_csv_line(values: Iterable[Any]) -> bytes:
     """Encode a flat sequence of values as a single CSV line (no quoting).
 
@@ -163,56 +141,14 @@ def _checked_lengths(columns: Mapping[str, List[Any]]) -> int:
     return next(iter(lengths.values()))
 
 
-def encode_columns(columns: Mapping[str, List[Any]], format: Optional[str] = None) -> bytes:
-    """Encode parallel reading columns as one deterministic wire frame.
-
-    *columns* maps each :data:`COLUMN_FRAME_FIELDS` name to a sequence; all
-    sequences must have the same length.  *format* selects the wire layout
-    (``"json"`` or ``"binary-v2"``); ``None`` uses
-    :data:`DEFAULT_FRAME_FORMAT`.  Values must be JSON-representable
-    (numbers, strings, booleans, ``None``) in either layout, mirroring the
-    CSV format's restrictions.
-    """
-    if format is None or format == "binary-v2":
-        return encode_columns_binary_v2(columns)
-    if format != "json":
-        raise ValueError(f"unknown frame format: {format!r} (expected one of {FRAME_FORMATS})")
-    _checked_lengths(columns)
-    record = {name: list(columns[name]) for name in COLUMN_FRAME_FIELDS}
-    return COLUMN_FRAME_MAGIC + encode_json(record)
-
-
-def decode_columns(payload: bytes) -> Dict[str, List[Any]]:
-    """Inverse of :func:`encode_columns`; detects the layout by its magic.
-
-    JSON frames decode to plain lists; binary frames decode the numeric
-    columns straight into typed arrays (``array('d')`` timestamps,
-    ``array('q')`` sizes).  Both validate the frame shape and raise
-    ``ValueError`` on any malformed input — a frame either decodes whole or
-    not at all.
-    """
-    if payload.startswith(BINARY_FRAME_MAGIC):
-        return decode_columns_binary_v2(payload)
-    if not payload.startswith(COLUMN_FRAME_MAGIC):
-        raise ValueError("payload is not a column frame (missing magic prefix)")
-    record = decode_json(payload[len(COLUMN_FRAME_MAGIC):])
-    if not isinstance(record, dict):
-        raise ValueError("column frame body is not a JSON object")
-    missing = [name for name in COLUMN_FRAME_FIELDS if name not in record]
-    if missing:
-        raise ValueError(f"column frame is missing fields: {missing}")
-    for name in COLUMN_FRAME_FIELDS:
-        if not isinstance(record[name], list):
-            raise ValueError(f"column frame field {name!r} is not a list")
-    lengths = {len(record[name]) for name in COLUMN_FRAME_FIELDS}
-    if len(lengths) > 1:
-        raise ValueError("column frame has diverging column lengths")
-    return record
-
-
 def is_column_frame(payload: bytes) -> bool:
-    """Whether *payload* is a column frame (vs a CSV/JSON reading payload)."""
-    return payload.startswith(COLUMN_FRAME_MAGIC) or payload.startswith(BINARY_FRAME_MAGIC)
+    """Whether *payload* goes to the frame decoder (vs the CSV line parser).
+
+    Every frame magic, current or retired, starts with a NUL byte, which
+    never starts a CSV line; an unknown or retired frame therefore fails in
+    :func:`decode_columns_binary_v2`, not in the CSV parser.
+    """
+    return payload[:1] == b"\x00"
 
 
 # --------------------------------------------------------------------------- #

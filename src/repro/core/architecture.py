@@ -18,8 +18,9 @@ This class is the deployment, not a write surface: readings enter through
 :class:`~repro.api.pipeline.IngestSession`, or the
 :class:`~repro.api.pipeline.Pipeline` bound to a deployment as
 :attr:`F2CDataManagement.api_pipeline` — which covers direct batch ingest,
-the MQTT-style broker (per-message CSV, batched CSV, JSON/binary column
-frames) and the multi-process sharded runtime.
+the MQTT-style broker (per-reading CSV or binary column frames, parked in
+per-fog-node inboxes and acquired per flush) and the multi-process sharded
+runtime.
 """
 
 from __future__ import annotations
@@ -104,7 +105,6 @@ class F2CDataManagement:
             architecture=self, simulator=self.simulator, policy=movement_policy
         )
         self._broker: Optional[Broker] = None
-        self._broker_batched = False
         self._sensor_to_section: Dict[str, str] = {}
         # Precomputed routing tables for the ingest hot path: section list
         # (for deterministic spreading of unassigned sensors), the

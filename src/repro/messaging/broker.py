@@ -1,28 +1,24 @@
 """The in-process MQTT-like broker.
 
-Semantics implemented (the subset the F2C data plane relies on):
-
-* **QoS 0** ("at most once") — the broker delivers the message to the
-  subscribers registered at publish time and forgets it.
-* **QoS 1** ("at least once") — the broker additionally keeps the message in
-  a per-subscriber outbox until the subscriber acknowledges it, and can
-  redeliver unacknowledged messages.
-* **Retained messages** — the broker keeps the last retained message per
-  topic and replays it to new subscribers whose filter matches.
-
-Delivery is synchronous (the subscriber callback runs inside ``publish``),
-which keeps the simulation deterministic.
+Semantics implemented (the subset the F2C data plane relies on): QoS 0
+("at most once") delivery into per-client **inboxes**.  A client
+subscribes topic filters; every published message matching at least one
+of them is parked in the client's inbox once, and the client drains the
+inbox in bulk (:meth:`Broker.drain_inbox`) — a fog node acquires a whole
+backlog per flush instead of paying per-message overheads.  Delivery is
+synchronous (the message lands in the inbox inside ``publish``), which
+keeps the simulation deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.common.errors import ConfigurationError, RoutingError
-from repro.messaging.topics import match_levels, topic_matches, validate_topic
+from repro.common.errors import ConfigurationError
+from repro.messaging.topics import match_levels, validate_topic
 
 
 @dataclass(frozen=True)
@@ -31,14 +27,10 @@ class Message:
 
     topic: str
     payload: bytes
-    qos: int = 0
-    retain: bool = False
     message_id: int = 0
     timestamp: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.qos not in (0, 1):
-            raise ConfigurationError(f"unsupported QoS level: {self.qos}")
         if not isinstance(self.payload, (bytes, bytearray)):
             raise ConfigurationError("payload must be bytes")
 
@@ -47,50 +39,30 @@ class Message:
         return len(self.payload)
 
 
-MessageHandler = Callable[[Message], None]
-
-
-@dataclass
+@dataclass(frozen=True)
 class _Subscription:
     client_id: str
     topic_filter: str
-    handler: MessageHandler
-    qos: int = 0
-    batched: bool = False
-    filter_levels: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.filter_levels:
-            self.filter_levels = tuple(self.topic_filter.split("/"))
+    filter_levels: Tuple[str, ...]
 
 
 class Broker:
-    """An in-process publish/subscribe broker with MQTT-like semantics.
+    """An in-process publish/subscribe broker with per-client inboxes.
 
     Topic-routing state is cached per distinct published topic up to
     ``_TOPIC_CACHE_LIMIT`` entries (city telemetry uses a small, fixed
     section × sensor-type topic set); beyond that the caches reset rather
     than grow without bound.
 
-    Subscriptions come in two delivery modes:
-
-    * **immediate** (default) — the handler runs synchronously inside
-      ``publish``, one call per message (classic MQTT callback style);
-    * **batched** — matching messages are parked in a per-client inbox and
-      delivered later in bulk via :meth:`drain_inbox` /
-      :meth:`flush_inboxes`.  This is the high-throughput path: consumers
-      that process a whole inbox at once (e.g. a fog node running its
-      acquisition block per batch) avoid paying per-message overheads.
-
     Inboxes are **bounded** when the broker is built with *inbox_limit*: a
-    batched client whose inbox is full sheds further matching messages (QoS
-    0 overload behaviour) instead of growing without bound under a
+    client whose inbox is full sheds further matching messages (QoS 0
+    overload behaviour) instead of growing without bound under a
     long-running serve loop.  Every shed is counted — per client and in
-    total (:meth:`stats`), never silent.  Likewise, a batched client that
+    total (:meth:`stats`), never silent.  Likewise, a client that
     unsubscribes loses its parked inbox (counted as shed), and messages
     published between that unsubscribe and a later re-subscribe — which no
     inbox existed to hold — are counted as shed too, so
-    ``published-to-batched = delivered + shed`` holds across the client's
+    ``published-to-client = delivered + shed`` holds across the client's
     whole subscribe/unsubscribe history.
     """
 
@@ -104,25 +76,24 @@ class Broker:
         self.name = name
         self._inbox_limit = inbox_limit
         self._subscriptions: List[_Subscription] = []
-        self._retained: Dict[str, Message] = {}
-        self._pending_acks: Dict[Tuple[str, int], Message] = {}
         self._inboxes: Dict[str, List[Message]] = {}
         # Topic routing cache: city telemetry reuses a small set of topics
-        # (one per section × sensor type), so memoizing "which subscriptions
+        # (one per section × sensor type), so memoizing "which clients
         # match this topic" turns publish from O(#subscriptions) wildcard
         # matching into a dict hit.  A cached topic is by construction an
         # already-validated one, so the hot publish path pays exactly one
         # dict lookup per message — validation and matching both run only on
-        # the miss path.  Each entry also carries the gap clients (batched
-        # unsubscribers, see _gap_filters) whose dropped filters match the
-        # topic, so shed accounting rides the same dict hit.  The cache is
-        # invalidated whenever the subscription set changes — which is also
-        # the only time _gap_filters changes.
-        self._match_cache: Dict[str, Tuple[List[_Subscription], Tuple[str, ...]]] = {}
-        # client id -> the batched filter levels it dropped on unsubscribe
-        # while still unsubscribed.  Messages matching these have no inbox
-        # to land in; they are counted as shed until the client
-        # re-subscribes batched (which clears its gap entry).
+        # the miss path.  Each entry holds the distinct matching clients (a
+        # client whose several filters match gets one inbox copy) and the
+        # gap clients (unsubscribers, see _gap_filters) whose dropped
+        # filters match the topic, so shed accounting rides the same dict
+        # hit.  The cache is invalidated whenever the subscription set
+        # changes — which is also the only time _gap_filters changes.
+        self._match_cache: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
+        # client id -> the filter levels it dropped on unsubscribe while
+        # still unsubscribed.  Messages matching these have no inbox to land
+        # in; they are counted as shed until the client re-subscribes
+        # (which clears its gap entry).
         self._gap_filters: Dict[str, List[Tuple[str, ...]]] = {}
         self._message_ids = itertools.count(1)
         self._published_count = 0
@@ -143,77 +114,48 @@ class Broker:
     # ------------------------------------------------------------------ #
     # Subscription management
     # ------------------------------------------------------------------ #
-    def subscribe(
-        self,
-        client_id: str,
-        topic_filter: str,
-        handler: MessageHandler,
-        qos: int = 0,
-        batched: bool = False,
-    ) -> None:
-        """Register *handler* for messages matching *topic_filter*.
+    def subscribe(self, client_id: str, topic_filter: str) -> None:
+        """Park messages matching *topic_filter* in *client_id*'s inbox.
 
-        Retained messages matching the filter are replayed immediately.
-        With ``batched=True`` matching messages are queued in the client's
-        inbox instead of being handed to *handler* inside ``publish``; the
-        handler is still invoked (per message) by :meth:`flush_inboxes`, and
-        bulk consumers can bypass it entirely with :meth:`drain_inbox`.
+        A re-subscribe closes the client's unsubscribe gap: from here on
+        matching messages land in a live inbox again.
         """
         validate_topic(topic_filter, allow_wildcards=True)
-        if qos not in (0, 1):
-            raise ConfigurationError(f"unsupported QoS level: {qos}")
-        if batched and qos != 0:
-            raise ConfigurationError("batched subscriptions support QoS 0 only")
-        subscription = _Subscription(
-            client_id=client_id, topic_filter=topic_filter, handler=handler, qos=qos, batched=batched
+        self._subscriptions.append(
+            _Subscription(client_id, topic_filter, tuple(topic_filter.split("/")))
         )
-        self._subscriptions.append(subscription)
         self._match_cache.clear()
-        if batched:
-            # A batched re-subscribe closes the client's unsubscribe gap:
-            # from here on matching messages land in a live inbox again.
-            self._gap_filters.pop(client_id, None)
-        for topic, message in self._retained.items():
-            if topic_matches(topic_filter, topic):
-                self._deliver(subscription, message)
+        self._gap_filters.pop(client_id, None)
 
     def unsubscribe(self, client_id: str, topic_filter: Optional[str] = None) -> int:
         """Remove a client's subscriptions (all of them, or one filter).
 
-        A batched client that loses its last batched subscription also
-        loses its parked inbox — those messages can never be delivered and
-        are counted as shed, as are messages matching the dropped batched
-        filters published before the client re-subscribes (see
-        :meth:`stats`).
+        A client that loses its last subscription also loses its parked
+        inbox — those messages can never be delivered and are counted as
+        shed, as are messages matching the dropped filters published before
+        the client re-subscribes (see :meth:`stats`).
         """
-        removed_batched = [
-            s.filter_levels
-            for s in self._subscriptions
-            if s.client_id == client_id
-            and s.batched
-            and (topic_filter is None or s.topic_filter == topic_filter)
-        ]
-        before = len(self._subscriptions)
-        self._subscriptions = [
+        removed = [
             s
             for s in self._subscriptions
-            if not (s.client_id == client_id and (topic_filter is None or s.topic_filter == topic_filter))
+            if s.client_id == client_id and (topic_filter is None or s.topic_filter == topic_filter)
         ]
+        self._subscriptions = [s for s in self._subscriptions if s not in removed]
         self._match_cache.clear()
-        # A client with no remaining batched subscriptions can never receive
-        # its parked messages; shed the inbox (counted, never silent) rather
+        # A client with no remaining subscriptions can never receive its
+        # parked messages; shed the inbox (counted, never silent) rather
         # than report ghosts, and remember the dropped filters so messages
         # published during the unsubscribe gap are counted as shed too.
-        if not any(s.client_id == client_id and s.batched for s in self._subscriptions):
+        if not any(s.client_id == client_id for s in self._subscriptions):
             inbox = self._inboxes.pop(client_id, None)
             if inbox:
                 self._count_shed(client_id, len(inbox))
-            if removed_batched:
+            if removed:
                 gaps = self._gap_filters.setdefault(client_id, [])
-                for levels in removed_batched:
-                    if levels not in gaps:
-                        gaps.append(levels)
-        return before - len(self._subscriptions)
+                for subscription in removed:
+                    if subscription.filter_levels not in gaps:
+                        gaps.append(subscription.filter_levels)
+        return len(removed)
 
     def subscriptions_for(self, client_id: str) -> List[str]:
         return [s.topic_filter for s in self._subscriptions if s.client_id == client_id]
@@ -267,15 +209,8 @@ class Broker:
     # ------------------------------------------------------------------ #
     # Publishing
     # ------------------------------------------------------------------ #
-    def publish(
-        self,
-        topic: str,
-        payload: bytes,
-        qos: int = 0,
-        retain: bool = False,
-        timestamp: float = 0.0,
-    ) -> Message:
-        """Publish *payload* on *topic* and deliver to matching subscribers."""
+    def publish(self, topic: str, payload: bytes, timestamp: float = 0.0) -> Message:
+        """Publish *payload* on *topic* into every matching client's inbox."""
         cached = self._match_cache.get(topic)
         if cached is None:
             # Miss path: validate once, then match once — a cache hit means
@@ -287,106 +222,64 @@ class Broker:
                 # re-validate/re-match on the next publish of each topic.
                 self._match_cache.clear()
             topic_levels = topic.split("/")
-            matching = [s for s in self._subscriptions if match_levels(s.filter_levels, topic_levels)]
+            clients = tuple(
+                dict.fromkeys(
+                    s.client_id
+                    for s in self._subscriptions
+                    if match_levels(s.filter_levels, topic_levels)
+                )
+            )
             gap_clients = tuple(
                 client_id
                 for client_id, filters in self._gap_filters.items()
                 if any(match_levels(levels, topic_levels) for levels in filters)
             )
-            cached = self._match_cache[topic] = (matching, gap_clients)
-        matching, gap_clients = cached
+            cached = self._match_cache[topic] = (clients, gap_clients)
+        clients, gap_clients = cached
         for client_id in gap_clients:
-            # The message would have been parked for this batched client,
-            # but it unsubscribed and has not re-subscribed: no inbox
-            # exists.  Count the miss instead of losing it silently.
+            # The message would have been parked for this client, but it
+            # unsubscribed and has not re-subscribed: no inbox exists.
+            # Count the miss instead of losing it silently.
             self._count_shed(client_id)
         if self._corrupt_pending:
             payload = self._maybe_corrupt(bytes(payload))
         message = Message(
             topic=topic,
             payload=bytes(payload),
-            qos=qos,
-            retain=retain,
             message_id=next(self._message_ids),
             timestamp=timestamp,
         )
         self._published_count += 1
         self._published_bytes += message.size_bytes
-        if retain:
-            self._retained[topic] = message
-        enqueued_clients = None
-        for subscription in matching:
-            if subscription.batched:
-                # One inbox copy per client per message, even when several of
-                # the client's batched filters match (a bulk consumer must
-                # not see duplicates).
-                if enqueued_clients is None:
-                    enqueued_clients = set()
-                elif subscription.client_id in enqueued_clients:
-                    continue
-                enqueued_clients.add(subscription.client_id)
-            self._deliver(subscription, message)
+        for client_id in clients:
+            self._deliver(client_id, message)
         return message
-
-    def publish_columns(
-        self,
-        topic: str,
-        columns,
-        qos: int = 0,
-        retain: bool = False,
-        timestamp: float = 0.0,
-        frame_format: Optional[str] = None,
-    ) -> Message:
-        """Publish a whole :class:`~repro.sensors.readings.ReadingColumns`
-        batch as one column-frame payload (the wire fast path: one frame per
-        node-round instead of one CSV payload per reading).
-
-        *frame_format* selects the frame layout (``"binary-v2"`` — the
-        dictionary-compressed layout that assumes both ends share the
-        deployment vocabulary — or ``"json"``); ``None`` means binary.
-        Receivers detect the layout per payload, so publishers can switch
-        formats without coordinating.
-        """
-        return self.publish(
-            topic,
-            columns.encode_frame(format=frame_format),
-            qos=qos,
-            retain=retain,
-            timestamp=timestamp,
-        )
 
     def _count_shed(self, client_id: str, count: int = 1) -> None:
         self._shed_messages += count
         self._shed_by_client[client_id] = self._shed_by_client.get(client_id, 0) + count
 
-    def _deliver(self, subscription: _Subscription, message: Message) -> None:
-        if subscription.client_id in self._partitioned:
+    def _deliver(self, client_id: str, message: Message) -> None:
+        if client_id in self._partitioned:
             # A partitioned client is unreachable: the message is shed and
             # counted (QoS 0 loss), exactly like bounded-inbox overflow.
-            self._count_shed(subscription.client_id)
+            self._count_shed(client_id)
             return
-        if subscription.batched:
-            inbox = self._inboxes.setdefault(subscription.client_id, [])
-            limit = self._inbox_limit
-            if limit is not None and len(inbox) >= limit:
-                # Bounded inbox: overload sheds (QoS 0) and is counted —
-                # the parked backlog never grows without bound.
-                self._count_shed(subscription.client_id)
-                return
-            inbox.append(message)
-            self._delivered_count += 1
+        inbox = self._inboxes.setdefault(client_id, [])
+        limit = self._inbox_limit
+        if limit is not None and len(inbox) >= limit:
+            # Bounded inbox: overload sheds (QoS 0) and is counted — the
+            # parked backlog never grows without bound.
+            self._count_shed(client_id)
             return
-        effective_qos = min(subscription.qos, message.qos)
-        if effective_qos >= 1:
-            self._pending_acks[(subscription.client_id, message.message_id)] = message
-        subscription.handler(message)
+        inbox.append(message)
         self._delivered_count += 1
 
     # ------------------------------------------------------------------ #
-    # Batched delivery (inboxes)
+    # Inboxes
     # ------------------------------------------------------------------ #
     def drain_inbox(self, client_id: str) -> List[Message]:
-        """Return and clear the queued messages of a batched subscriber."""
+        """Return and clear the queued messages of a subscriber."""
         inbox = self._inboxes.get(client_id)
         if not inbox:
             return []
@@ -394,102 +287,16 @@ class Broker:
         return inbox
 
     def inbox_size(self, client_id: str) -> int:
-        """Number of messages currently queued for a batched subscriber."""
+        """Number of messages currently queued for a subscriber."""
         return len(self._inboxes.get(client_id, ()))
 
     def inbox_clients(self) -> List[str]:
         """Clients that currently have queued messages."""
         return [client_id for client_id, inbox in self._inboxes.items() if inbox]
 
-    def flush_inboxes(self, client_id: Optional[str] = None) -> int:
-        """Deliver queued messages through the batched subscriptions' handlers.
-
-        Returns the number of messages actually handed to a handler.  Parked
-        messages whose batched subscription has since been removed are
-        dropped (QoS 0) and counted as shed.  Bulk consumers that want a
-        single callback per inbox should use :meth:`drain_inbox` instead.
-        """
-        flushed = 0
-        targets = [client_id] if client_id is not None else list(self._inboxes.keys())
-        for target in targets:
-            # The client's batched subscriptions are fixed for the duration
-            # of the flush: filter them once and match with the precomputed
-            # filter levels instead of re-validating topic strings per
-            # (message, subscription) pair.
-            subscriptions = [
-                s for s in self._subscriptions if s.client_id == target and s.batched
-            ]
-            if not subscriptions:
-                # Documented QoS 0 behaviour: parked messages whose batched
-                # subscription is gone are dropped, not kept — but the drop
-                # is counted, never silent.
-                dropped = self.drain_inbox(target)
-                if dropped:
-                    self._count_shed(target, len(dropped))
-                continue
-            for message in self.drain_inbox(target):
-                handled = False
-                topic_levels = message.topic.split("/")
-                for subscription in subscriptions:
-                    if match_levels(subscription.filter_levels, topic_levels):
-                        # Every matching handler runs, mirroring immediate
-                        # delivery with overlapping filters.
-                        subscription.handler(message)
-                        handled = True
-                if handled:
-                    flushed += 1
-        return flushed
-
     # ------------------------------------------------------------------ #
-    # QoS 1 acknowledgement
+    # Statistics
     # ------------------------------------------------------------------ #
-    def acknowledge(self, client_id: str, message_id: int) -> None:
-        """Acknowledge a QoS 1 delivery; unknown acks raise ``RoutingError``."""
-        key = (client_id, message_id)
-        if key not in self._pending_acks:
-            raise RoutingError(f"no pending delivery for client={client_id} id={message_id}")
-        del self._pending_acks[key]
-
-    def unacknowledged(self, client_id: Optional[str] = None) -> List[Message]:
-        """Messages delivered at QoS 1 that have not been acknowledged yet."""
-        return [
-            message
-            for (owner, _), message in self._pending_acks.items()
-            if client_id is None or owner == client_id
-        ]
-
-    def redeliver(self, client_id: str) -> int:
-        """Redeliver all unacknowledged QoS 1 messages to *client_id*.
-
-        Returns the number of messages redelivered.  Redelivery goes through
-        the client's current subscriptions, so a client that unsubscribed
-        receives nothing (and keeps the messages pending).
-        """
-        redelivered = 0
-        for (owner, _), message in list(self._pending_acks.items()):
-            if owner != client_id:
-                continue
-            for subscription in self._subscriptions:
-                if subscription.client_id == client_id and topic_matches(
-                    subscription.topic_filter, message.topic
-                ):
-                    subscription.handler(message)
-                    redelivered += 1
-                    break
-        return redelivered
-
-    # ------------------------------------------------------------------ #
-    # Retained messages & statistics
-    # ------------------------------------------------------------------ #
-    def retained_message(self, topic: str) -> Optional[Message]:
-        return self._retained.get(topic)
-
-    def clear_retained(self, topic: Optional[str] = None) -> None:
-        if topic is None:
-            self._retained.clear()
-        else:
-            self._retained.pop(topic, None)
-
     @property
     def published_count(self) -> int:
         return self._published_count
@@ -516,9 +323,9 @@ class Broker:
         """Delivery/overload counters (folded into the client's health).
 
         ``shed_messages`` sums every counted loss: bounded-inbox overflow,
-        inboxes dropped at unsubscribe, parked messages flushed after their
-        subscription was removed, and messages published in a batched
-        client's unsubscribe→re-subscribe gap.  ``inbox_depth`` is the
+        messages to a partitioned client, inboxes dropped at unsubscribe,
+        and messages published in a client's unsubscribe→re-subscribe
+        gap.  ``inbox_depth`` is the
         total backlog currently parked across all inboxes.
         """
         return {

@@ -224,7 +224,7 @@ def _decode_batch(view: memoryview) -> Dict[str, Any]:
     except ValueError as exc:
         raise IpcProtocolError(f"IPC batch column frame is invalid: {exc}") from exc
     offset += frame_len
-    if not (frame.startswith(BINARY_FRAME_MAGIC) and frame[len(BINARY_FRAME_MAGIC) + 1] & _FLAG_EXTENDED):
+    if not frame[len(BINARY_FRAME_MAGIC) + 1] & _FLAG_EXTENDED:
         # Only an extended frame carries the identity columns (validated per
         # table entry by the frame decoder); any other frame decodes with
         # every row's tags and fog node unset, and must not be absorbed.

@@ -119,11 +119,8 @@ class Scenario:
         round_count = self.workload().round_count()
         for event in self.events:
             self._validate_event(event, round_count)
-        if self.inbox_limit is not None and self.transport not in (
-            "broker-csv",
-            "frames-json",
-            "frames-binary-v2",
-        ):
+        uses_broker = PipelineConfig(transport=self.transport).uses_broker()
+        if self.inbox_limit is not None and not uses_broker:
             raise ConfigurationError("inbox_limit requires a broker transport")
 
     def _validate_event(self, event: FaultEvent, round_count: int) -> None:

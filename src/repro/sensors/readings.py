@@ -29,8 +29,7 @@ from operator import attrgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.serialization import (
-    decode_columns,
-    encode_columns,
+    decode_columns_binary_v2,
     encode_columns_binary_v2,
     encode_csv_line,
     is_column_frame,
@@ -42,8 +41,6 @@ from repro.common.typedcols import (
     clear_column,
     column_min,
     column_sum,
-    float_column,
-    int_column,
     take_floats,
     take_ints,
 )
@@ -620,7 +617,7 @@ class ReadingColumns:
         """
         return b"".join(self.encode_rows())
 
-    def encode_frame(self, format: Optional[str] = None) -> bytes:
+    def encode_frame(self) -> bytes:
         """One self-describing wire frame for the whole column set.
 
         This is the batch wire format fog nodes receive (one frame per
@@ -629,14 +626,10 @@ class ReadingColumns:
         receiver is identical to the per-reading CSV path.  Fog-node ids and
         tags are not part of the wire format (they are assigned by the
         receiving node's acquisition block, exactly as with CSV payloads).
-
-        *format* selects the wire layout (``"binary-v2"`` — packed columns
-        compressed against the shared deployment dictionary, the default
-        for ``None`` — or ``"json"`` — the human-readable debug layout).
-        Both decode to identical columns via :meth:`decode_frame`, which
-        detects the layout from the payload's magic prefix.
+        The layout is binary version 2: packed columns compressed against
+        the shared deployment dictionary.
         """
-        return encode_columns(self._wire_columns(), format=format)
+        return encode_columns_binary_v2(self._wire_columns())
 
     def encode_frame_extended(self) -> bytes:
         """One *extended* v2 frame carrying tags and fog-node ids in-body.
@@ -669,41 +662,24 @@ class ReadingColumns:
 
     @classmethod
     def decode_frame(cls, payload: bytes) -> "ReadingColumns":
-        """Inverse of :meth:`encode_frame` (either layout, detected by magic).
+        """Inverse of :meth:`encode_frame` and :meth:`encode_frame_extended`.
 
         Raises ``ValueError`` for any malformed frame — a frame decodes
         whole or not at all, so a corrupt payload can never partially
-        ingest.
+        ingest.  The decoder builds every column typed and validated —
+        strings out of its string table, f64 timestamps, i64 sizes and
+        sequences — so they are adopted as they are.
         """
-        record = decode_columns(payload)
+        record = decode_columns_binary_v2(payload)
         out = cls()
         n = len(record["sensor_ids"])
-        timestamps = record["timestamps"]
-        if type(timestamps) is not list:
-            # Binary layouts: the decoder built every column typed and
-            # validated — strings out of its string table, f64 timestamps,
-            # i64 sizes and sequences — so they are adopted as they are.
-            out.sensor_ids = record["sensor_ids"]
-            out.sensor_types = record["sensor_types"]
-            out.categories = record["categories"]
-            out.values = record["values"]
-            out.timestamps = timestamps
-            out.sizes = record["sizes"]
-            out.sequences = record["sequences"].tolist()
-        else:
-            out.sensor_ids = [str(s) for s in record["sensor_ids"]]
-            out.sensor_types = [str(s) for s in record["sensor_types"]]
-            out.categories = [str(s) for s in record["categories"]]
-            out.values = list(record["values"])
-            try:
-                out.timestamps = float_column(float(t) for t in timestamps)
-                out.sizes = int_column(int(s) for s in record["sizes"])
-                out.sequences = [int(s) for s in record["sequences"]]
-            except (TypeError, OverflowError) as exc:
-                # JSON frames can smuggle non-numeric or >64-bit entries into
-                # the numeric columns; they must fail frame validation, not
-                # corrupt a typed column downstream.
-                raise ValueError(f"column frame carries a non-numeric column entry: {exc}") from exc
+        out.sensor_ids = record["sensor_ids"]
+        out.sensor_types = record["sensor_types"]
+        out.categories = record["categories"]
+        out.values = record["values"]
+        out.timestamps = record["timestamps"]
+        out.sizes = record["sizes"]
+        out.sequences = record["sequences"].tolist()
         smallest = column_min(out.sizes)
         if smallest is not None and smallest < 0:
             # A reading can never carry a negative wire size (Reading and

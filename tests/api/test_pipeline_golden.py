@@ -24,7 +24,7 @@ GOLDEN_PATH = pathlib.Path(__file__).parent.parent / "integration" / "data" / "i
 #: excluded by design: its per-reading CSV wire truncates payloads to the
 #: Table-I size, dropping readings whose line does not fit (a documented
 #: property of the historical wire, covered by the small-city test below).
-LOSSLESS_TRANSPORTS = ("direct", "frames-json", "frames-binary-v2")
+LOSSLESS_TRANSPORTS = ("direct", "frames-binary-v2")
 
 
 def _golden():
@@ -87,8 +87,7 @@ class TestBrokerCsvTransport:
         )
         return F2CClient(system=system, config=config)
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_broker_csv_matches_direct_ingest(self, small_city, small_catalog, batched):
+    def test_broker_csv_matches_direct_ingest(self, small_city, small_catalog):
         readings = self._readings()
         direct = self._client(small_city, small_catalog, PipelineConfig())
         direct.ingest(readings, now=5.0, default_section="d-01/s-01")
@@ -97,22 +96,13 @@ class TestBrokerCsvTransport:
         csv = self._client(
             small_city,
             small_catalog,
-            PipelineConfig(transport="broker-csv", city_slug="toyville", batched=batched),
+            PipelineConfig(transport="broker-csv", city_slug="toyville"),
         )
         csv.ingest(readings, now=5.0, default_section="d-01/s-01")
         csv.synchronise(now=10.0)
 
         assert csv.cloud_contents() == direct.cloud_contents()
         assert csv.storage_report() == direct.storage_report()
-
-    def test_unbatched_returns_published_counts_per_node(self, small_city, small_catalog):
-        client = self._client(
-            small_city,
-            small_catalog,
-            PipelineConfig(transport="broker-csv", city_slug="toyville", batched=False),
-        )
-        counts = client.ingest(self._readings(), now=5.0, default_section="d-01/s-01")
-        assert counts == {"fog1/d-01/s-01": 12}
 
 
 class TestFrameTransportSessions:
@@ -151,21 +141,17 @@ class TestPipelineConfigValidation:
         with pytest.raises(ConfigurationError):
             PipelineConfig(workers=0)
 
-    def test_frame_format_follows_the_transport(self):
-        assert PipelineConfig(transport="frames-json").resolved_frame_format() == "json"
-        assert PipelineConfig(transport="frames-binary-v2").resolved_frame_format() == "binary-v2"
-        assert PipelineConfig(transport="direct").resolved_frame_format() is None
-        assert PipelineConfig(transport="sharded").resolved_frame_format() is None
-
     def test_frame_format_is_not_a_config_field(self):
         with pytest.raises(TypeError):
-            PipelineConfig(transport="frames-json", frame_format="json")
+            PipelineConfig(transport="frames-binary-v2", frame_format="json")
 
+    @pytest.mark.parametrize("transport", ["frames-binary", "frames-json"])
     @pytest.mark.parametrize("entry_point", [PipelineConfig, connect, run_workload])
-    def test_retired_binary_transport_rejected(self, entry_point):
-        # The version-1 frame transport is gone; its name is not an alias.
-        with pytest.raises(ConfigurationError, match="'frames-binary'"):
-            entry_point(transport="frames-binary")
+    def test_retired_binary_transport_rejected(self, entry_point, transport):
+        # The version-1 and JSON frame transports are gone; their names are
+        # not aliases.
+        with pytest.raises(ConfigurationError, match=repr(transport)):
+            entry_point(transport=transport)
 
     def test_inline_workers_require_sharded_transport(self):
         with pytest.raises(ConfigurationError):
@@ -184,7 +170,6 @@ class TestPipelineConfigValidation:
     def test_connect_kwargs_build_the_config(self, small_city, small_catalog):
         client = connect(city=small_city, catalog=small_catalog, transport="frames-binary-v2")
         assert client.config.transport == "frames-binary-v2"
-        assert client.pipeline.config.resolved_frame_format() == "binary-v2"
 
     def test_uses_broker_flag(self):
         assert not PipelineConfig().uses_broker()
@@ -210,7 +195,7 @@ class TestPipelineConfigValidation:
             city=small_city,
             catalog=small_catalog,
             broker=broker,
-            transport="frames-json",
+            transport="frames-binary-v2",
             city_slug="toyville",
         )
         client.ingest(

@@ -1,17 +1,19 @@
 """One way in: :class:`repro.api.Pipeline` is the only write surface.
 
 The deployment class holds nodes and routing state and has no write verbs
-or frame layout of its own; the transport alone names the layout a
-pipeline publishes in; the sharded runtime takes worker faults as one
-``faults`` list.
+or frame layout of its own; there is one frame layout and one broker entry
+into acquisition, so nothing takes a layout name or a delivery mode; the
+sharded runtime takes worker faults as one ``faults`` list.
 """
 
 import pytest
 
+from repro.api import PipelineConfig
 from repro.core import architecture
 from repro.core.architecture import F2CDataManagement
 from repro.messaging.broker import Broker
 from repro.runtime import ShardSupervisor, WorkerFault, run_sharded
+from repro.sensors.readings import ReadingColumns
 
 
 @pytest.mark.parametrize(
@@ -49,3 +51,19 @@ def test_publish_frames_takes_no_frame_layout(small_city, small_catalog):
     pipeline = F2CDataManagement(city=small_city, catalog=small_catalog).api_pipeline
     with pytest.raises(TypeError, match="'frame_format'"):
         pipeline.publish_frames(Broker(), [], frame_format="json")
+
+
+def test_the_config_takes_no_delivery_mode():
+    with pytest.raises(TypeError, match="'batched'"):
+        PipelineConfig(transport="broker-csv", batched=False)
+
+
+def test_attach_broker_takes_no_delivery_mode(small_city, small_catalog):
+    pipeline = F2CDataManagement(city=small_city, catalog=small_catalog).api_pipeline
+    with pytest.raises(TypeError, match="'batched'"):
+        pipeline.attach_broker(Broker(), batched=False)
+
+
+def test_encode_frame_takes_no_frame_layout():
+    with pytest.raises(TypeError, match="'format'"):
+        ReadingColumns().encode_frame(format="json")

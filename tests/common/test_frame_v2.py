@@ -118,11 +118,11 @@ def _forge(flags: int, raw: bytes, stored: bytes, n: int) -> bytes:
 class TestVersioning:
     """Binary frames of any other layout version are rejected."""
 
-    def test_encode_columns_speaks_the_binary_layout(self):
-        payload = ser.encode_columns(_record(), format="binary-v2")
+    def test_the_encoder_speaks_the_binary_layout(self):
+        payload = ser.encode_columns_binary_v2(_record())
         assert payload[len(ser.BINARY_FRAME_MAGIC)] == ser.BINARY_FRAME_VERSION_2
         assert ser.is_column_frame(payload)
-        assert ser.decode_columns(payload)["sensor_ids"] == _record()["sensor_ids"]
+        assert ser.decode_columns_binary_v2(payload)["sensor_ids"] == _record()["sensor_ids"]
 
     def test_retired_version_1_frame_is_rejected(self):
         fixture = json.loads(REJECTED_FRAMES.read_text(encoding="utf-8"))["v1_section_frame"]
@@ -131,7 +131,7 @@ class TestVersioning:
         assert payload[len(ser.BINARY_FRAME_MAGIC)] == 1
         assert ser.is_column_frame(payload)
         with pytest.raises(ValueError, match="version: 1"):
-            ser.decode_columns(payload)
+            ser.decode_columns_binary_v2(payload)
         with pytest.raises(ValueError, match="version: 1"):
             ReadingColumns.decode_frame(payload)
 

@@ -1,5 +1,6 @@
 """Tests for repro.common.serialization."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,8 +8,8 @@ import sys
 import pytest
 
 from repro.common.serialization import (
+    BINARY_FRAME_VERSION_2,
     decode_csv_line,
-    decode_json,
     encode_csv_line,
     encode_json,
     pad_to_size,
@@ -20,7 +21,7 @@ SRC_PATH = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "
 class TestJsonCodec:
     def test_round_trip(self):
         record = {"sensor": "t-1", "value": 21.5, "nested": {"a": 1}}
-        assert decode_json(encode_json(record)) == record
+        assert json.loads(encode_json(record)) == record
 
     def test_canonical_ordering(self):
         a = encode_json({"b": 1, "a": 2})
@@ -74,7 +75,7 @@ class TestPadToSize:
 
 
 class TestColumnFrameCodecs:
-    """Unit coverage of the frame codec layer (both layouts, both paths)."""
+    """Unit coverage of the frame codec layer (plain and extended binary frames)."""
 
     @staticmethod
     def _record(n=3):
@@ -88,17 +89,6 @@ class TestColumnFrameCodecs:
             "sequences": list(range(n)),
         }
 
-    def test_encode_columns_dispatches_on_format(self):
-        from repro.common import serialization as ser
-
-        record = self._record()
-        assert ser.encode_columns(record, format="json").startswith(ser.COLUMN_FRAME_MAGIC)
-        binary = ser.encode_columns(record, format="binary-v2")
-        assert binary.startswith(ser.BINARY_FRAME_MAGIC)
-        assert binary[len(ser.BINARY_FRAME_MAGIC)] == ser.BINARY_FRAME_VERSION_2
-        assert ser.DEFAULT_FRAME_FORMAT == "binary-v2"
-        assert ser.encode_columns(record) == binary
-
     @pytest.mark.parametrize("value", ["binary", "json", "not-a-format"])
     def test_the_default_layout_ignores_the_retired_env_switch(self, value):
         # REPRO_FRAME_FORMAT used to pick the process-wide default at import
@@ -110,8 +100,8 @@ class TestColumnFrameCodecs:
             "from repro.common import serialization as ser\n"
             "record = {name: ['x'] if name in ('sensor_ids', 'sensor_types', 'categories')"
             " else [1] for name in ser.COLUMN_FRAME_FIELDS}\n"
-            "payload = ser.encode_columns(record)\n"
-            "print(ser.DEFAULT_FRAME_FORMAT, payload == ser.encode_columns(record, 'binary-v2'))\n"
+            "payload = ser.encode_columns_binary_v2(record)\n"
+            "print(payload.startswith(ser.BINARY_FRAME_MAGIC), payload[4])\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", snippet],
@@ -121,22 +111,18 @@ class TestColumnFrameCodecs:
             check=True,
             timeout=120,
         )
-        assert result.stdout.split() == ["binary-v2", "True"]
-
-    @pytest.mark.parametrize("format", ["msgpack", "binary"])
-    def test_encode_columns_rejects_unknown_format(self, format):
-        from repro.common import serialization as ser
-
-        with pytest.raises(ValueError):
-            ser.encode_columns(self._record(), format=format)
+        assert result.stdout.split() == ["True", str(BINARY_FRAME_VERSION_2)]
 
     def test_is_column_frame(self):
         from repro.common import serialization as ser
 
         record = self._record()
-        assert ser.is_column_frame(ser.encode_columns(record, format="json"))
-        assert ser.is_column_frame(ser.encode_columns(record, format="binary-v2"))
+        assert ser.is_column_frame(ser.encode_columns_binary_v2(record))
+        # Every frame magic, retired ones included, starts with a NUL.
+        assert ser.is_column_frame(b"\x00RBF1\n{}")
+        assert ser.is_column_frame(b"\x00")
         assert not ser.is_column_frame(b"s-1,temperature,1.0,0.000\n")
+        assert not ser.is_column_frame(b"")
         assert not ser.is_column_frame(b"plain")
 
     def test_binary_round_trip_mixed_value_types(self):
@@ -235,18 +221,3 @@ class TestColumnFrameCodecs:
         # and the flag must reflect the storage.  (Hex ids still compress a
         # little, so assert consistency rather than a specific flag value.)
         assert flags in (0, ser._FLAG_DICT_COMPRESSED)
-
-    def test_json_decode_validates_field_types(self):
-        from repro.common import serialization as ser
-
-        broken = ser.COLUMN_FRAME_MAGIC + ser.encode_json(
-            {name: (42 if name == "values" else []) for name in ser.COLUMN_FRAME_FIELDS}
-        )
-        with pytest.raises(ValueError):
-            ser.decode_columns(broken)
-
-    def test_json_decode_rejects_non_object_body(self):
-        from repro.common import serialization as ser
-
-        with pytest.raises(ValueError):
-            ser.decode_columns(ser.COLUMN_FRAME_MAGIC + b"[1,2,3]")

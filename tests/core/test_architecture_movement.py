@@ -163,6 +163,7 @@ class TestBrokerIntegration:
         reading = make_reading(sensor_id="s-9", sensor_type="temperature", value=21.0, size_bytes=40)
         topic = "city/toyville/d-01/s-01/energy/temperature"
         broker.publish(topic, reading.encode(), timestamp=0.0)
+        f2c_system.api_pipeline.flush_broker()
         fog1 = f2c_system.fog1_for_section("d-01/s-01")
         assert fog1.latest("s-9").value == pytest.approx(21.0)
         assert f2c_system.simulator.accountant.bytes_into_layer(LayerName.FOG_1) == 40
@@ -172,5 +173,6 @@ class TestBrokerIntegration:
         f2c_system.api_pipeline.attach_broker(broker, city_slug="toyville")
         reading = make_reading(sensor_id="s-9", value=21.0, size_bytes=40)
         broker.publish("city/toyville/d-02/s-01/energy/temperature", reading.encode())
+        f2c_system.api_pipeline.flush_broker()
         assert not f2c_system.fog1_for_section("d-01/s-01").has_series("s-9")
         assert f2c_system.fog1_for_section("d-02/s-01").has_series("s-9")

@@ -97,11 +97,12 @@ class TestIngestCommand:
         with pytest.raises(SystemExit):
             main(["ingest", "--inline-workers"])
 
-    def test_retired_binary_transport_is_not_a_choice(self, capsys):
+    @pytest.mark.parametrize("transport", ["frames-binary", "frames-json"])
+    def test_retired_binary_transport_is_not_a_choice(self, capsys, transport):
         with pytest.raises(SystemExit) as excinfo:
-            main(["ingest", "--transport", "frames-binary"])
+            main(["ingest", "--transport", transport])
         assert excinfo.value.code == 2
-        assert "invalid choice: 'frames-binary'" in capsys.readouterr().err
+        assert f"invalid choice: {transport!r}" in capsys.readouterr().err
 
 
 class TestQueryCommand:

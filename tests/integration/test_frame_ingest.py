@@ -48,17 +48,16 @@ class TestFramePathEquivalence:
         for i, reading in enumerate(readings):
             system.assign_sensor(reading.sensor_id, sections[i % len(sections)])
 
-    def _run_frames(self, small_city, small_catalog, batched):
+    def _run_frames(self, small_city, small_catalog):
         system = F2CDataManagement(
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         readings = _readings()
         self._assign(system, readings)
         broker = Broker()
-        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=batched)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville")
         system.api_pipeline.publish_frames(broker, readings, city_slug="toyville", timestamp=5.0)
-        if batched:
-            system.api_pipeline.flush_broker(now=5.0)
+        system.api_pipeline.flush_broker(now=5.0)
         system.synchronise(now=10.0)
         return system
 
@@ -72,8 +71,8 @@ class TestFramePathEquivalence:
         system.synchronise(now=10.0)
         return system
 
-    def test_batched_frames_match_direct_ingest(self, small_city, small_catalog):
-        frames = self._run_frames(small_city, small_catalog, batched=True)
+    def test_frames_match_direct_ingest(self, small_city, small_catalog):
+        frames = self._run_frames(small_city, small_catalog)
         direct = self._run_direct(small_city, small_catalog)
         # The sensors→fog1 hop is recorded from a different source label but
         # the per-layer byte totals must be identical.
@@ -89,25 +88,19 @@ class TestFramePathEquivalence:
         )
         assert frames_cloud == direct_cloud
 
-    def test_immediate_frames_match_batched_frames(self, small_city, small_catalog):
-        immediate = self._run_frames(small_city, small_catalog, batched=False)
-        batched = self._run_frames(small_city, small_catalog, batched=True)
-        assert immediate.traffic_report() == batched.traffic_report()
-        assert immediate.storage_report() == batched.storage_report()
-
     def test_mixed_frame_and_csv_messages_in_one_flush(self, small_city, small_catalog):
         system = F2CDataManagement(
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville")
         # One frame with two readings…
         frame_readings = [
             make_reading(sensor_id="mx-1", value=20.0, timestamp=5.0, size_bytes=64),
             make_reading(sensor_id="mx-2", value=21.0, timestamp=5.0, size_bytes=64),
         ]
         columns = ReadingColumns.from_readings(frame_readings)
-        broker.publish_columns("city/toyville/d-01/s-01/frame", columns, timestamp=5.0)
+        broker.publish("city/toyville/d-01/s-01/frame", columns.encode_frame(), timestamp=5.0)
         # …plus one classic CSV payload for the same section.
         csv_reading = make_reading(sensor_id="mx-3", value=22.0, timestamp=5.0, size_bytes=64)
         broker.publish(
@@ -124,7 +117,7 @@ class TestFramePathEquivalence:
     def test_publish_frames_routes_by_assignment(self, small_city, small_catalog):
         system = F2CDataManagement(city=small_city, catalog=small_catalog)
         broker = Broker()
-        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville")
         system.assign_sensor("pf-a", "d-01/s-01")
         system.assign_sensor("pf-b", "d-02/s-02")
         published = system.api_pipeline.publish_frames(
@@ -150,31 +143,22 @@ class TestFramePathEquivalence:
             system.api_pipeline.publish_frames(None, [make_reading()])
 
     def test_malformed_frame_is_dropped_without_losing_the_flush(self, small_city, small_catalog):
-        from repro.common.serialization import COLUMN_FRAME_MAGIC
-
         system = F2CDataManagement(
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville")
         good = make_reading(sensor_id="ok-1", value=20.0, timestamp=5.0, size_bytes=64)
         broker.publish(
             "city/toyville/d-01/s-01/energy/temperature", good.encode(), timestamp=5.0
         )
-        # A corrupt frame (truncated JSON) must neither raise nor discard
-        # the other drained messages.
-        broker.publish(
-            "city/toyville/d-01/s-01/frame", COLUMN_FRAME_MAGIC + b"{not json", timestamp=5.0
-        )
+        # A corrupt frame (truncated) must neither raise nor discard the
+        # other drained messages.
+        torn = ReadingColumns.from_readings([make_reading(size_bytes=64)]).encode_frame()[:-3]
+        broker.publish("city/toyville/d-01/s-01/frame", torn, timestamp=5.0)
         counts = system.api_pipeline.flush_broker(now=5.0)
         assert counts == {"fog1/d-01/s-01": 1}
         assert system.fog1_for_section("d-01/s-01").has_series("ok-1")
-
-    def test_negative_wire_size_frame_is_rejected(self):
-        columns = ReadingColumns.from_readings([make_reading(size_bytes=64)])
-        payload = columns.encode_frame(format="json").replace(b'"sizes":[64]', b'"sizes":[-64]')
-        with pytest.raises(ValueError):
-            ReadingColumns.decode_frame(payload)
 
     def test_negative_wire_size_binary_frame_is_rejected(self):
         payload = ser.encode_columns_binary_v2(
@@ -192,18 +176,17 @@ class TestFramePathEquivalence:
             ReadingColumns.decode_frame(payload)
 
     def test_dropped_payload_counter_tracks_malformed_messages(self, small_city, small_catalog):
-        from repro.common.serialization import COLUMN_FRAME_MAGIC
-
         system = F2CDataManagement(
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville")
         topic = "city/toyville/d-01/s-01/energy/temperature"
+        torn_frame = ReadingColumns.from_readings(_readings(2)).encode_frame()[:-1]
         broker.publish(topic, make_reading(sensor_id="ok", size_bytes=64).encode())
         broker.publish(topic, b"too,few,fields\n")                     # short CSV
         broker.publish(topic, b"\xfe\xfd\xfc not utf-8 \xff")          # undecodable bytes
-        broker.publish(topic, COLUMN_FRAME_MAGIC + b"{broken json")    # corrupt JSON frame
+        broker.publish(topic, torn_frame)                              # truncated frame
         broker.publish(topic, b"a,b,c,not-a-timestamp\n")              # bad timestamp field
         counts = system.api_pipeline.flush_broker(now=0.0)
         assert counts == {"fog1/d-01/s-01": 1}
@@ -223,13 +206,13 @@ class TestFramePathEquivalence:
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville")
         readings = [
             make_reading(sensor_id="oof-1000", value=20.0, timestamp=1000.0, size_bytes=64),
             make_reading(sensor_id="oof-100", value=20.0, timestamp=100.0, size_bytes=64),
         ]
         columns = ReadingColumns.from_readings(readings)
-        broker.publish_columns("city/toyville/d-01/s-01/frame", columns, timestamp=1000.0)
+        broker.publish("city/toyville/d-01/s-01/frame", columns.encode_frame(), timestamp=1000.0)
         counts = system.api_pipeline.flush_broker()  # no explicit now: batch max wins
         assert counts == {"fog1/d-01/s-01": 2}
         fog1 = system.fog1_for_section("d-01/s-01")
@@ -262,7 +245,7 @@ class TestFlushIsARound:
         # The default deployment: fog layer 1 deduplicates per batch.
         system = F2CDataManagement(city=small_city, catalog=small_catalog)
         broker = Broker()
-        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville")
         return system, broker
 
     def test_a_clean_flush_never_enters_a_node_row_loop(self, small_city, small_catalog):
@@ -273,8 +256,10 @@ class TestFlushIsARound:
                 make_reading(sensor_id=f"cf-{index}", value=20.0, timestamp=5.0, size_bytes=22),
                 make_reading(sensor_id=f"cf-{index}b", value=21.0, timestamp=5.0, size_bytes=22),
             ]
-            broker.publish_columns(
-                f"city/toyville/{section}/frame", ReadingColumns.from_readings(readings), timestamp=5.0
+            broker.publish(
+                f"city/toyville/{section}/frame",
+                ReadingColumns.from_readings(readings).encode_frame(),
+                timestamp=5.0,
             )
         counts, block_runs = self._flush_counting_block_runs(system, now=5.0)
         assert block_runs == 0
@@ -293,11 +278,15 @@ class TestFlushIsARound:
         system, broker = self._attached(small_city, small_catalog)
         twice = make_reading(sensor_id="dup-1", value=20.0, timestamp=5.0, size_bytes=22)
         alone = make_reading(sensor_id="solo-1", value=21.0, timestamp=5.0, size_bytes=22)
-        broker.publish_columns(
-            "city/toyville/d-01/s-01/frame", ReadingColumns.from_readings([twice, alone]), timestamp=5.0
+        broker.publish(
+            "city/toyville/d-01/s-01/frame",
+            ReadingColumns.from_readings([twice, alone]).encode_frame(),
+            timestamp=5.0,
         )
-        broker.publish_columns(
-            "city/toyville/d-02/s-01/frame", ReadingColumns.from_readings([twice]), timestamp=5.0
+        broker.publish(
+            "city/toyville/d-02/s-01/frame",
+            ReadingColumns.from_readings([twice]).encode_frame(),
+            timestamp=5.0,
         )
         counts, block_runs = self._flush_counting_block_runs(system, now=5.0)
         assert counts == {"fog1/d-01/s-01": 2, "fog1/d-02/s-01": 1}
@@ -308,26 +297,26 @@ class TestFlushIsARound:
             assert fog1.rejected_readings == 0
 
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["flush", "per-message"])
     @pytest.mark.parametrize("non_finite", [float("nan"), float("inf"), float("-inf")], ids=repr)
     def test_a_non_finite_timestamp_does_not_move_its_siblings_now(
-        self, small_city, small_catalog, non_finite, batched
+        self, small_city, small_catalog, non_finite
     ):
         """Given no ``now``, a batch is acquired at its latest finite timestamp, in any row order."""
         timestamp_of = {"broken": non_finite, "old": 0.0, "new": 200_000.0}
         for order in itertools.permutations(timestamp_of):
             system = F2CDataManagement(city=small_city, catalog=small_catalog)
             broker = Broker()
-            system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=batched)
+            system.api_pipeline.attach_broker(broker, city_slug="toyville")
             readings = [
                 make_reading(sensor_id=sensor_id, value=20.0, timestamp=timestamp_of[sensor_id])
                 for sensor_id in order
             ]
-            broker.publish_columns(
-                "city/toyville/d-01/s-01/frame", ReadingColumns.from_readings(readings), timestamp=0.0
+            broker.publish(
+                "city/toyville/d-01/s-01/frame",
+                ReadingColumns.from_readings(readings).encode_frame(),
+                timestamp=0.0,
             )
-            if batched:
-                system.api_pipeline.flush_broker()
+            system.api_pipeline.flush_broker()
             fog1 = system.fog1_for_section("d-01/s-01")
             report = fog1.acquisition.quality.last_report
             assert report.rejection_reasons == {"non_finite_timestamp": 1}
@@ -360,7 +349,7 @@ class TestBinaryFrameDecoderFuzz:
                 for i in range(rows)
             ]
         )
-        return columns, columns.encode_frame(format="binary-v2")
+        return columns, columns.encode_frame()
 
     @staticmethod
     def _rebuild_binary(raw_body, n, version=None, flags=None, raw_len=None):
@@ -397,7 +386,7 @@ class TestBinaryFrameDecoderFuzz:
                 mutated[position] ^= 1 << bit
                 mutated = bytes(mutated)
                 if not ReadingColumns.is_frame(mutated):
-                    continue  # magic destroyed: handled by the CSV path
+                    continue  # leading NUL destroyed: handled by the CSV path
                 try:
                     decoded = ReadingColumns.decode_frame(mutated)
                 except ValueError:
@@ -418,7 +407,7 @@ class TestBinaryFrameDecoderFuzz:
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville")
         _, payload = self._frame()
         rng = random.Random(20260729)
         corrupt = []
@@ -493,7 +482,7 @@ class TestBinaryFrameDecoderFuzz:
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville")
         _, payload = self._frame()
         impostor = b"\x01" + payload[1:]  # no NUL prefix: not a frame at all
         assert not ReadingColumns.is_frame(impostor)
@@ -508,7 +497,7 @@ class TestBinaryFrameDecoderFuzz:
             city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
         )
         broker = Broker()
-        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville")
         _, payload = self._frame(rows=8)
         raw_body, n = self._raw_body(payload)
         # Claim more rows than the body carries: column parsing dies after
@@ -522,40 +511,30 @@ class TestBinaryFrameDecoderFuzz:
         assert system.dropped_payloads == 1
 
 
-def _published_frame(
-    publisher, small_city, small_catalog, frame_format=None, transport="direct"
-) -> bytes:
+def _published_frame(publisher, small_city, small_catalog, transport="direct") -> bytes:
     """The one frame *publisher* emits for three readings of one section.
 
-    ``encode_frame`` and ``publish_columns`` name the layout on the call;
-    ``publish_frames`` publishes in the layout of its pipeline's
-    *transport*, on a deployment built apart from that pipeline.
+    ``publish_frames`` publishes on a deployment built apart from its
+    pipeline, whose *transport* is varied.
     """
     readings = _readings(3)
-    columns = ReadingColumns.from_readings(readings)
     if publisher == "encode_frame":
-        return columns.encode_frame(format=frame_format)
+        return ReadingColumns.from_readings(readings).encode_frame()
     broker = Broker()
-    seen = []
-    broker.subscribe("tap", "city/#", lambda message: seen.append(message.payload))
-    if publisher == "publish_columns":
-        broker.publish_columns(
-            "city/toyville/d-01/s-01/frame", columns, timestamp=5.0, frame_format=frame_format
-        )
-    else:
-        system = F2CDataManagement(city=small_city, catalog=small_catalog)
-        pipeline = Pipeline(PipelineConfig(transport=transport), system=system)
-        pipeline.publish_frames(
-            broker, readings, city_slug="toyville", default_section="d-01/s-01", timestamp=5.0
-        )
-    (payload,) = seen
-    return payload
+    broker.subscribe("tap", "city/#")
+    system = F2CDataManagement(city=small_city, catalog=small_catalog)
+    pipeline = Pipeline(PipelineConfig(transport=transport), system=system)
+    pipeline.publish_frames(
+        broker, readings, city_slug="toyville", default_section="d-01/s-01", timestamp=5.0
+    )
+    (message,) = broker.drain_inbox("tap")
+    return message.payload
 
 
 class TestRetiredFrameLayout:
-    """One binary layout is written; a version-1 frame is one dropped payload."""
+    """One binary layout is written; a version-1 or JSON frame is one dropped payload."""
 
-    @pytest.mark.parametrize("publisher", ["encode_frame", "publish_columns", "publish_frames"])
+    @pytest.mark.parametrize("publisher", ["encode_frame", "publish_frames"])
     def test_publishers_default_to_the_binary_layout(self, publisher, small_city, small_catalog):
         payload = _published_frame(publisher, small_city, small_catalog)
         assert payload.startswith(ser.BINARY_FRAME_MAGIC)
@@ -563,43 +542,31 @@ class TestRetiredFrameLayout:
         decoded = ReadingColumns.decode_frame(payload)
         assert decoded.sensor_ids == [reading.sensor_id for reading in _readings(3)]
 
-    # Only these two callers name a layout; publish_frames takes its transport's.
-    @pytest.mark.parametrize("publisher", ["encode_frame", "publish_columns"])
-    def test_publishers_reject_the_retired_layout_name(self, publisher, small_city, small_catalog):
-        with pytest.raises(ValueError, match="'binary'"):
-            _published_frame(publisher, small_city, small_catalog, frame_format="binary")
-
-    @pytest.mark.parametrize(
-        "transport, magic",
-        [
-            ("frames-json", ser.COLUMN_FRAME_MAGIC),
-            ("frames-binary-v2", ser.BINARY_FRAME_MAGIC),
-            ("direct", ser.BINARY_FRAME_MAGIC),
-            ("broker-csv", ser.BINARY_FRAME_MAGIC),
-        ],
-        ids=["frames-json", "frames-binary-v2", "direct", "broker-csv"],
-    )
+    @pytest.mark.parametrize("transport", ["frames-binary-v2", "direct", "broker-csv"])
     def test_publish_frames_writes_its_transports_layout(
-        self, transport, magic, small_city, small_catalog
+        self, transport, small_city, small_catalog
     ):
         payload = _published_frame(
             "publish_frames", small_city, small_catalog, transport=transport
         )
-        assert payload.startswith(magic)
-        if magic == ser.BINARY_FRAME_MAGIC:
-            assert payload[len(magic)] == ser.BINARY_FRAME_VERSION_2
+        assert payload.startswith(ser.BINARY_FRAME_MAGIC)
+        assert payload[len(ser.BINARY_FRAME_MAGIC)] == ser.BINARY_FRAME_VERSION_2
         decoded = ReadingColumns.decode_frame(payload)
         assert decoded.sensor_ids == [reading.sensor_id for reading in _readings(3)]
 
-    def test_golden_v1_frame_is_dropped_and_the_flush_continues(self, small_city, small_catalog):
-        fixture = json.loads(REJECTED_FRAMES.read_text(encoding="utf-8"))["v1_section_frame"]
-        v1_frame = base64.b64decode(fixture["base64"])
-        assert v1_frame[len(ser.BINARY_FRAME_MAGIC)] == 1 and fixture["rows"] > 0
+    @pytest.mark.parametrize("retired", ["v1_section_frame", "json_section_frame"])
+    def test_golden_retired_frame_is_dropped_and_the_flush_continues(
+        self, retired, small_city, small_catalog
+    ):
+        fixture = json.loads(REJECTED_FRAMES.read_text(encoding="utf-8"))[retired]
+        frame = base64.b64decode(fixture["base64"])
+        assert ReadingColumns.is_frame(frame) and fixture["rows"] > 0
+        assert not frame.startswith(ser.BINARY_FRAME_MAGIC + bytes([ser.BINARY_FRAME_VERSION_2]))
         client = connect(
             city=small_city, catalog=small_catalog, transport="frames-binary-v2", city_slug="toyville"
         )
-        client.session.broker.publish("city/toyville/d-01/s-01/frame", v1_frame, timestamp=5.0)
-        # The same flush drains the parked v1 frame and this ingest's frame.
+        client.session.broker.publish("city/toyville/d-01/s-01/frame", frame, timestamp=5.0)
+        # The same flush drains the parked retired frame and this ingest's frame.
         readings = _readings()
         counts = client.ingest(readings, now=5.0, default_section="d-01/s-01")
         assert counts == {"fog1/d-01/s-01": len(readings)}

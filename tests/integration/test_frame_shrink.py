@@ -1,10 +1,13 @@
-"""Wire-size acceptance: binary frames must be ≥2.5x smaller than JSON.
+"""Wire-size acceptance: binary frames must be ≥1.8x smaller than per-reading CSV.
 
-Measured on a synthetic city-round workload (Barcelona catalog), at the
-real publish granularity — one frame per (section, round) — and on whole
-city-round frames.  This pins the "binary column frames shrink frames
-~3x" claim as a regression test rather than a benchmark-only observation;
-the binary bytes themselves are pinned by ``tests/common/data/frame_golden.json``.
+The comparison is against what stays on the wire without frames: the
+same rows published one CSV payload per reading (``Reading.encode``, each
+padded or cut to its Table-I size), summed.  Measured on a synthetic
+city-round workload (Barcelona catalog, 1,360 rows), at the real publish
+granularity — one frame per (section, round), ~2.1x — and on whole
+city-round frames, ~11x.  This pins the frame wire's shrink as a
+regression test rather than a benchmark-only observation; the binary
+bytes themselves are pinned by ``tests/common/data/frame_golden.json``.
 """
 
 from collections import defaultdict
@@ -14,7 +17,7 @@ from repro.sensors.catalog import BARCELONA_CATALOG
 from repro.sensors.generator import ReadingGenerator
 from repro.sensors.readings import ReadingColumns
 
-SHRINK_FLOOR = 2.5
+SHRINK_FLOOR = 1.8
 
 
 def _city_round_readings(devices_per_type=20, duration_s=900.0):
@@ -25,6 +28,11 @@ def _city_round_readings(devices_per_type=20, duration_s=900.0):
     return readings
 
 
+def _csv_bytes(columns: ReadingColumns) -> int:
+    """What the same rows cost as one CSV payload per reading."""
+    return sum(map(len, columns.encode_rows()))
+
+
 class TestBinaryFrameShrink:
     def test_per_section_frames_shrink_past_the_floor(self):
         readings = _city_round_readings()
@@ -33,23 +41,23 @@ class TestBinaryFrameShrink:
         per_section = defaultdict(list)
         for index, reading in enumerate(readings):
             per_section[sections[index % len(sections)]].append(reading)
-        json_total = binary_total = 0
+        csv_total = binary_total = 0
         for section_readings in per_section.values():
             columns = ReadingColumns.from_reading_list(section_readings)
-            json_total += len(columns.encode_frame(format="json"))
-            binary_total += len(columns.encode_frame(format="binary-v2"))
-        shrink = json_total / binary_total
+            csv_total += _csv_bytes(columns)
+            binary_total += len(columns.encode_frame())
+        shrink = csv_total / binary_total
         assert shrink >= SHRINK_FLOOR, (
-            f"per-section binary frames only {shrink:.2f}x smaller than JSON "
-            f"({binary_total} vs {json_total} bytes)"
+            f"per-section binary frames only {shrink:.2f}x smaller than per-reading CSV "
+            f"({binary_total} vs {csv_total} bytes)"
         )
 
     def test_city_round_frame_shrinks_past_the_floor(self):
         columns = ReadingColumns.from_reading_list(_city_round_readings())
-        json_size = len(columns.encode_frame(format="json"))
-        binary_size = len(columns.encode_frame(format="binary-v2"))
-        shrink = json_size / binary_size
+        csv_size = _csv_bytes(columns)
+        binary_size = len(columns.encode_frame())
+        shrink = csv_size / binary_size
         assert shrink >= SHRINK_FLOOR, (
-            f"city-round binary frame only {shrink:.2f}x smaller than JSON "
-            f"({binary_size} vs {json_size} bytes)"
+            f"city-round binary frame only {shrink:.2f}x smaller than per-reading CSV "
+            f"({binary_size} vs {csv_size} bytes)"
         )

@@ -52,7 +52,7 @@ def frame_path_digest():
         system.assign_sensor(device.sensor_id, sections[index % len(sections)])
     broker = Broker()
     pipeline = system.api_pipeline
-    pipeline.attach_broker(broker, batched=True)
+    pipeline.attach_broker(broker)
     for round_index, batch in enumerate(
         generator.transactions(count=4, start=0.0, interval=900.0)
     ):

@@ -1,10 +1,9 @@
-"""Tests for the in-process MQTT-like broker and client facade."""
+"""Tests for the in-process MQTT-like broker: inboxes, shed accounting, chaos hooks."""
 
 import pytest
 
-from repro.common.errors import ConfigurationError, RoutingError
+from repro.common.errors import ConfigurationError
 from repro.messaging.broker import Broker, Message
-from repro.messaging.client import MessagingClient
 from tests.conftest import make_reading
 
 
@@ -13,26 +12,27 @@ def broker():
     return Broker()
 
 
+def payloads(broker, client_id):
+    """Drain *client_id*'s inbox and return its payloads in arrival order."""
+    return [message.payload for message in broker.drain_inbox(client_id)]
+
+
 class TestPublishSubscribe:
     def test_delivery_to_matching_subscriber(self, broker):
-        received = []
-        broker.subscribe("c1", "sensors/#", received.append)
+        broker.subscribe("c1", "sensors/#")
         broker.publish("sensors/energy/t1", b"21.5")
-        assert len(received) == 1
-        assert received[0].payload == b"21.5"
+        assert payloads(broker, "c1") == [b"21.5"]
 
     def test_no_delivery_to_non_matching_subscriber(self, broker):
-        received = []
-        broker.subscribe("c1", "sensors/noise/#", received.append)
+        broker.subscribe("c1", "sensors/noise/#")
         broker.publish("sensors/energy/t1", b"21.5")
-        assert received == []
+        assert payloads(broker, "c1") == []
 
     def test_multiple_subscribers(self, broker):
-        first, second = [], []
-        broker.subscribe("c1", "a/#", first.append)
-        broker.subscribe("c2", "a/b", second.append)
+        broker.subscribe("c1", "a/#")
+        broker.subscribe("c2", "a/b")
         broker.publish("a/b", b"x")
-        assert len(first) == 1 and len(second) == 1
+        assert broker.inbox_size("c1") == 1 and broker.inbox_size("c2") == 1
         assert broker.delivered_count == 2
 
     def test_message_ids_increase(self, broker):
@@ -41,120 +41,38 @@ class TestPublishSubscribe:
         assert m2.message_id > m1.message_id
 
     def test_statistics(self, broker):
-        broker.subscribe("c1", "#", lambda m: None)
+        broker.subscribe("c1", "#")
         broker.publish("a/b", b"12345")
         assert broker.published_count == 1
         assert broker.published_bytes == 5
 
     def test_unsubscribe(self, broker):
-        received = []
-        broker.subscribe("c1", "a/#", received.append)
+        broker.subscribe("c1", "a/#")
         assert broker.unsubscribe("c1") == 1
         broker.publish("a/b", b"x")
-        assert received == []
+        assert payloads(broker, "c1") == []
 
-    def test_invalid_qos_rejected(self, broker):
-        with pytest.raises(ConfigurationError):
-            broker.publish("a/b", b"x", qos=2)
-        with pytest.raises(ConfigurationError):
-            broker.subscribe("c1", "a/#", lambda m: None, qos=7)
+    def test_unsubscribe_specific_filter(self, broker):
+        broker.subscribe("c1", "a/#")
+        broker.subscribe("c1", "b/#")
+        assert broker.unsubscribe("c1", "a/#") == 1
+        assert broker.subscriptions_for("c1") == ["b/#"]
 
     def test_payload_must_be_bytes(self):
         with pytest.raises(ConfigurationError):
             Message(topic="a/b", payload="not-bytes")  # type: ignore[arg-type]
 
 
-class TestRetainedMessages:
-    def test_retained_replayed_to_new_subscriber(self, broker):
-        broker.publish("state/latest", b"42", retain=True)
-        received = []
-        broker.subscribe("late", "state/#", received.append)
-        assert len(received) == 1
-        assert received[0].payload == b"42"
-
-    def test_only_last_retained_kept(self, broker):
-        broker.publish("state/latest", b"1", retain=True)
-        broker.publish("state/latest", b"2", retain=True)
-        assert broker.retained_message("state/latest").payload == b"2"
-
-    def test_clear_retained(self, broker):
-        broker.publish("state/latest", b"1", retain=True)
-        broker.clear_retained("state/latest")
-        assert broker.retained_message("state/latest") is None
-
-
-class TestQos1:
-    def test_pending_until_acknowledged(self, broker):
-        received = []
-        broker.subscribe("c1", "a/#", received.append, qos=1)
-        message = broker.publish("a/b", b"x", qos=1)
-        assert len(broker.unacknowledged("c1")) == 1
-        broker.acknowledge("c1", message.message_id)
-        assert broker.unacknowledged("c1") == []
-
-    def test_ack_unknown_delivery_raises(self, broker):
-        with pytest.raises(RoutingError):
-            broker.acknowledge("c1", 999)
-
-    def test_qos0_subscription_downgrades(self, broker):
-        broker.subscribe("c1", "a/#", lambda m: None, qos=0)
-        broker.publish("a/b", b"x", qos=1)
-        assert broker.unacknowledged("c1") == []
-
-    def test_redeliver(self, broker):
-        received = []
-        broker.subscribe("c1", "a/#", received.append, qos=1)
-        broker.publish("a/b", b"x", qos=1)
-        assert broker.redeliver("c1") == 1
-        assert len(received) == 2  # original + redelivery
-
-
-class TestMessagingClient:
-    def test_inbox_buffering(self, broker):
-        client = MessagingClient("c1", broker)
-        client.subscribe("a/#")
+class TestInboxes:
+    def test_subscription_parks_messages(self, broker):
+        broker.subscribe("c1", "a/#")
         broker.publish("a/b", b"1")
         broker.publish("a/c", b"2")
-        assert client.inbox_size == 2
-        drained = client.drain_inbox()
-        assert [m.payload for m in drained] == [b"1", b"2"]
-        assert client.inbox_size == 0
-
-    def test_publish_reading_uses_wire_encoding(self, broker):
-        client = MessagingClient("c1", broker)
-        received = []
-        broker.subscribe("sink", "readings/#", received.append)
-        reading = make_reading(size_bytes=40)
-        client.publish_reading("readings/energy/t", reading)
-        assert len(received[0].payload) == 40
-
-    def test_acknowledge_through_client(self, broker):
-        client = MessagingClient("c1", broker)
-        client.subscribe("a/#", qos=1)
-        message = broker.publish("a/b", b"x", qos=1)
-        client.acknowledge(message)
-        assert broker.unacknowledged("c1") == []
-
-    def test_unsubscribe_specific_filter(self, broker):
-        client = MessagingClient("c1", broker)
-        client.subscribe("a/#")
-        client.subscribe("b/#")
-        assert client.unsubscribe("a/#") == 1
-        assert broker.subscriptions_for("c1") == ["b/#"]
-
-
-class TestBatchedInboxes:
-    def test_batched_subscription_parks_messages(self, broker):
-        received = []
-        broker.subscribe("c1", "a/#", received.append, batched=True)
-        broker.publish("a/b", b"1")
-        broker.publish("a/c", b"2")
-        assert received == []  # nothing delivered synchronously
         assert broker.inbox_size("c1") == 2
         assert broker.inbox_clients() == ["c1"]
 
     def test_drain_inbox_returns_and_clears(self, broker):
-        broker.subscribe("c1", "a/#", lambda m: None, batched=True)
+        broker.subscribe("c1", "a/#")
         broker.publish("a/b", b"1")
         broker.publish("a/b", b"2")
         messages = broker.drain_inbox("c1")
@@ -162,83 +80,49 @@ class TestBatchedInboxes:
         assert broker.drain_inbox("c1") == []
         assert broker.inbox_size("c1") == 0
 
-    def test_flush_inboxes_invokes_handlers(self, broker):
-        received = []
-        broker.subscribe("c1", "a/#", received.append, batched=True)
-        broker.publish("a/b", b"1")
-        broker.publish("a/b", b"2")
-        flushed = broker.flush_inboxes()
-        assert flushed == 2
-        assert [m.payload for m in received] == [b"1", b"2"]
-        assert broker.flush_inboxes() == 0
-
-    def test_immediate_and_batched_subscribers_coexist(self, broker):
-        immediate, batched = [], []
-        broker.subscribe("now", "a/#", immediate.append)
-        broker.subscribe("later", "a/#", batched.append, batched=True)
-        broker.publish("a/b", b"x")
-        assert len(immediate) == 1
-        assert batched == []
-        assert broker.inbox_size("later") == 1
-        assert broker.delivered_count == 2
-
-    def test_batched_requires_qos0(self, broker):
-        with pytest.raises(ConfigurationError):
-            broker.subscribe("c1", "a/#", lambda m: None, qos=1, batched=True)
-
-    def test_retained_message_lands_in_inbox(self, broker):
-        broker.publish("a/b", b"kept", retain=True)
-        broker.subscribe("c1", "a/#", lambda m: None, batched=True)
-        assert broker.inbox_size("c1") == 1
-
     def test_match_cache_invalidated_by_new_subscription(self, broker):
-        first, second = [], []
-        broker.subscribe("c1", "a/#", first.append)
+        broker.subscribe("c1", "a/#")
         broker.publish("a/b", b"1")  # primes the match cache for a/b
-        broker.subscribe("c2", "a/b", second.append)
+        broker.subscribe("c2", "a/b")
         broker.publish("a/b", b"2")
-        assert len(first) == 2
-        assert len(second) == 1
+        assert payloads(broker, "c1") == [b"1", b"2"]
+        assert payloads(broker, "c2") == [b"2"]
 
     def test_match_cache_invalidated_by_unsubscribe(self, broker):
-        received = []
-        broker.subscribe("c1", "a/#", received.append)
+        broker.subscribe("c1", "a/#")
         broker.publish("a/b", b"1")
         broker.unsubscribe("c1")
         broker.publish("a/b", b"2")
-        assert len(received) == 1
+        assert broker.delivered_count == 1
+        assert payloads(broker, "c1") == []
 
     def test_unsubscribe_drops_inbox_and_counts_shed(self, broker):
-        received = []
-        broker.subscribe("c1", "a/#", received.append, batched=True)
+        broker.subscribe("c1", "a/#")
         broker.publish("a/b", b"1")
         broker.unsubscribe("c1")
         assert broker.inbox_size("c1") == 0  # ghost inbox dropped
-        assert broker.flush_inboxes() == 0
-        assert received == []
+        assert broker.inbox_clients() == []
         assert broker.shed_count == 1  # the parked message, counted not silent
         assert broker.stats()["shed_by_client"] == {"c1": 1}
 
     def test_topic_cache_capped(self, broker):
         broker._TOPIC_CACHE_LIMIT = 8
-        broker.subscribe("c1", "#", lambda m: None)
+        broker.subscribe("c1", "#")
         for i in range(20):
             broker.publish(f"unique/topic-{i}", b"x")
         assert len(broker._match_cache) <= 8
         assert broker.delivered_count == 20  # every message still delivered
 
-    def test_overlapping_batched_filters_enqueue_once_flush_all_handlers(self, broker):
-        wide, narrow = [], []
-        broker.subscribe("c1", "a/#", wide.append, batched=True)
-        broker.subscribe("c1", "a/b", narrow.append, batched=True)
+    def test_overlapping_filters_enqueue_once(self, broker):
+        broker.subscribe("c1", "a/#")
+        broker.subscribe("c1", "a/b")
         broker.publish("a/b", b"x")
         assert broker.inbox_size("c1") == 1  # one inbox copy per client
-        assert broker.flush_inboxes() == 1
-        assert len(wide) == 1 and len(narrow) == 1  # both handlers ran once
+        assert broker.delivered_count == 1
 
 
 class TestBoundedInboxes:
-    """Bounded batched inboxes: overflow sheds, and every shed is counted."""
+    """Bounded inboxes: overflow sheds, and every shed is counted."""
 
     def test_invalid_inbox_limit_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -248,7 +132,7 @@ class TestBoundedInboxes:
 
     def test_unbounded_by_default(self, broker):
         assert broker.inbox_limit is None
-        broker.subscribe("c1", "a/#", lambda m: None, batched=True)
+        broker.subscribe("c1", "a/#")
         for i in range(100):
             broker.publish("a/b", str(i).encode())
         assert broker.inbox_size("c1") == 100
@@ -256,51 +140,41 @@ class TestBoundedInboxes:
 
     def test_full_inbox_sheds_overflow(self):
         broker = Broker(inbox_limit=2)
-        broker.subscribe("c1", "a/#", lambda m: None, batched=True)
+        broker.subscribe("c1", "a/#")
         for i in range(5):
             broker.publish("a/b", str(i).encode())
         assert broker.inbox_size("c1") == 2
-        assert [m.payload for m in broker.drain_inbox("c1")] == [b"0", b"1"]
+        assert payloads(broker, "c1") == [b"0", b"1"]
         assert broker.shed_count == 3
         assert broker.stats()["shed_by_client"] == {"c1": 3}
-        # Conservation over the batched client's history.
+        # Conservation over the client's history.
         assert broker.published_count == broker.delivered_count + broker.shed_count
 
     def test_drain_frees_capacity(self):
         broker = Broker(inbox_limit=1)
-        broker.subscribe("c1", "a/#", lambda m: None, batched=True)
+        broker.subscribe("c1", "a/#")
         broker.publish("a/b", b"1")
         broker.drain_inbox("c1")
         broker.publish("a/b", b"2")
         assert broker.inbox_size("c1") == 1
         assert broker.shed_count == 0
 
-    def test_immediate_subscribers_never_shed(self):
-        received = []
-        broker = Broker(inbox_limit=1)
-        broker.subscribe("now", "a/#", received.append)
-        for i in range(5):
-            broker.publish("a/b", str(i).encode())
-        assert len(received) == 5
-        assert broker.shed_count == 0
-
     def test_resubscribe_gap_counted_as_shed(self, broker):
-        parked = []
-        broker.subscribe("c1", "a/#", parked.append, batched=True)
+        broker.subscribe("c1", "a/#")
         broker.publish("a/b", b"held")           # parked
         broker.unsubscribe("c1")                 # inbox dropped: 1 shed
         broker.publish("a/b", b"gap-1")          # no inbox exists: shed
         broker.publish("a/b", b"gap-2")          # shed
         assert broker.stats()["gap_clients"] == ["c1"]
-        broker.subscribe("c1", "a/#", parked.append, batched=True)  # gap closes
+        broker.subscribe("c1", "a/#")            # gap closes
         broker.publish("a/b", b"after")          # parked again
-        assert broker.inbox_size("c1") == 1
+        assert payloads(broker, "c1") == [b"after"]
         assert broker.shed_count == 3
         assert broker.stats()["shed_by_client"] == {"c1": 3}
         assert broker.stats()["gap_clients"] == []
 
     def test_gap_only_counts_matching_topics(self, broker):
-        broker.subscribe("c1", "a/#", lambda m: None, batched=True)
+        broker.subscribe("c1", "a/#")
         broker.unsubscribe("c1")
         broker.publish("b/c", b"elsewhere")      # never matched c1's filter
         assert broker.shed_count == 0
@@ -308,7 +182,7 @@ class TestBoundedInboxes:
         assert broker.shed_count == 1
 
     def test_gap_shed_rides_the_match_cache(self, broker):
-        broker.subscribe("c1", "a/#", lambda m: None, batched=True)
+        broker.subscribe("c1", "a/#")
         broker.unsubscribe("c1")
         broker.publish("a/b", b"1")              # miss path computes gap clients
         broker.publish("a/b", b"2")              # hot path: cached gap entry
@@ -316,7 +190,7 @@ class TestBoundedInboxes:
 
     def test_stats_shape(self):
         broker = Broker(inbox_limit=4)
-        broker.subscribe("c1", "a/#", lambda m: None, batched=True)
+        broker.subscribe("c1", "a/#")
         broker.publish("a/b", b"123")
         stats = broker.stats()
         assert stats == {
@@ -336,72 +210,66 @@ class TestBoundedInboxes:
 class TestChaosInjection:
     """Scenario-engine injection points: partition and payload corruption."""
 
-    def test_partitioned_immediate_client_sheds_counted(self, broker):
-        received = []
-        broker.subscribe("c1", "a/#", received.append)
+    def test_partitioned_client_sheds_counted(self, broker):
+        broker.subscribe("c1", "a/#")
         broker.partition("c1")
         broker.publish("a/b", b"1")
         broker.publish("a/b", b"2")
-        assert received == []
+        assert payloads(broker, "c1") == []
         assert broker.shed_count == 2
         assert broker.stats()["shed_by_client"] == {"c1": 2}
         assert broker.stats()["partitioned_clients"] == ["c1"]
         assert broker.published_count == broker.delivered_count + broker.shed_count
 
     def test_heal_restores_delivery(self, broker):
-        received = []
-        broker.subscribe("c1", "a/#", received.append)
+        broker.subscribe("c1", "a/#")
         broker.partition("c1")
         broker.publish("a/b", b"lost")
         broker.heal("c1")
         broker.publish("a/b", b"found")
-        assert [m.payload for m in received] == [b"found"]
+        assert payloads(broker, "c1") == [b"found"]
         assert broker.shed_count == 1
         assert broker.stats()["partitioned_clients"] == []
 
-    def test_partitioned_batched_client_sheds_once_per_message(self, broker):
-        broker.subscribe("c1", "a/#", lambda m: None, batched=True)
-        broker.subscribe("c1", "a/b", lambda m: None, batched=True)
+    def test_partitioned_client_sheds_once_per_message(self, broker):
+        broker.subscribe("c1", "a/#")
+        broker.subscribe("c1", "a/b")
         broker.partition("c1")
         broker.publish("a/b", b"x")
         assert broker.inbox_size("c1") == 0
         assert broker.shed_count == 1  # de-duplicated per client, like delivery
 
     def test_partition_only_affects_target_client(self, broker):
-        healthy, cut = [], []
-        broker.subscribe("ok", "a/#", healthy.append)
-        broker.subscribe("down", "a/#", cut.append)
+        broker.subscribe("ok", "a/#")
+        broker.subscribe("down", "a/#")
         broker.partition("down")
         broker.publish("a/b", b"x")
-        assert len(healthy) == 1 and cut == []
+        assert broker.inbox_size("ok") == 1 and broker.inbox_size("down") == 0
 
     def test_corrupt_next_flips_one_byte_deterministically(self, broker):
-        received = []
-        broker.subscribe("c1", "a/#", received.append)
+        broker.subscribe("c1", "a/#")
         broker.corrupt_next(1, seed=7)
         broker.publish("a/b", b"hello")
         broker.publish("a/b", b"hello")  # armed count exhausted
-        assert received[0].payload != b"hello"
-        assert len(received[0].payload) == 5
-        assert sum(a != b for a, b in zip(received[0].payload, b"hello")) == 1
-        assert received[1].payload == b"hello"
+        mangled, clean = payloads(broker, "c1")
+        assert mangled != b"hello"
+        assert len(mangled) == 5
+        assert sum(a != b for a, b in zip(mangled, b"hello")) == 1
+        assert clean == b"hello"
         assert broker.stats()["corrupted_messages"] == 1
         # Same seed, fresh broker: identical mangled bytes.
         twin = Broker()
-        seen = []
-        twin.subscribe("c1", "a/#", seen.append)
+        twin.subscribe("c1", "a/#")
         twin.corrupt_next(1, seed=7)
         twin.publish("a/b", b"hello")
-        assert seen[0].payload == received[0].payload
+        assert payloads(twin, "c1") == [mangled]
 
     def test_corrupt_empty_payload_consumes_slot(self, broker):
-        received = []
-        broker.subscribe("c1", "a/#", received.append)
+        broker.subscribe("c1", "a/#")
         broker.corrupt_next(1, seed=0)
         broker.publish("a/b", b"")
         broker.publish("a/b", b"clean")
-        assert received[0].payload == b""
-        assert received[1].payload == b"clean"
+        assert payloads(broker, "c1") == [b"", b"clean"]
         assert broker.stats()["corrupted_messages"] == 1
 
     def test_corrupt_negative_count_rejected(self, broker):
@@ -429,7 +297,7 @@ class TestPublishTopicMemoization:
             return real_validate(topic, allow_wildcards=allow_wildcards)
 
         monkeypatch.setattr(broker_module, "validate_topic", counting_validate)
-        broker.subscribe("c1", "a/#", lambda m: None)
+        broker.subscribe("c1", "a/#")
         calls.clear()
         for _ in range(50):
             broker.publish("a/b", b"x")
@@ -446,9 +314,8 @@ class TestPublishTopicMemoization:
     def test_subscription_change_revalidates_and_rematches(self, broker, monkeypatch):
         import repro.messaging.broker as broker_module
 
-        received = []
         broker.publish("a/b", b"first")  # caches the topic with no matches
-        broker.subscribe("c1", "a/b", received.append)
+        broker.subscribe("c1", "a/b")
         calls = []
         real_validate = broker_module.validate_topic
 
@@ -460,14 +327,14 @@ class TestPublishTopicMemoization:
         broker.publish("a/b", b"second")  # cache was cleared: revalidate + rematch
         broker.publish("a/b", b"third")   # hot again: no validation
         assert calls == [("a/b", False)]
-        assert [m.payload for m in received] == [b"second", b"third"]
+        assert payloads(broker, "c1") == [b"second", b"third"]
 
     def test_publish_frames_renders_each_section_topic_once(self, small_city, small_catalog):
         from repro.core.architecture import F2CDataManagement
 
         system = F2CDataManagement(city=small_city, catalog=small_catalog)
         broker = Broker()
-        system.api_pipeline.attach_broker(broker, city_slug="toyville", batched=True)
+        system.api_pipeline.attach_broker(broker, city_slug="toyville")
         topics = []
         original_publish = Broker.publish
 

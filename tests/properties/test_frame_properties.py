@@ -1,17 +1,15 @@
-"""Property tests for the column-frame wire formats.
+"""Property tests for the column-frame wire format.
 
-The serialization layer speaks two layouts — JSON frames and the packed
-binary frames — and the system's correctness rests on three
-invariants this module checks with Hypothesis:
+The serialization layer speaks one layout — the packed binary frame — and
+the system's correctness rests on two invariants this module checks with
+Hypothesis:
 
 1. **Round trip**: for any encodable column set, ``decode_frame`` is the
-   exact inverse of ``encode_frame`` in both formats (timestamps compared
-   *bitwise*, so ``-0.0`` / denormals / infinities survive).
-2. **Format equivalence**: the JSON and binary encodings of the same
-   columns decode to identical ``ReadingColumns`` — same rows, same value
+   exact inverse of ``encode_frame`` (timestamps compared *bitwise*, so
+   ``-0.0`` / denormals / infinities survive) — same rows, same value
    types, and identical Table-I traffic accounting (total bytes and the
    per-category byte/count breakdowns).
-3. **Determinism**: encoding is a pure function of the columns.
+2. **Determinism**: encoding is a pure function of the columns.
 
 Strategies deliberately cover the awkward corners: arbitrary-unicode
 identifiers, empty batches, single-reading batches, extreme/NaN-adjacent
@@ -25,12 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.serialization import FRAME_FORMATS
 from repro.common.typedcols import as_float_column
 from repro.sensors.readings import ReadingColumns
 
 #: Arbitrary unicode (default alphabet already excludes surrogates, which
-#: neither UTF-8 nor the JSON encoder can represent).
+#: UTF-8 cannot represent).
 unicode_text = st.text(max_size=30)
 
 #: NaN-adjacent / extreme doubles the packed layout must carry bit-exactly.
@@ -102,8 +99,8 @@ def assert_identical(left: ReadingColumns, right: ReadingColumns) -> None:
     assert left.sensor_types == right.sensor_types
     assert left.categories == right.categories
     assert left.values == right.values
-    # Same value *types* too: JSON and binary must agree on int vs float vs
-    # bool (bool is an int subclass, so == alone would let True ~ 1 slip).
+    # Same value *types* too: the round trip must keep int vs float vs bool
+    # (bool is an int subclass, so == alone would let True ~ 1 slip).
     assert [type(v) for v in left.values] == [type(v) for v in right.values]
     assert as_float_column(left.timestamps).tobytes() == as_float_column(right.timestamps).tobytes()
     assert list(left.sizes) == list(right.sizes)
@@ -117,41 +114,29 @@ def assert_identical(left: ReadingColumns, right: ReadingColumns) -> None:
 
 
 class TestFrameRoundTripProperties:
-    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
     @given(row_list=rows)
     @settings(max_examples=60, deadline=None)
-    def test_decode_inverts_encode(self, frame_format, row_list):
+    def test_decode_inverts_encode(self, row_list):
         columns = build_columns(row_list)
-        decoded = ReadingColumns.decode_frame(columns.encode_frame(format=frame_format))
+        decoded = ReadingColumns.decode_frame(columns.encode_frame())
         assert_identical(decoded, columns)
 
     @given(row_list=rows)
-    @settings(max_examples=60, deadline=None)
-    def test_json_and_binary_decode_identically(self, row_list):
-        columns = build_columns(row_list)
-        from_json = ReadingColumns.decode_frame(columns.encode_frame(format="json"))
-        from_binary = ReadingColumns.decode_frame(columns.encode_frame(format="binary-v2"))
-        assert_identical(from_json, from_binary)
-
-    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
-    @given(row_list=rows)
     @settings(max_examples=30, deadline=None)
-    def test_encoding_is_deterministic(self, frame_format, row_list):
+    def test_encoding_is_deterministic(self, row_list):
         columns = build_columns(row_list)
-        assert columns.encode_frame(format=frame_format) == columns.encode_frame(format=frame_format)
+        assert columns.encode_frame() == columns.encode_frame()
 
-    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
     @given(row_list=single_row)
     @settings(max_examples=30, deadline=None)
-    def test_single_reading_batches(self, frame_format, row_list):
+    def test_single_reading_batches(self, row_list):
         columns = build_columns(row_list)
-        decoded = ReadingColumns.decode_frame(columns.encode_frame(format=frame_format))
+        decoded = ReadingColumns.decode_frame(columns.encode_frame())
         assert len(decoded) == 1
         assert_identical(decoded, columns)
 
-    @pytest.mark.parametrize("frame_format", FRAME_FORMATS)
-    def test_empty_batch(self, frame_format):
-        decoded = ReadingColumns.decode_frame(ReadingColumns().encode_frame(format=frame_format))
+    def test_empty_batch(self):
+        decoded = ReadingColumns.decode_frame(ReadingColumns().encode_frame())
         assert len(decoded) == 0
         assert decoded.total_bytes == 0
         assert decoded.category_counts() == {}
@@ -160,35 +145,27 @@ class TestFrameRoundTripProperties:
 class TestAwkwardExamples:
     """Pinned examples for corners worth a named regression test."""
 
-    def test_unicode_identifiers_survive_both_formats(self):
+    def test_unicode_identifiers_survive(self):
         columns = ReadingColumns()
         exotic = ["sensor-🌡️", "càtegory/ñ", "日本語-計測", "́combining", "tab\tnewline-free"]
         for index, name in enumerate(exotic):
             columns.append_row(name, name[::-1], name.upper(), float(index), float(index), None, 10, index, None)
-        for frame_format in FRAME_FORMATS:
-            decoded = ReadingColumns.decode_frame(columns.encode_frame(format=frame_format))
-            assert decoded.sensor_ids == exotic
+        decoded = ReadingColumns.decode_frame(columns.encode_frame())
+        assert decoded.sensor_ids == exotic
 
     def test_nan_timestamp_round_trips_bitwise_in_binary(self):
         columns = ReadingColumns()
         columns.append_row("s", "t", "c", 1.0, float("nan"), None, 8, 0, None)
-        decoded = ReadingColumns.decode_frame(columns.encode_frame(format="binary-v2"))
+        decoded = ReadingColumns.decode_frame(columns.encode_frame())
         assert decoded.timestamps.tobytes() == as_float_column(columns.timestamps).tobytes()
-        assert math.isnan(decoded.timestamps[0])
-
-    def test_nan_timestamp_survives_json(self):
-        columns = ReadingColumns()
-        columns.append_row("s", "t", "c", 1.0, float("nan"), None, 8, 0, None)
-        decoded = ReadingColumns.decode_frame(columns.encode_frame(format="json"))
         assert math.isnan(decoded.timestamps[0])
 
     def test_signed_zero_timestamps_are_preserved(self):
         columns = ReadingColumns()
         columns.append_row("s", "t", "c", 1.0, -0.0, None, 8, 0, None)
         columns.append_row("s", "t", "c", 1.0, 0.0, None, 8, 1, None)
-        for frame_format in FRAME_FORMATS:
-            decoded = ReadingColumns.decode_frame(columns.encode_frame(format=frame_format))
-            assert decoded.timestamps.tobytes() == as_float_column(columns.timestamps).tobytes()
+        decoded = ReadingColumns.decode_frame(columns.encode_frame())
+        assert decoded.timestamps.tobytes() == as_float_column(columns.timestamps).tobytes()
 
     def test_low_cardinality_columns_hit_the_dictionary_path(self):
         # 600 rows sharing 3 timestamps / 2 sizes: the binary layout's
@@ -199,8 +176,7 @@ class TestAwkwardExamples:
                 f"s-{index % 50}", "temperature", "energy",
                 float(index % 7), float(index % 3), None, (index % 2) * 100 + 22, index, None,
             )
-        json_size = len(columns.encode_frame(format="json"))
-        binary = columns.encode_frame(format="binary-v2")
-        decoded = ReadingColumns.decode_frame(binary)
-        assert_identical(decoded, ReadingColumns.decode_frame(columns.encode_frame(format="json")))
-        assert len(binary) * 4 < json_size  # the compact layout must actually be compact
+        csv_size = sum(map(len, columns.encode_rows()))
+        binary = columns.encode_frame()
+        assert_identical(ReadingColumns.decode_frame(binary), columns)
+        assert len(binary) * 4 < csv_size  # the compact layout must actually be compact

@@ -231,7 +231,7 @@ def _deliver(system: F2CDataManagement, rows, default_section, wire) -> Broker:
     """Attach a broker and publish the drawn round (and the wire's extras) on it."""
     pipeline = Pipeline.for_system(system)
     broker = Broker()
-    pipeline.attach_broker(broker, batched=True)
+    pipeline.attach_broker(broker)
     columns = _columns(rows)
     split_at = wire["split_at"]
     pieces = [columns] if split_at is None else columns.split([min(split_at, len(rows)), len(rows)])
@@ -247,7 +247,8 @@ def _deliver(system: F2CDataManagement, rows, default_section, wire) -> Broker:
         )
         broker.publish(f"city/bcn/{wire['csv']}/energy/temperature", line.encode(), timestamp=NOW)
     if wire["echoed"] is not None:
-        broker.publish_columns(f"city/bcn/{wire['echoed']}/frame", _columns(rows[:1]), timestamp=NOW)
+        echo = _columns(rows[:1]).encode_frame()
+        broker.publish(f"city/bcn/{wire['echoed']}/frame", echo, timestamp=NOW)
     return broker
 
 

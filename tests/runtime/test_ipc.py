@@ -88,7 +88,7 @@ def rejected_batches():
     for _, node_columns in nodes:
         columns.extend_columns(node_columns)
     plain = _batch_with_frame(
-        0, [(node_id, len(c)) for node_id, c in nodes], columns.encode_frame("binary-v2")
+        0, [(node_id, len(c)) for node_id, c in nodes], columns.encode_frame()
     )
     return {
         "v1-frame-with-sidecars": base64.b64decode(fixture["base64"]),
@@ -282,9 +282,10 @@ class TestMessageCodecs:
             ipc.decode_message(rejected_batches()["non-extended-frame"])
 
     def test_json_frame_batch_is_rejected(self):
-        columns = _columns(2)
-        payload = _batch_with_frame(0, [("a", 2)], columns.encode_frame("json"))
-        with pytest.raises(ipc.IpcProtocolError, match="does not carry tags and fog ids"):
+        fixture = json.loads(REJECTED_FRAMES.read_text(encoding="utf-8"))["json_section_frame"]
+        frame = base64.b64decode(fixture["base64"])
+        payload = _batch_with_frame(0, [("a", fixture["rows"])], frame)
+        with pytest.raises(ipc.IpcProtocolError, match="column frame is invalid"):
             ipc.decode_message(payload)
 
     def test_batch_trailing_bytes_rejected(self):

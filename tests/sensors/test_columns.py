@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.serialization import BINARY_FRAME_MAGIC, COLUMN_FRAME_MAGIC, is_column_frame
+from repro.common.serialization import BINARY_FRAME_MAGIC, is_column_frame
 from repro.sensors.readings import Reading, ReadingBatch, ReadingColumns
 from tests.conftest import make_reading
 
@@ -152,17 +152,15 @@ class TestReadingsViewIsReadOnly:
 
 
 class TestColumnFrames:
-    @pytest.mark.parametrize("frame_format", ["json", "binary-v2"])
-    def test_frame_round_trip(self, frame_format):
+    def test_frame_round_trip(self):
         items = [
             make_reading(sensor_id=f"s-{i}", value=20.5 + i, timestamp=10.0 * i, size_bytes=30 + i, sequence=i)
             for i in range(5)
         ]
         columns = ReadingColumns.from_readings(items)
-        payload = columns.encode_frame(format=frame_format)
+        payload = columns.encode_frame()
         assert is_column_frame(payload)
-        expected_magic = COLUMN_FRAME_MAGIC if frame_format == "json" else BINARY_FRAME_MAGIC
-        assert payload.startswith(expected_magic)
+        assert payload.startswith(BINARY_FRAME_MAGIC)
         decoded = ReadingColumns.decode_frame(payload)
         assert decoded.sensor_ids == columns.sensor_ids
         assert decoded.sensor_types == columns.sensor_types
@@ -204,7 +202,7 @@ class TestColumnFrames:
         from array import array
 
         columns = ReadingColumns.from_readings([make_reading(size_bytes=30)])
-        decoded = ReadingColumns.decode_frame(columns.encode_frame(format="binary-v2"))
+        decoded = ReadingColumns.decode_frame(columns.encode_frame())
         assert type(decoded.timestamps) is array and decoded.timestamps.typecode == "d"
         assert type(decoded.sizes) is array and decoded.sizes.typecode == "q"
 
