@@ -314,13 +314,17 @@ class Pipeline:
     def _parse_broker_message(message: Message) -> Optional[Reading]:
         """Decode one CSV wire payload back into a minimal reading.
 
-        Returns ``None`` for anything that does not parse as a reading line
-        — too few fields, a non-numeric timestamp, bytes that are not UTF-8
-        (e.g. a binary frame whose magic got corrupted in flight).  A bad
-        payload is dropped, never raised.
+        Returns ``None`` for anything that does not parse as a whole reading
+        line — a line cut short by its Table-I size (no ``\n`` once the
+        padding is stripped), too few fields, a non-numeric timestamp, bytes
+        that are not UTF-8 (e.g. a binary frame whose magic got corrupted in
+        flight).  A bad payload is dropped, never raised.
         """
+        line = message.payload.rstrip(b" ")
+        if not line.endswith(b"\n"):
+            return None
         try:
-            fields = decode_csv_line(message.payload.rstrip(b" "))
+            fields = decode_csv_line(line)
         except UnicodeDecodeError:
             return None
         if len(fields) < 4:

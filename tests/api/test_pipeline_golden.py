@@ -105,6 +105,30 @@ class TestBrokerCsvTransport:
         assert csv.storage_report() == direct.storage_report()
 
 
+    def test_golden_broker_csv_run_stores_only_offered_readings(self):
+        """A CSV line cut by its Table-I size is dropped, never stored with a cut timestamp."""
+        from repro.runtime.shards import ShardedWorkload, WorkerSpec, build_shard_rounds
+        from repro.sensors.catalog import BARCELONA_CATALOG
+        from repro.sensors.generator import ReadingGenerator
+
+        workload = ShardedWorkload.golden()
+        generator = ReadingGenerator(
+            BARCELONA_CATALOG, devices_per_type=workload.devices_per_type, seed=workload.seed
+        )
+        spec = WorkerSpec(shard_index=0, workers=1, workload=workload, catalog=BARCELONA_CATALOG)
+        offered = {
+            (reading.sensor_id, reading.timestamp)
+            for _, readings in build_shard_rounds(
+                spec, F2CDataManagement(catalog=BARCELONA_CATALOG), generator
+            )
+            for reading in readings
+        }
+        client = run_workload(transport="broker-csv")
+        stored = {(row[0], row[4]) for row in client.cloud_contents()}
+        assert stored and stored <= offered
+        assert client.health()["conservation"]["dropped_payloads"] > 0
+
+
 class TestFrameTransportSessions:
     def test_frames_session_ingests_through_the_wire(self, small_city, small_catalog):
         system = F2CDataManagement(

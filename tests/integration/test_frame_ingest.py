@@ -192,6 +192,22 @@ class TestFramePathEquivalence:
         assert counts == {"fog1/d-01/s-01": 1}
         assert system.dropped_payloads == 4
 
+    def test_a_csv_line_cut_by_its_table_i_size_is_dropped_and_counted(
+        self, small_city, small_catalog
+    ):
+        system = F2CDataManagement(
+            city=small_city, catalog=small_catalog, fog1_aggregator_factory=None
+        )
+        broker = Broker()
+        system.api_pipeline.attach_broker(broker, city_slug="toyville")
+        reading = make_reading(sensor_id="s1", value=20.5, timestamp=1234.5, size_bytes=24)
+        payload = reading.encode()
+        assert payload == b"s1,temperature,20.5,1234"  # ".500\n" did not fit in 24 B
+        broker.publish("city/toyville/d-01/s-01/energy/temperature", payload)
+        assert system.api_pipeline.flush_broker(now=1234.5) == {}
+        assert system.dropped_payloads == 1
+        assert not system.fog1_for_section("d-01/s-01").has_series("s1")
+
     def test_readings_view_is_a_frozen_snapshot(self):
         from repro.sensors.readings import ReadingBatch
 
