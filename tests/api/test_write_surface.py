@@ -8,7 +8,7 @@ sharded runtime takes worker faults as one ``faults`` list.
 
 import pytest
 
-from repro.api import PipelineConfig
+from repro.api import Pipeline, PipelineConfig
 from repro.core import architecture
 from repro.core.architecture import F2CDataManagement
 from repro.messaging.broker import Broker
@@ -26,6 +26,7 @@ from repro.sensors.readings import ReadingColumns
         "publish_frames",
         "frame_format",
         "_spread_section",
+        "_broker_batched",
     ],
 )
 def test_the_deployment_has_no_write_verbs_or_frame_layout(name, small_city, small_catalog):
@@ -67,3 +68,15 @@ def test_attach_broker_takes_no_delivery_mode(small_city, small_catalog):
 def test_encode_frame_takes_no_frame_layout():
     with pytest.raises(TypeError, match="'format'"):
         ReadingColumns().encode_frame(format="json")
+
+
+@pytest.mark.parametrize(
+    "owner,name",
+    [
+        (PipelineConfig, "batched"),
+        (PipelineConfig, "resolved_frame_format"),
+        (Pipeline, "_broker_handler"),
+    ],
+)
+def test_the_engine_has_no_per_message_broker_entry_or_layout_choice(owner, name):
+    assert not hasattr(owner, name)

@@ -135,6 +135,16 @@ class TestVersioning:
         with pytest.raises(ValueError, match="version: 1"):
             ReadingColumns.decode_frame(payload)
 
+    def test_retired_json_frame_is_rejected(self):
+        fixture = json.loads(REJECTED_FRAMES.read_text(encoding="utf-8"))["json_section_frame"]
+        payload = base64.b64decode(fixture["base64"])
+        assert not payload.startswith(ser.BINARY_FRAME_MAGIC)
+        assert ser.is_column_frame(payload)  # goes to the frame decoder, not the CSV parser
+        with pytest.raises(ValueError, match="missing magic prefix"):
+            ser.decode_columns_binary_v2(payload)
+        with pytest.raises(ValueError, match="missing magic prefix"):
+            ReadingColumns.decode_frame(payload)
+
 
 class TestDictionaryHandshake:
     def test_deployment_dictionary_is_stable_and_bounded(self):

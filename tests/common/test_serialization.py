@@ -113,6 +113,16 @@ class TestColumnFrameCodecs:
         )
         assert result.stdout.split() == ["True", str(BINARY_FRAME_VERSION_2)]
 
+    @pytest.mark.parametrize(
+        "name", ["COLUMN_FRAME_MAGIC", "FRAME_FORMATS", "encode_columns", "decode_columns"]
+    )
+    def test_one_frame_layout_and_no_layout_dispatch(self, name):
+        # The JSON column frame is retired: no magic or format list names it,
+        # and no codec dispatches on a layout name.
+        from repro.common import serialization as ser
+
+        assert not hasattr(ser, name)
+
     def test_is_column_frame(self):
         from repro.common import serialization as ser
 

@@ -313,26 +313,42 @@ class TestFlushIsARound:
             assert fog1.rejected_readings == 0
 
 
+    @pytest.mark.parametrize("wire", ["frame", "csv"])
     @pytest.mark.parametrize("non_finite", [float("nan"), float("inf"), float("-inf")], ids=repr)
     def test_a_non_finite_timestamp_does_not_move_its_siblings_now(
-        self, small_city, small_catalog, non_finite
+        self, small_city, small_catalog, non_finite, wire
     ):
-        """Given no ``now``, a batch is acquired at its latest finite timestamp, in any row order."""
+        """Given no ``now``, a batch is acquired at its latest finite timestamp, in any row order.
+
+        Either wire lands in the same inbox and the same flush: one column
+        frame for the batch, or one CSV payload per reading.
+        """
         timestamp_of = {"broken": non_finite, "old": 0.0, "new": 200_000.0}
         for order in itertools.permutations(timestamp_of):
             system = F2CDataManagement(city=small_city, catalog=small_catalog)
             broker = Broker()
             system.api_pipeline.attach_broker(broker, city_slug="toyville")
             readings = [
-                make_reading(sensor_id=sensor_id, value=20.0, timestamp=timestamp_of[sensor_id])
+                make_reading(
+                    sensor_id=sensor_id, value=20.0, timestamp=timestamp_of[sensor_id],
+                    size_bytes=64,
+                )
                 for sensor_id in order
             ]
-            broker.publish(
-                "city/toyville/d-01/s-01/frame",
-                ReadingColumns.from_readings(readings).encode_frame(),
-                timestamp=0.0,
-            )
+            if wire == "frame":
+                broker.publish(
+                    "city/toyville/d-01/s-01/frame",
+                    ReadingColumns.from_readings(readings).encode_frame(),
+                    timestamp=0.0,
+                )
+            else:
+                for reading in readings:
+                    broker.publish(
+                        "city/toyville/d-01/s-01/energy/temperature", reading.encode(),
+                        timestamp=0.0,
+                    )
             system.api_pipeline.flush_broker()
+            assert system.dropped_payloads == 0
             fog1 = system.fog1_for_section("d-01/s-01")
             report = fog1.acquisition.quality.last_report
             assert report.rejection_reasons == {"non_finite_timestamp": 1}

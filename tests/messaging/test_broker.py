@@ -1,8 +1,11 @@
 """Tests for the in-process MQTT-like broker: inboxes, shed accounting, chaos hooks."""
 
+import importlib
+
 import pytest
 
-from repro.common.errors import ConfigurationError
+import repro.messaging
+from repro.common.errors import ConfigurationError, ValidationError
 from repro.messaging.broker import Broker, Message
 from tests.conftest import make_reading
 
@@ -119,6 +122,137 @@ class TestInboxes:
         broker.publish("a/b", b"x")
         assert broker.inbox_size("c1") == 1  # one inbox copy per client
         assert broker.delivered_count == 1
+
+
+    def test_inbox_keeps_publish_order_across_topics(self, broker):
+        broker.subscribe("c1", "a/#")
+        for topic, payload in [("a/x", b"1"), ("a/y/z", b"2"), ("a/x", b"3"), ("a", b"4")]:
+            broker.publish(topic, payload)
+        assert payloads(broker, "c1") == [b"1", b"2", b"3", b"4"]
+
+    def test_parked_message_keeps_its_topic_and_timestamp(self, broker):
+        broker.subscribe("c1", "a/#")
+        sent = broker.publish("a/b", bytearray(b"42"), timestamp=7.5)
+        (parked,) = broker.drain_inbox("c1")
+        assert parked == sent
+        assert (parked.topic, parked.payload, parked.timestamp) == ("a/b", b"42", 7.5)
+        assert type(parked.payload) is bytes
+
+    def test_each_client_drains_its_own_inbox(self, broker):
+        broker.subscribe("c1", "a/#")
+        broker.subscribe("c2", "a/#")
+        broker.publish("a/b", b"x")
+        assert payloads(broker, "c1") == [b"x"]
+        assert broker.inbox_size("c2") == 1
+        assert broker.inbox_clients() == ["c2"]
+
+    def test_draining_an_unknown_client_creates_no_inbox(self, broker):
+        assert broker.drain_inbox("nobody") == []
+        assert broker.inbox_size("nobody") == 0
+        assert broker.inbox_clients() == []
+        assert broker.stats()["inbox_depth"] == 0
+
+    def test_publish_without_subscribers_is_counted_but_not_delivered(self, broker):
+        broker.publish("a/b", b"123")
+        assert (broker.published_count, broker.delivered_count, broker.shed_count) == (1, 0, 0)
+        assert broker.published_bytes == 3
+
+    def test_dropping_one_of_two_filters_keeps_the_inbox(self, broker):
+        broker.subscribe("c1", "a/#")
+        broker.subscribe("c1", "b/#")
+        broker.publish("a/x", b"1")
+        broker.unsubscribe("c1", "b/#")
+        broker.publish("b/x", b"2")  # no longer matched, and no gap: c1 is subscribed
+        broker.publish("a/x", b"3")
+        assert payloads(broker, "c1") == [b"1", b"3"]
+        assert broker.shed_count == 0
+        assert broker.stats()["gap_clients"] == []
+
+    def test_inbox_depth_sums_every_client(self, broker):
+        broker.subscribe("c1", "a/#")
+        broker.subscribe("c2", "a/b")
+        broker.publish("a/b", b"1")
+        broker.publish("a/c", b"2")
+        assert broker.stats()["inbox_depth"] == 3
+        broker.drain_inbox("c1")
+        assert broker.stats()["inbox_depth"] == 1
+
+    def test_invalid_filter_is_rejected_at_subscribe(self, broker):
+        with pytest.raises(ValidationError):
+            broker.subscribe("c1", "a/#/b")
+        assert broker.subscriptions_for("c1") == []
+
+
+class TestSectionSubscriptions:
+    """A fog layer-1 node's ``city/<slug>/<section>/#`` filter holds only its section."""
+
+    SECTION_FILTER = "city/bcn/d-01/s-01/#"
+
+    @pytest.mark.parametrize(
+        "topic,parked",
+        [
+            ("city/bcn/d-01/s-01/frame", True),
+            ("city/bcn/d-01/s-01/energy/temperature", True),
+            ("city/bcn/d-01/s-010/frame", False),
+            ("city/bcn/d-01/s-02/frame", False),
+            ("city/other/d-01/s-01/frame", False),
+        ],
+    )
+    def test_section_filter_routing(self, broker, topic, parked):
+        broker.subscribe("fog1/d-01/s-01", self.SECTION_FILTER)
+        broker.publish(topic, b"x")
+        assert broker.inbox_size("fog1/d-01/s-01") == int(parked)
+
+
+class TestInboxOnlySurface:
+    """The broker has one delivery mode: QoS 0 into inboxes, drained in bulk.
+
+    Handlers, QoS 1 acknowledgement and redelivery, retained messages and
+    handler-driven inbox flushing are gone, as is the per-client wrapper
+    that drove them.
+    """
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "acknowledge",
+            "unacknowledged",
+            "redeliver",
+            "retained_message",
+            "clear_retained",
+            "flush_inboxes",
+            "publish_columns",
+        ],
+    )
+    def test_the_broker_has_no_handler_qos1_or_retained_verbs(self, broker, name):
+        assert not hasattr(broker, name)
+
+    @pytest.mark.parametrize(
+        "keyword,value", [("handler", print), ("qos", 0), ("batched", True)]
+    )
+    def test_subscribe_takes_no_delivery_options(self, broker, keyword, value):
+        with pytest.raises(TypeError, match=f"'{keyword}'"):
+            broker.subscribe("c1", "a/#", **{keyword: value})
+        assert broker.subscriptions_for("c1") == []
+
+    @pytest.mark.parametrize("keyword,value", [("qos", 0), ("retain", True)])
+    def test_publish_takes_no_qos_or_retain(self, broker, keyword, value):
+        with pytest.raises(TypeError, match=f"'{keyword}'"):
+            broker.publish("a/b", b"x", **{keyword: value})
+        assert broker.published_count == 0
+
+    @pytest.mark.parametrize("keyword,value", [("qos", 0), ("retain", False)])
+    def test_messages_carry_no_qos_or_retain_flag(self, keyword, value):
+        with pytest.raises(TypeError, match=f"'{keyword}'"):
+            Message(topic="a/b", payload=b"x", **{keyword: value})
+
+    def test_the_package_exports_no_messaging_client(self):
+        assert "MessagingClient" not in repro.messaging.__all__
+        assert not hasattr(repro.messaging, "MessagingClient")
+
+    def test_the_client_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.messaging.client")
 
 
 class TestBoundedInboxes:
