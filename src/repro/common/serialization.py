@@ -38,6 +38,7 @@ import json
 import struct
 import zlib
 from array import array
+from itertools import chain, repeat
 from sys import intern
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
@@ -98,7 +99,23 @@ _I64_MAX = 2**63 - 1
 #: Canonical (sorted-key, compact) JSON, built once: ``json.dumps`` with
 #: these arguments constructs an encoder per call, and every extended frame
 #: — IPC and segment log — encodes several identity-table entries.
-_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_canonical_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_canonical_json = _canonical_encoder.encode
+
+#: The C encoder ``_canonical_json`` builds on every call, built once with
+#: the same arguments so a whole identity table encodes without a Python
+#: step per entry; ``None`` where the json C accelerator is missing.  It
+#: keeps no circular-reference markers: a circular entry ends in a
+#: ``RecursionError`` here, and the per-entry path then raises the error
+#: ``_canonical_json`` raises.
+_c_canonical = (
+    json.encoder.c_make_encoder(
+        None, _canonical_encoder.default, json.encoder.encode_basestring_ascii,
+        None, ":", ",", True, False, True,
+    )
+    if json.encoder.c_make_encoder is not None
+    else None
+)
 
 
 def encode_json(record: Mapping[str, Any]) -> bytes:
@@ -386,9 +403,10 @@ def _unpack_small_ints(view: memoryview, offset: int, n: int, what: str) -> tupl
     tag = view[offset]
     offset += 1
     if tag == _DICT_TAG:
-        count, entries, indices, offset = _unpack_dict_indices(view, offset, n, what)
-        table_column = column_from_bytes("q", entries)
-        return array("q", (table_column[i] for i in indices)), offset
+        _, entries, indices, offset = _unpack_dict_indices(view, offset, n, what)
+        table = np.frombuffer(entries, dtype="<i8")
+        gathered = table[np.asarray(indices)].astype("<i8", copy=False)
+        return column_from_bytes("q", gathered.tobytes()), offset
     if tag == _SIGNED_TAG:
         code = "q"
     else:
@@ -413,15 +431,15 @@ def _encode_binary_body(columns: Mapping[str, List[Any]], n: int) -> bytearray:
     type_ix = _pack_string_column(columns["sensor_types"], table)
     cat_ix = _pack_string_column(columns["categories"], table)
     try:
-        texts = [text.encode("utf-8") for text in table]  # insertion order == index order
-    except AttributeError as exc:
+        texts = list(map(str.encode, table))  # UTF-8; insertion order == index order
+    except TypeError as exc:
         raise ValueError(
             "binary column frames require string ids/types/categories"
         ) from exc
 
     body = bytearray()
     body += _U32.pack(len(table))
-    body += _pack_small_ints([len(raw) for raw in texts])
+    body += _pack_small_ints(list(map(len, texts)))
     body += b"".join(texts)
     index_code = _index_typecode(len(table))
     body += column_to_bytes(array(index_code, id_ix))
@@ -429,12 +447,7 @@ def _encode_binary_body(columns: Mapping[str, List[Any]], n: int) -> bytearray:
     body += column_to_bytes(array(index_code, cat_ix))
 
     values = columns["values"]
-    all_float = True
-    for value in values:
-        if type(value) is not float:
-            all_float = False
-            break
-    if all_float:
+    if {float}.issuperset(map(type, values)):
         body.append(0)
         body += _pack_f64_column(array("d", values))
     else:
@@ -703,19 +716,33 @@ def _intern_column(values, key) -> tuple:
     return table, indices
 
 
+def _entries_are(table, expect: type) -> bool:
+    """Whether every identity-table entry is an *expect* or None."""
+    kinds = set(map(type, table))
+    kinds.discard(type(None))
+    return all(issubclass(kind, expect) for kind in kinds)
+
+
 def _append_json_table(body: bytearray, values, key, what: str, expect: type) -> None:
     """Append one dictionary-coded JSON column (table + narrow indices)."""
     table, indices = _intern_column(values, key)
+    raws = None
+    if _c_canonical is not None and _entries_are(table, expect):
+        try:
+            raws = list(map(str.encode, map("".join, map(_c_canonical, table, repeat(0)))))
+        except (TypeError, ValueError, RecursionError):
+            pass  # the per-entry loop below raises what ``_canonical_json`` raises
+    if raws is None:
+        raws = []
+        for entry in table:
+            if entry is not None and not isinstance(entry, expect):
+                raise ValueError(
+                    f"binary column frame {what} entry must be {expect.__name__} or None, "
+                    f"got {type(entry).__name__}"
+                )
+            raws.append(_canonical_json(entry).encode("utf-8"))
     body += _U32.pack(len(table))
-    for entry in table:
-        if entry is not None and not isinstance(entry, expect):
-            raise ValueError(
-                f"binary column frame {what} entry must be {expect.__name__} or None, "
-                f"got {type(entry).__name__}"
-            )
-        raw = _canonical_json(entry).encode("utf-8")
-        body += _U32.pack(len(raw))
-        body += raw
+    body += b"".join(chain.from_iterable(zip(map(_U32.pack, map(len, raws)), raws)))
     body += column_to_bytes(array(_index_typecode(len(table) or 1), indices))
 
 
@@ -728,14 +755,76 @@ def _interned_object(pairs) -> dict:
     return {intern(key): intern(value) if type(value) is str else value for key, value in pairs}
 
 
-def _decode_json_table(
-    body: memoryview, body_len: int, offset: int, n: int, what: str, expect: type
+#: The scanner of one decoder built once for every identity-table entry
+#: (``json.loads`` with a hook builds a new decoder per call).  It is the
+#: C scanner ``json.loads`` itself runs, with the same hook.
+_scan_entry = json.JSONDecoder(object_pairs_hook=_interned_object).scan_once
+
+
+def _scan_json_table(
+    body: memoryview, body_len: int, offset: int, count: int, expect: type
+) -> Optional[tuple]:
+    """Decode *count* identity-table entries from one joined text, or ``None``.
+
+    The entries are joined with commas into one ASCII text and the scanner
+    starts at each entry's first byte.  The result is kept only if every
+    entry parses to a value of the expected type (or null) that ends
+    exactly at the entry's own boundary.  Each value is then the one a
+    per-entry ``json.loads`` gives: past an entry's last byte the scanner
+    sees only the comma, which ends a value just as the end of the text
+    does.  Anything else — non-ASCII text, truncation, whitespace around
+    an entry, an invalid or run-on entry, a wrong type — returns ``None``,
+    and :func:`_decode_json_entries` decodes the table and raises exactly
+    as it always has.  Returns ``(table, end offset)``.
+    """
+    parts = []
+    starts = []
+    stops = []
+    position = 0
+    for _ in range(count):
+        if offset + _U32.size > body_len:
+            return None
+        (length,) = _U32.unpack_from(body, offset)
+        offset += _U32.size
+        if offset + length > body_len:
+            return None
+        parts.append(body[offset:offset + length])
+        offset += length
+        starts.append(position)
+        position += length
+        stops.append(position)
+        position += 1  # the joining comma
+    if not count:
+        return [], offset
+    joined = b",".join(parts)
+    if not joined.isascii():
+        return None
+    text = joined.decode("ascii")
+    try:
+        # An entry the scanner cannot start raises StopIteration, which
+        # ends the map early: the length check below catches it.
+        scanned = list(map(_scan_entry, repeat(text, count), starts))
+    except (ValueError, RecursionError):
+        return None
+    if len(scanned) != count:
+        return None
+    table, ends = zip(*scanned)
+    if list(ends) != stops or not _entries_are(table, expect):
+        return None
+    if expect is str:
+        return [None if entry is None else intern(entry) for entry in table], offset
+    return list(table), offset
+
+
+def _decode_json_entries(
+    body: memoryview, body_len: int, offset: int, count: int, what: str, expect: type
 ) -> tuple:
-    """Inverse of :func:`_append_json_table`; validates per table entry."""
-    if offset + _U32.size > body_len:
-        raise ValueError(f"binary column frame truncated in {what} column")
-    (count,) = _U32.unpack_from(body, offset)
-    offset += _U32.size
+    """The per-entry reference decoder of one identity table.
+
+    One ``json.loads`` per entry; it defines which tables are accepted and
+    with which error, and decodes every table :func:`_scan_json_table`
+    declines.  Returns ``(table, end offset)``.
+    """
     table: List[Any] = []
     for _ in range(count):
         if offset + _U32.size > body_len:
@@ -754,6 +843,21 @@ def _decode_json_table(
                 f"binary column frame {what} entry must be {expect.__name__} or None"
             )
         table.append(entry)
+    return table, offset
+
+
+def _decode_json_table(
+    body: memoryview, body_len: int, offset: int, n: int, what: str, expect: type
+) -> tuple:
+    """Inverse of :func:`_append_json_table`; validates per table entry."""
+    if offset + _U32.size > body_len:
+        raise ValueError(f"binary column frame truncated in {what} column")
+    (count,) = _U32.unpack_from(body, offset)
+    offset += _U32.size
+    scanned = _scan_json_table(body, body_len, offset, count, expect)
+    if scanned is None:
+        scanned = _decode_json_entries(body, body_len, offset, count, what, expect)
+    table, offset = scanned
     code = _index_typecode(count or 1)
     raw, offset = _read_block(body, offset, struct.calcsize(code) * n, what)
     indices = column_from_bytes(code, raw)

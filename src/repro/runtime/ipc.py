@@ -151,14 +151,11 @@ def decode_message(payload: bytes) -> Tuple[int, Dict[str, Any]]:
             if (
                 not isinstance(record, dict)
                 or not isinstance(record.get("timestamp"), (int, float))
+                or isinstance(record["timestamp"], bool)
                 or not isinstance(record.get("source"), str)
                 or not isinstance(record.get("target"), str)
-                or not isinstance(record.get("size_bytes"), int)
-                or record["size_bytes"] < 0
-                or not isinstance(record.get("message_count", 1), int)
-                or record.get("message_count", 1) < 0
-                or isinstance(record["timestamp"], bool)
-                or isinstance(record["size_bytes"], bool)
+                or not _is_count(record.get("size_bytes"))
+                or not _is_count(record.get("message_count", 1))
             ):
                 raise IpcProtocolError("SYNC_DONE message carries a malformed edge transfer")
         return msg_type, {"sync_index": sync_index, "edge_transfers": transfers}
@@ -172,12 +169,17 @@ def decode_message(payload: bytes) -> Tuple[int, Dict[str, Any]]:
             if not isinstance(node_id, str) or not isinstance(node_stats, dict):
                 raise IpcProtocolError("FINAL message carries malformed fog1_stats")
         for name, value in counters.items():
-            if not isinstance(name, str) or not isinstance(value, int):
+            if not isinstance(name, str) or not isinstance(value, int) or isinstance(value, bool):
                 raise IpcProtocolError("FINAL message carries malformed counters")
         return msg_type, {"fog1_stats": stats, "counters": counters}
     if msg_type == MSG_ERROR:
         return msg_type, {"text": payload[1:].decode("utf-8", "replace")}
     raise IpcProtocolError(f"unknown IPC message type {msg_type}")
+
+
+def _is_count(value: Any) -> bool:
+    """A JSON non-negative integer; ``true`` / ``false`` are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _decode_batch(view: memoryview) -> Dict[str, Any]:

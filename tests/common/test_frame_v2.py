@@ -107,6 +107,32 @@ class TestV2RoundTrip:
         with pytest.raises(ValueError, match="fog ids entry must be str"):
             ser.encode_columns_binary_v2(record, tags=tags, fog_node_ids=[7] * len(tags))
 
+    def test_unencodable_tag_entries_raise_what_json_raises(self):
+        # The table encodes in one C-level pass; an entry that pass cannot
+        # encode raises exactly what ``json.dumps`` raises for it.
+        record = _record()
+        tags, fogs = _identity_columns()
+        before = ser.encode_columns_binary_v2(record, tags=tags, fog_node_ids=fogs)
+        circular = {"category": "noise"}
+        circular["self"] = circular
+        for bad, error, message in (
+            ({"readings": {1, 2}}, TypeError, "not JSON serializable"),
+            (circular, ValueError, "Circular reference"),
+        ):
+            with pytest.raises(error, match=message):
+                ser.encode_columns_binary_v2(record, tags=[bad] + tags[1:], fog_node_ids=fogs)
+        # A failed table leaves nothing behind for the next frame.
+        assert ser.encode_columns_binary_v2(record, tags=tags, fog_node_ids=fogs) == before
+
+    def test_non_string_id_column_is_rejected(self):
+        record = _record()
+        record["sensor_types"] = [5] * len(record["sensor_types"])
+        with pytest.raises(ValueError, match="require string ids/types/categories"):
+            ser.encode_columns_binary_v2(record)
+        record["sensor_types"] = [["unhashable"]] * len(record["sensor_types"])
+        with pytest.raises(ValueError, match="require string ids/types/categories"):
+            ser.encode_columns_binary_v2(record)
+
 
 def _forge(flags: int, raw: bytes, stored: bytes, n: int) -> bytes:
     """A frame with a valid CRC over whatever header fields it is given."""

@@ -378,6 +378,11 @@ class TestMessageCodecs:
             [{"timestamp": 1.0, "source": "a", "target": "b", "size_bytes": 1,
               "message_count": -2}],
             [{"timestamp": True, "source": "a", "target": "b", "size_bytes": 1}],
+            [{"timestamp": 1.0, "source": "a", "target": "b", "size_bytes": True}],
+            [{"timestamp": 1.0, "source": "a", "target": "b", "size_bytes": 1,
+              "message_count": True}],
+            [{"timestamp": 1.0, "source": "a", "target": "b", "size_bytes": 1,
+              "message_count": False}],
         ],
     )
     def test_malformed_edge_transfers_fail_decoding_not_the_merge(self, transfers):
@@ -391,11 +396,29 @@ class TestMessageCodecs:
         [
             ({"fog1/a": 5}, {}),
             ({}, {"dropped_payloads": "many"}),
+            ({}, {"dropped_payloads": True}),
+            ({}, {"dropped_payloads": False}),
         ],
     )
     def test_malformed_final_bodies_rejected(self, stats, counters):
         with pytest.raises(ipc.IpcProtocolError):
             ipc.decode_message(ipc.encode_final(stats, counters))
+
+    def test_boolean_counts_are_dropped_and_counted_by_the_reader(self):
+        # JSON ``true`` is a Python int; as a message count or a FINAL
+        # counter it is still a malformed message, skipped and counted.
+        stream = io.BytesIO()
+        writer = ipc.MessageWriter(stream.write)
+        transfer = {"timestamp": 1.0, "source": "a", "target": "b", "size_bytes": 1}
+        writer.send(ipc.encode_sync_done(0, [dict(transfer, message_count=True)]))
+        writer.send(ipc.encode_final({}, {"dropped_payloads": True}))
+        writer.send(ipc.encode_final({}, {"dropped_payloads": 1}))
+        reader = ipc.MessageReader(io.BytesIO(stream.getvalue()).read)
+        assert reader.read_message() == (
+            ipc.MSG_FINAL, {"fog1_stats": {}, "counters": {"dropped_payloads": 1}},
+        )
+        assert reader.read_message() is None
+        assert reader.dropped_frames == 2
 
 
 class TestMessageReaderAccounting:

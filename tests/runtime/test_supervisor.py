@@ -10,12 +10,15 @@ death before FINAL — and the
 had to throw away.
 """
 
+import hashlib
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 
+from repro.common import serialization
 from repro.common.errors import ConfigurationError
 from repro.common.serialization import FrameStreamReader, encode_stream_frame
 from repro.runtime import ipc
@@ -82,6 +85,108 @@ def _first_record_span(stream: bytes) -> int:
     reader = io.BytesIO(stream)
     FrameStreamReader(reader.read).read_frame()
     return reader.tell()
+
+
+#: SHA-256 of the golden-plan worker byte streams, per (workers, shard).
+#: Pinned on the encoder that interned and packed row by row, so the
+#: C-level encoder is held to the same bytes: READY, BATCH frames,
+#: SYNC_DONE and FINAL, framing included.
+WORKER_STREAM_SHA256 = {
+    (1, 0): "9e5cccd9917be9524c19f303f9cd078bc14dc24f14062f803e9e9ae30c66d47a",
+    (2, 0): "dede06e5d5b8b83f5319dd7b337d1bdc3f7238f7d88fdfe9ea42037f857c3e25",
+    (2, 1): "801b7e30c9699028c49ed4fc0877b10a68a0fd0f521809a9466dc34c83895a3e",
+}
+
+
+def _batch_payloads(stream: bytes):
+    reader = FrameStreamReader(io.BytesIO(stream).read)
+    payloads = []
+    while (payload := reader.read_frame()) is not None:
+        if payload[0] == ipc.MSG_BATCH:
+            payloads.append(payload)
+    return payloads
+
+
+class TestWorkerStreamBytes:
+    @pytest.mark.parametrize("workers,shard_index", sorted(WORKER_STREAM_SHA256))
+    def test_worker_stream_is_byte_identical(self, workers, shard_index):
+        stream = worker_stream(shard_index, workers)
+        assert hashlib.sha256(stream).hexdigest() == WORKER_STREAM_SHA256[workers, shard_index]
+
+
+class TestBatchDecodeStructure:
+    """What decoding a BATCH keeps shared, and how it parses identity tables.
+
+    The stores hold every decoded tag dict and fog id for the life of the
+    deployment, so keys, string values and fog ids must be the interned
+    objects every other frame decodes to.  Each identity table is parsed
+    from one joined text in one scan (the scanner starts once at each
+    entry); the per-entry ``json.loads`` reference runs for no table of a
+    healthy stream.
+    """
+
+    @pytest.fixture(scope="class")
+    def decoded(self, healthy_streams):
+        return [
+            ipc.decode_message(payload)[1]["batches"]
+            for stream in healthy_streams
+            for payload in _batch_payloads(stream)
+        ]
+
+    def test_tag_dicts_from_two_frames_share_keys_and_string_values(self, decoded):
+        assert len(decoded) == 2
+        first, second = (next(iter(batches.values())).tags[0] for batches in decoded)
+        assert first is not second
+        first_keys = {key: key for key in first}
+        assert set(first_keys) == set(second)
+        shared_values = 0
+        for key in second:
+            assert first_keys[key] is key
+            assert sys.intern(key) is key
+            value = second[key]
+            if type(value) is str:
+                assert sys.intern(value) is value
+                if first[key] == value:
+                    assert first[key] is value
+                    shared_values += 1
+        assert shared_values >= 2  # at least "city" and "category"
+
+    def test_fog_ids_are_interned(self, decoded):
+        fog_ids = [
+            fog_id
+            for batches in decoded
+            for columns in batches.values()
+            for fog_id in columns.fog_node_ids
+        ]
+        assert fog_ids and all(sys.intern(fog_id) is fog_id for fog_id in fog_ids)
+
+    def test_identity_tables_parse_in_one_scan_each(self, healthy_streams, monkeypatch):
+        calls = {"scans": 0, "entries": 0, "per_entry": 0, "loads": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        for name, owner, attribute in (
+            ("scans", serialization, "_scan_json_table"),
+            ("entries", serialization, "_scan_entry"),
+            ("per_entry", serialization, "_decode_json_entries"),
+            ("loads", serialization.json, "loads"),
+        ):
+            monkeypatch.setattr(owner, attribute, counted(name, getattr(owner, attribute)))
+        payloads = [payload for stream in healthy_streams for payload in _batch_payloads(stream)]
+        tables = {"tags": 0, "fog ids": 0}
+        for payload in payloads:
+            batches = ipc.decode_message(payload)[1]["batches"]
+            tags = {id(tag) for columns in batches.values() for tag in columns.tags}
+            fog_ids = {fog_id for columns in batches.values() for fog_id in columns.fog_node_ids}
+            tables["tags"] += len(tags)
+            tables["fog ids"] += len(fog_ids)
+        assert calls["per_entry"] == 0 and calls["loads"] == 0
+        assert calls["scans"] == 2 * len(payloads)  # one tag table + one fog-id table per frame
+        assert calls["entries"] == tables["tags"] + tables["fog ids"]
 
 
 class TestScriptedHappyPath:
