@@ -15,5 +15,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.11",  # the version CI runs; older ones are untested
-    install_requires=["networkx>=3", "numpy>=1.24"],
+    install_requires=["numpy>=1.24"],
 )

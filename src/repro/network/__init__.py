@@ -7,8 +7,9 @@ needed to measure that on a simulated network:
 
 * :mod:`repro.network.link` — point-to-point links with latency, bandwidth
   and an optional per-hour congestion profile.
-* :mod:`repro.network.topology` — a ``networkx``-backed hierarchical
-  topology (edge devices → fog L1 → fog L2 → cloud) with path utilities.
+* :mod:`repro.network.topology` — the hierarchical topology (edge devices →
+  fog L1 → fog L2 → cloud) held in plain dicts, with breadth-first path
+  utilities (fewest hops; the first path in link-insertion order on a tie).
 * :mod:`repro.network.traffic` — per-link / per-layer byte and message
   accounting with time-bucketed series (used to reproduce the figures).
 * :mod:`repro.network.simulator` — a small discrete-event engine that

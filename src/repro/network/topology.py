@@ -2,17 +2,16 @@
 
 The topology is a tree: edge devices attach to fog layer-1 nodes, fog layer-1
 nodes attach to fog layer-2 nodes, and fog layer-2 nodes attach to the cloud.
-It is stored in a ``networkx`` graph whose nodes carry a ``layer`` attribute
-and whose edges carry :class:`~repro.network.link.Link` objects in both
-directions.
+Nodes and links live in two insertion-ordered dicts: node id → attributes
+(``layer`` among them), and node id → {neighbour id → outgoing
+:class:`~repro.network.link.Link`}; :meth:`NetworkTopology.connect` adds a
+link in each direction by default.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, RoutingError
 from repro.network.link import Link, LinkProfile
@@ -49,7 +48,8 @@ class NetworkTopology:
     """A hierarchical fog-to-cloud topology with link and path utilities."""
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
+        self._nodes: Dict[str, Dict] = {}
+        self._links: Dict[str, Dict[str, Link]] = {}
         # Bumped on every structural change; lets consumers (the network
         # simulator's route cache) memoize paths safely.
         self._version = 0
@@ -64,9 +64,10 @@ class NetworkTopology:
     # ------------------------------------------------------------------ #
     def add_node(self, node_id: str, layer: LayerName, **attributes) -> None:
         """Register a node in the given layer."""
-        if node_id in self._graph:
+        if node_id in self._nodes:
             raise ConfigurationError(f"node already exists: {node_id}")
-        self._graph.add_node(node_id, layer=layer, **attributes)
+        self._nodes[node_id] = dict(attributes, layer=layer)
+        self._links[node_id] = {}
         self._version += 1
 
     def connect(
@@ -80,7 +81,7 @@ class NetworkTopology:
     ) -> Link:
         """Connect *lower* to *upper* with a link (and the reverse by default)."""
         for node_id in (lower, upper):
-            if node_id not in self._graph:
+            if node_id not in self._nodes:
                 raise ConfigurationError(f"unknown node: {node_id}")
         up_link = Link(
             source=lower,
@@ -89,51 +90,46 @@ class NetworkTopology:
             bandwidth_bps=bandwidth_bps,
             profile=profile,
         )
-        self._graph.add_edge(lower, upper, link=up_link)
+        self._links[lower][upper] = up_link
         if bidirectional:
-            self._graph.add_edge(upper, lower, link=up_link.reversed())
+            self._links[upper][lower] = up_link.reversed()
         self._version += 1
         return up_link
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying ``networkx`` graph (read-only by convention)."""
-        return self._graph
-
     def nodes_in_layer(self, layer: LayerName) -> List[str]:
-        return [n for n, data in self._graph.nodes(data=True) if data["layer"] == layer]
+        return [n for n, data in self._nodes.items() if data["layer"] == layer]
 
     def layer_of(self, node_id: str) -> LayerName:
         try:
-            return self._graph.nodes[node_id]["layer"]
+            return self._nodes[node_id]["layer"]
         except KeyError as exc:
             raise RoutingError(f"unknown node: {node_id}") from exc
 
     def node_attribute(self, node_id: str, key: str, default=None):
-        if node_id not in self._graph:
+        if node_id not in self._nodes:
             raise RoutingError(f"unknown node: {node_id}")
-        return self._graph.nodes[node_id].get(key, default)
+        return self._nodes[node_id].get(key, default)
 
     def has_node(self, node_id: str) -> bool:
-        return node_id in self._graph
+        return node_id in self._nodes
 
     def node_count(self, layer: Optional[LayerName] = None) -> int:
         if layer is None:
-            return self._graph.number_of_nodes()
+            return len(self._nodes)
         return len(self.nodes_in_layer(layer))
 
     def link(self, source: str, target: str) -> Link:
         """The link from *source* to *target*; raises if absent."""
         try:
-            return self._graph.edges[source, target]["link"]
+            return self._links[source][target]
         except KeyError as exc:
             raise RoutingError(f"no link {source} -> {target}") from exc
 
     def links(self) -> List[Link]:
-        return [data["link"] for _, _, data in self._graph.edges(data=True)]
+        return [link for out in self._links.values() for link in out.values()]
 
     # ------------------------------------------------------------------ #
     # Hierarchy navigation
@@ -141,7 +137,7 @@ class NetworkTopology:
     def parent_of(self, node_id: str) -> Optional[str]:
         """The node one layer up that *node_id* reports to, if any."""
         own_layer = layer_index(self.layer_of(node_id))
-        for _, upper in self._graph.out_edges(node_id):
+        for upper in self._links[node_id]:
             if layer_index(self.layer_of(upper)) == own_layer + 1:
                 return upper
         return None
@@ -150,7 +146,7 @@ class NetworkTopology:
         """Nodes one layer down that report to *node_id*."""
         own_layer = layer_index(self.layer_of(node_id))
         children = []
-        for _, lower in self._graph.out_edges(node_id):
+        for lower in self._links[node_id]:
             if layer_index(self.layer_of(lower)) == own_layer - 1:
                 children.append(lower)
         return sorted(children)
@@ -172,11 +168,30 @@ class NetworkTopology:
         return chain
 
     def path(self, source: str, target: str) -> List[str]:
-        """Shortest path (node ids) between two nodes, following links."""
-        try:
-            return nx.shortest_path(self._graph, source, target)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise RoutingError(f"no path {source} -> {target}") from exc
+        """Shortest path (node ids) between two nodes, following links.
+
+        A breadth-first search: the path has the fewest hops, and on a tie
+        it is the first one in link-insertion order.  The topologies built
+        in this package are trees, where the path is unique.
+        """
+        if source not in self._nodes or target not in self._nodes:
+            raise RoutingError(f"no path {source} -> {target}")
+        previous: Dict[str, Optional[str]] = {source: None}
+        frontier = [source]
+        while frontier and target not in previous:
+            reached = []
+            for node_id in frontier:
+                for neighbour in self._links[node_id]:
+                    if neighbour not in previous:
+                        previous[neighbour] = node_id
+                        reached.append(neighbour)
+            frontier = reached
+        if target not in previous:
+            raise RoutingError(f"no path {source} -> {target}")
+        nodes = [target]
+        while nodes[-1] != source:
+            nodes.append(previous[nodes[-1]])
+        return nodes[::-1]
 
     def path_links(self, source: str, target: str) -> List[Link]:
         nodes = self.path(source, target)
@@ -203,7 +218,7 @@ class NetworkTopology:
         cloud node or more, each being a root; links only connect adjacent
         layers.
         """
-        for node_id in self._graph.nodes:
+        for node_id in self._nodes:
             layer = self.layer_of(node_id)
             if layer == LayerName.CLOUD:
                 continue
@@ -211,7 +226,8 @@ class NetworkTopology:
                 raise ConfigurationError(f"edge device {node_id} has no fog layer-1 parent")
             if layer in (LayerName.FOG_1, LayerName.FOG_2) and self.parent_of(node_id) is None:
                 raise ConfigurationError(f"{layer.value} node {node_id} has no parent")
-        for source, target, data in self._graph.edges(data=True):
+        for link in self.links():
+            source, target = link.source, link.target
             gap = abs(layer_index(self.layer_of(source)) - layer_index(self.layer_of(target)))
             if gap > 1:
                 raise ConfigurationError(
@@ -222,5 +238,5 @@ class NetworkTopology:
     def summary(self) -> Dict[str, int]:
         """Node counts per layer plus link count; handy for Fig. 6 style output."""
         result = {layer.value: self.node_count(layer) for layer in LAYER_ORDER}
-        result["links"] = self._graph.number_of_edges()
+        result["links"] = len(self.links())
         return result

@@ -12,11 +12,21 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.sensors.catalog import SensorTypeSpec
 from repro.sensors.readings import Reading, ReadingColumns
+
+
+def sample_times(start: float, end: float, interval: float) -> List[float]:
+    """The sample timestamps of ``[start, end)``: *start*, then ``+= interval`` below *end*."""
+    timestamps = []
+    timestamp = start
+    while timestamp < end:
+        timestamps.append(timestamp)
+        timestamp += interval
+    return timestamps
 
 
 class Sensor:
@@ -122,30 +132,24 @@ class Sensor:
         """Yield readings at the type's sampling interval in ``[start, end)``."""
         if end < start:
             raise ConfigurationError("end must not precede start")
-        interval = self.spec.sampling_interval_seconds
-        timestamp = start
-        while timestamp < end:
+        for timestamp in sample_times(start, end, self.spec.sampling_interval_seconds):
             yield self.sample(timestamp)
-            timestamp += interval
 
-    def stream_into(self, columns: ReadingColumns, start: float, end: float) -> None:
-        """Append every sample of ``[start, end)`` to *columns* (columnar :meth:`stream`).
+    def _samples_into(
+        self, columns: ReadingColumns, timestamps: Sequence[float], sequences: Sequence[int]
+    ) -> None:
+        """Append one sample per timestamp to *columns* (the columnar :meth:`stream`).
 
-        Same timestamps, draws and sequence numbers as :meth:`stream`; the
-        constant columns are built in bulk instead of once per row.
+        *sequences* are this device's next sequence numbers.  The rows hold
+        the given timestamp and sequence objects, so a caller building many
+        devices' rows can share one list of each; the constant columns are
+        built in bulk.
         """
-        if end < start:
-            raise ConfigurationError("end must not precede start")
-        interval = self.spec.sampling_interval_seconds
         values = []
-        timestamps = []
-        timestamp = start
-        while timestamp < end:
+        for _ in timestamps:
             value = self._next_value()
             self._last_value = value
             values.append(value)
-            timestamps.append(timestamp)
-            timestamp += interval
         count = len(values)
         spec = self.spec
         columns.extend_arrays(
@@ -156,7 +160,7 @@ class Sensor:
             timestamps,
             [self.fog_node_id] * count,
             [spec.message_size_bytes] * count,
-            range(self._sequence, self._sequence + count),
+            sequences,
             [None] * count,
         )
         self._sequence += count

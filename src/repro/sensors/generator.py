@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.sensors.catalog import SensorCatalog, SensorCategory, SensorTypeSpec
-from repro.sensors.device import Sensor
+from repro.sensors.device import Sensor, sample_times
 from repro.sensors.readings import Reading, ReadingBatch, ReadingColumns
 
 
@@ -133,10 +133,30 @@ class ReadingGenerator:
     def stream_columns_for(
         devices: Iterable[Sensor], start: float = 0.0, end: float = 86_400.0
     ) -> ReadingColumns:
-        """:meth:`stream_for` as one column set (device-major, same rows)."""
-        columns = ReadingColumns()
+        """:meth:`stream_for` as one column set (device-major, same rows).
+
+        The rows share their immutable cells: devices of one sampling
+        interval reuse one timestamp list, and every device's sequence
+        numbers are a slice of one int list.  A city-day then holds one
+        float per distinct timestamp instead of one per reading.
+        """
+        if end < start:
+            raise ConfigurationError("end must not precede start")
+        times: Dict[float, List[float]] = {}
+        plan = []
         for device in devices:
-            device.stream_into(columns, start, end)
+            interval = device.spec.sampling_interval_seconds
+            timestamps = times.get(interval)
+            if timestamps is None:
+                timestamps = times[interval] = sample_times(start, end, interval)
+            plan.append((device, device.samples_emitted, timestamps))
+        first = min((emitted for _, emitted, _ in plan), default=0)
+        last = max((emitted + len(timestamps) for _, emitted, timestamps in plan), default=0)
+        sequences = list(range(first, last))
+        columns = ReadingColumns()
+        for device, emitted, timestamps in plan:
+            offset = emitted - first
+            device._samples_into(columns, timestamps, sequences[offset : offset + len(timestamps)])
         return columns
 
     def scale_factor(self, spec: SensorTypeSpec) -> float:

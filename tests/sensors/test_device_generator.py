@@ -146,3 +146,51 @@ class TestReadingGenerator:
         device = generator.devices_for("temperature")[0]
         values = {device.sample(float(i)).value for i in range(10)}
         assert len(values) == 1
+
+
+class TestStreamColumns:
+    START, END = 0.1, 20_000.3  # off the interval grid: timestamps accumulate rounding
+
+    @staticmethod
+    def _row(reading):
+        return (
+            reading.sensor_id,
+            reading.sensor_type,
+            reading.category,
+            reading.value,
+            reading.timestamp.hex(),
+            reading.fog_node_id,
+            reading.size_bytes,
+            reading.sequence,
+            reading.tags,
+        )
+
+    def _devices(self, catalog):
+        devices = ReadingGenerator(catalog, devices_per_type=3, seed=11).all_devices()
+        devices[1].sample(0.0)  # one device whose sequence does not start at 0
+        return devices
+
+    def test_rows_equal_each_devices_own_stream(self, small_catalog):
+        columns = ReadingGenerator.stream_columns_for(self._devices(small_catalog), self.START, self.END)
+        expected = [
+            self._row(reading)
+            for device in self._devices(small_catalog)
+            for reading in device.stream(self.START, self.END)
+        ]
+        assert [self._row(reading) for reading in columns.to_readings()] == expected
+
+    def test_devices_of_one_interval_share_timestamp_and_sequence_objects(self, small_catalog):
+        columns = ReadingGenerator.stream_columns_for(
+            [device for device in self._devices(small_catalog) if device.spec.name == "traffic"],
+            self.START,
+            self.END,
+        )
+        per_device = len(columns) // 3
+        assert per_device > 300  # sequence numbers past the small-int cache
+        first, third = slice(0, per_device), slice(2 * per_device, 3 * per_device)
+        assert all(a is b for a, b in zip(columns.timestamps[first], columns.timestamps[third]))
+        assert all(a is b for a, b in zip(columns.sequences[first], columns.sequences[third]))
+
+    def test_rejects_reversed_window(self, small_catalog):
+        with pytest.raises(ConfigurationError):
+            ReadingGenerator.stream_columns_for(self._devices(small_catalog), 10.0, 0.0)
