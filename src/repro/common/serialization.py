@@ -251,7 +251,6 @@ def is_column_frame(payload: bytes) -> bool:
 # detectable even when they land in packed numeric data that would
 # otherwise "decode".
 # --------------------------------------------------------------------------- #
-_WIDTH_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _SIGNED_TAG = 9
 _DICT_TAG = 10
 _PLAIN_F64_TAG = 0
@@ -265,6 +264,9 @@ _DICT_F64_TAG = 2
 _DICT_MIN_ROWS = 256
 
 _INDEX_DTYPES = {"B": "u1", "H": "<u2", "I": "<u4"}
+
+#: Little-endian element types of the plain small-integer layouts, by tag.
+_PLAIN_DTYPES = {1: "u1", 2: "<u2", 4: "<u4", 8: "<u8", _SIGNED_TAG: "<i8"}
 
 
 def _index_typecode(table_size: int) -> str:
@@ -290,6 +292,11 @@ def _pack_string_column(values: List[Any], table: Dict[str, int]) -> List[int]:
 
 def _pack_indices(code: str, indices) -> bytes:
     return indices.astype(_INDEX_DTYPES[code]).tobytes()
+
+
+def _pack_index_list(code: str, indices: List[int]) -> bytes:
+    """A list of table indices in the width *code* (one C call)."""
+    return bytes(indices) if code == "B" else column_to_bytes(array(code, indices))
 
 
 def _pack_f64_column(column: array) -> bytes:
@@ -356,6 +363,21 @@ def _unpack_f64_column(view: memoryview, offset: int, n: int, what: str) -> tupl
 def _pack_small_ints(values) -> bytes:
     """One small-integer column: narrowest plain width, or a dictionary."""
     n = len(values)
+    if type(values) is list:
+        # One C call per width tried.  A dictionary never beats one byte a
+        # row and is not tried below _DICT_MIN_ROWS, so there the first
+        # width that takes every value is the column; negative, wide and
+        # non-integer values go on to the general path.
+        try:
+            return b"\x01" + bytes(values)
+        except (TypeError, ValueError):
+            pass
+        if n < _DICT_MIN_ROWS:
+            for tag, code in ((2, "H"), (4, "I")):
+                try:
+                    return bytes((tag,)) + column_to_bytes(array(code, values))
+                except (TypeError, OverflowError):
+                    pass
     if not n:
         return bytes([1])
     if type(values) is array and values.typecode == "q":
@@ -367,9 +389,10 @@ def _pack_small_ints(values) -> bytes:
             raise ValueError(f"binary column frames require integer sizes/sequences: {exc}") from exc
         except OverflowError as exc:
             raise ValueError("integer column value does not fit in 64 bits") from exc
-    low, high = min(column), max(column)
+    ints = np.frombuffer(column, dtype=np.int64)
+    low, high = ints.min(), ints.max()
     if low < 0:
-        code, width = "q", 8
+        width = 8
         plain_tag = _SIGNED_TAG
     else:
         if high <= 0xFF:
@@ -380,10 +403,9 @@ def _pack_small_ints(values) -> bytes:
             width = 4
         else:
             width = 8
-        code = _WIDTH_CODES[width]
         plain_tag = width
     if n >= _DICT_MIN_ROWS:
-        entries, inverse = np.unique(np.frombuffer(column, dtype=np.int64), return_inverse=True)
+        entries, inverse = np.unique(ints, return_inverse=True)
         count = len(entries)
         icode = _index_typecode(count)
         dict_size = _U32.size + 8 * count + struct.calcsize(icode) * n
@@ -394,7 +416,7 @@ def _pack_small_ints(values) -> bytes:
                 + entries.astype("<i8", copy=False).tobytes()
                 + _pack_indices(icode, inverse)
             )
-    return bytes([plain_tag]) + column_to_bytes(array(code, column))
+    return bytes([plain_tag]) + ints.astype(_PLAIN_DTYPES[plain_tag]).tobytes()
 
 
 def _unpack_small_ints(view: memoryview, offset: int, n: int, what: str) -> tuple:
@@ -407,21 +429,17 @@ def _unpack_small_ints(view: memoryview, offset: int, n: int, what: str) -> tupl
         table = np.frombuffer(entries, dtype="<i8")
         gathered = table[np.asarray(indices)].astype("<i8", copy=False)
         return column_from_bytes("q", gathered.tobytes()), offset
-    if tag == _SIGNED_TAG:
-        code = "q"
-    else:
-        code = _WIDTH_CODES.get(tag)
-        if code is None:
-            raise ValueError(f"binary column frame has unknown {what} width tag {tag}")
-    raw, offset = _read_block(view, offset, struct.calcsize(code) * n, what)
-    column = column_from_bytes(code, raw)
-    if code == "q":
-        return column, offset
-    try:
-        # Widen to the canonical signed-64 column type.
-        return array("q", column), offset
-    except OverflowError as exc:
-        raise ValueError("binary column frame integer does not fit in 64 bits") from exc
+    dtype = _PLAIN_DTYPES.get(tag)
+    if dtype is None:
+        raise ValueError(f"binary column frame has unknown {what} width tag {tag}")
+    end = offset + (8 if tag == _SIGNED_TAG else tag) * n
+    if end > len(view):
+        raise ValueError(f"binary column frame truncated in {what} column")
+    # Widened to the canonical signed-64 column type in one numpy call.
+    ints = np.frombuffer(view, dtype, n, offset)
+    if tag == 8 and n and ints.max() >> 63:
+        raise ValueError("binary column frame integer does not fit in 64 bits")
+    return column_from_bytes("q", ints.astype("<i8").tobytes()), end
 
 
 def _encode_binary_body(columns: Mapping[str, List[Any]], n: int) -> bytearray:
@@ -442,9 +460,9 @@ def _encode_binary_body(columns: Mapping[str, List[Any]], n: int) -> bytearray:
     body += _pack_small_ints(list(map(len, texts)))
     body += b"".join(texts)
     index_code = _index_typecode(len(table))
-    body += column_to_bytes(array(index_code, id_ix))
-    body += column_to_bytes(array(index_code, type_ix))
-    body += column_to_bytes(array(index_code, cat_ix))
+    body += _pack_index_list(index_code, id_ix)
+    body += _pack_index_list(index_code, type_ix)
+    body += _pack_index_list(index_code, cat_ix)
 
     values = columns["values"]
     if {float}.issuperset(map(type, values)):
@@ -519,16 +537,24 @@ def _decode_binary_body(body: memoryview, body_len: int, n: int) -> tuple:
         raise ValueError("binary column frame has a negative string length")
     blob, offset = _read_block(body, offset, sum(lengths), "string table")
     # Interned: ids, types and categories recur in every frame, and the
-    # stores keep them per row, so each distinct string is held once.
+    # stores keep them per row, so each distinct string is held once.  An
+    # ASCII table is decoded once and sliced; any other goes entry by entry.
     table: List[str] = []
     table_append = table.append
     position = 0
-    try:
+    if blob.isascii():
+        text = str(blob, "ascii")
         for length in lengths:
-            table_append(intern(str(blob[position:position + length], "utf-8")))
-            position += length
-    except UnicodeDecodeError as exc:
-        raise ValueError("binary column frame string table is not valid UTF-8") from exc
+            end = position + length
+            table_append(intern(text[position:end]))
+            position = end
+    else:
+        try:
+            for length in lengths:
+                table_append(intern(str(blob[position:position + length], "utf-8")))
+                position += length
+        except UnicodeDecodeError as exc:
+            raise ValueError("binary column frame string table is not valid UTF-8") from exc
 
     index_code = _index_typecode(table_size)
     index_size = struct.calcsize(index_code) * n
@@ -536,7 +562,9 @@ def _decode_binary_body(body: memoryview, body_len: int, n: int) -> tuple:
     for name in _STRING_FIELDS:
         if offset + index_size > body_len:
             raise ValueError(f"binary column frame truncated in {name} column")
-        indices = column_from_bytes(index_code, bytes(body[offset:offset + index_size]))
+        indices = bytes(body[offset:offset + index_size])
+        if index_code != "B":
+            indices = column_from_bytes(index_code, indices)
         offset += index_size
         try:
             string_columns[name] = [table[i] for i in indices]
@@ -700,7 +728,14 @@ def _v2_codec(fast: bool = False) -> tuple:
 
 
 def _intern_column(values, key) -> tuple:
-    """Intern *values* into (table, indices) using *key* for equality."""
+    """Intern *values* into (table, indices) using *key* for equality.
+
+    With *key* ``None`` the values are their own keys, and interning runs
+    in C: one pass builds the table, one maps the rows to indices.
+    """
+    if key is None:
+        index_for = dict(zip(dict.fromkeys(values), range(len(values))))
+        return list(index_for), list(map(index_for.__getitem__, values))
     table: List[Any] = []
     indices: List[int] = []
     index_for: Dict[Any, int] = {}
@@ -743,7 +778,7 @@ def _append_json_table(body: bytearray, values, key, what: str, expect: type) ->
             raws.append(_canonical_json(entry).encode("utf-8"))
     body += _U32.pack(len(table))
     body += b"".join(chain.from_iterable(zip(map(_U32.pack, map(len, raws)), raws)))
-    body += column_to_bytes(array(_index_typecode(len(table) or 1), indices))
+    body += _pack_index_list(_index_typecode(len(table) or 1), indices)
 
 
 def _interned_object(pairs) -> dict:
@@ -896,7 +931,7 @@ def encode_columns_binary_v2(
             raise ValueError("extended v2 frame identity columns have the wrong length")
         flags |= _FLAG_EXTENDED
         _append_json_table(body, tags, key=id, what="tags", expect=dict)
-        _append_json_table(body, fog_node_ids, key=lambda value: value, what="fog ids", expect=str)
+        _append_json_table(body, fog_node_ids, key=None, what="fog ids", expect=str)
     raw = bytes(body)
     dict_crc, compressor, _ = _v2_codec(fast=fast)
     deflater = compressor.copy()
